@@ -757,150 +757,6 @@ pub fn extension_parallel(ctx: &ExperimentContext) -> ExperimentOutput {
     }
 }
 
-/// Extension: the vectorized training plane — training throughput of the
-/// legacy serial trainer vs the `TrainingEngine` at increasing lockstep
-/// environment counts, over one representative candidate job (the
-/// planner trains one of these per portfolio spec). The row set is
-/// gated on the fixed-seed equivalence invariant: the engine at
-/// `vec_envs = 1` must reproduce the serial policy bit-for-bit.
-pub fn extension_training(ctx: &ExperimentContext) -> ExperimentOutput {
-    use zeus_core::training::{bench_env, bench_training, CandidateJob};
-    use zeus_core::EvalProtocol;
-
-    let seed = ctx.seed;
-    let proto = bench_env(&ctx.dataset, seed).expect("experiment corpus has a training split");
-    // The context's trainer config sizes the workload (fast options in
-    // tests shrink it), capped at 3 episodes — the benchmark sweeps the
-    // job five times (serial + equivalence echo + 3 widths), so the
-    // planner's full 20-episode default would dominate the suite.
-    let mut base = ctx.options.trainer.clone();
-    base.episodes = base.episodes.min(3);
-    let job = CandidateJob::representative(
-        base,
-        EvalProtocol::for_family(ctx.dataset.family()),
-        ctx.query.target_accuracy,
-        seed,
-    );
-    let report = bench_training(&proto, &job, &[2, 4, 8]).expect("benchmark trains");
-
-    let mut rows = Vec::new();
-    let mut push_row = |s: &zeus_core::training::ThroughputSample, base: f64| {
-        rows.push(vec![
-            s.label.clone(),
-            format!("{}", s.steps),
-            format!("{}", s.updates),
-            format!("{:.0}", s.steps_per_sec),
-            format!("{:.2}x", s.steps_per_sec / base),
-        ]);
-    };
-    let base = report.serial.steps_per_sec;
-    push_row(&report.serial, base);
-    for s in &report.vectorized {
-        push_row(s, base);
-    }
-    let mut text = render(
-        "Extension — vectorized training plane (steps/s, one candidate)",
-        &["Configuration", "Steps", "Updates", "Steps/s", "Speedup"],
-        &rows,
-    );
-    text.push_str(&format!(
-        "\nfixed-seed serial equivalence at vec_envs = 1: {}; shared feature-cache hit rate {:.1}%\n",
-        if report.equivalent { "OK" } else { "FAILED" },
-        report.cache_hit_rate * 100.0,
-    ));
-    ExperimentOutput {
-        id: "extension-training".into(),
-        text,
-    }
-}
-
-/// Extension: the `zeus-serve` concurrent serving layer — the
-/// latency/throughput curve vs worker count that motivates the device
-/// pool. A closed-loop workload of distinct queries (one trained policy
-/// shared across accuracy-target identities, so no per-query retraining)
-/// saturates servers of 1–8 devices.
-pub fn extension_serving(ctx: &ExperimentContext) -> ExperimentOutput {
-    use zeus_core::catalog::{decode_plan, encode_plan};
-    use zeus_core::query::ActionQuery;
-    use zeus_serve::{
-        run_closed_loop, CorpusId, PlanStore, Priority, ServeConfig, WorkloadSpec, ZeusServer,
-    };
-
-    // 24 query identities over one trained plan; 48 submissions → every
-    // identity runs once and repeats hit the result cache.
-    let targets: Vec<f64> = (0..24).map(|i| 0.70 + 0.005 * i as f64).collect();
-    let corpus = CorpusId::of(&ctx.dataset);
-    let templates: Vec<ActionQuery> = targets
-        .iter()
-        .map(|&t| ActionQuery::multi(ctx.query.classes.clone(), t).unwrap())
-        .collect();
-    let spec = WorkloadSpec {
-        templates: templates.clone(),
-        priorities: Priority::ALL.to_vec(),
-        total: 48,
-        seed: DEFAULT_SEED,
-    };
-
-    let mut rows = Vec::new();
-    let mut base_qps = 0.0;
-    for workers in [1usize, 2, 4, 8] {
-        let plans = PlanStore::in_memory();
-        let stored =
-            decode_plan(&encode_plan(&ctx.plan, ctx.options.seed)).expect("plan roundtrip");
-        for template in &templates {
-            let mut variant = stored.clone();
-            variant.query = template.clone();
-            plans.install_stored(corpus, variant);
-        }
-        let server = ZeusServer::start(
-            &ctx.dataset,
-            plans,
-            ServeConfig {
-                workers,
-                queue_capacity: 256,
-                cache_capacity: 64,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("serve config is valid");
-        let report = run_closed_loop(&server, &spec, 8);
-        server.shutdown();
-        let m = &report.metrics;
-        if workers == 1 {
-            base_qps = m.throughput_qps;
-        }
-        rows.push(vec![
-            format!("{workers}"),
-            format!("{:.1}", m.p50.as_secs_f64() * 1e3),
-            format!("{:.1}", m.p95.as_secs_f64() * 1e3),
-            format!("{:.1}", m.p99.as_secs_f64() * 1e3),
-            format!("{:.1}", m.throughput_qps),
-            if base_qps > 0.0 {
-                format!("{:.2}x", m.throughput_qps / base_qps)
-            } else {
-                "-".into()
-            },
-            format!("{:.0}%", m.cache_hit_rate() * 100.0),
-        ]);
-    }
-    ExperimentOutput {
-        id: "extension-serving".into(),
-        text: render(
-            "Extension — zeus-serve closed-loop scaling, CrossRight (48 queries, 8 clients)",
-            &[
-                "Devices",
-                "p50 (ms)",
-                "p95 (ms)",
-                "p99 (ms)",
-                "qps",
-                "Speedup",
-                "Cache hits",
-            ],
-            &rows,
-        ),
-    }
-}
-
 /// Run the full suite in paper order. `fast` skips the slowest blocks.
 pub fn run_all(fast: bool) -> Vec<ExperimentOutput> {
     let mut outputs = Vec::new();
@@ -946,8 +802,6 @@ pub fn run_all(fast: bool) -> Vec<ExperimentOutput> {
     outputs.push(fig12(cross_right));
     outputs.push(fig13(cross_right, left_turn));
     outputs.push(extension_parallel(cross_right));
-    outputs.push(extension_training(cross_right));
-    outputs.push(extension_serving(cross_right));
 
     if !fast {
         outputs.push(fig10(&[
@@ -961,79 +815,4 @@ pub fn run_all(fast: bool) -> Vec<ExperimentOutput> {
         outputs.push(ablation_window());
     }
     outputs
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use zeus_core::query::ActionQuery;
-    use zeus_rl::EpsilonSchedule;
-
-    #[test]
-    fn training_experiment_reports_speedup_and_equivalence() {
-        let mut options = PlannerOptions::default();
-        options.trainer.episodes = 1;
-        options.trainer.warmup = 64;
-        options.candidates.truncate(1);
-        let ctx = crate::harness::ExperimentContext::with_scale(
-            DatasetKind::Bdd100k,
-            vec![ActionClass::CrossRight],
-            0.85,
-            0.05,
-            options,
-        );
-        let out = extension_training(&ctx);
-        assert_eq!(out.id, "extension-training");
-        assert!(
-            out.text.contains("serial (legacy DqnTrainer)"),
-            "{}",
-            out.text
-        );
-        assert!(out.text.contains("vec_envs = 8"), "{}", out.text);
-        assert!(
-            out.text.contains("equivalence at vec_envs = 1: OK"),
-            "equivalence must hold:\n{}",
-            out.text
-        );
-    }
-
-    #[test]
-    fn serving_experiment_produces_the_scaling_table() {
-        // A fast-options context at reduced scale; the experiment itself
-        // only cares that the serving layer drives all worker counts.
-        let mut options = PlannerOptions::default();
-        options.trainer.episodes = 2;
-        options.trainer.warmup = 64;
-        options.trainer.epsilon = EpsilonSchedule::new(1.0, 0.1, 500);
-        options.candidates.truncate(1);
-        let ctx = crate::harness::ExperimentContext::with_scale(
-            DatasetKind::Bdd100k,
-            vec![ActionClass::CrossRight],
-            0.85,
-            0.1,
-            options,
-        );
-        let out = extension_serving(&ctx);
-        assert_eq!(out.id, "extension-serving");
-        for workers in ["1", "2", "4", "8"] {
-            assert!(
-                out.text
-                    .lines()
-                    .any(|l| l.trim_start().starts_with(workers)),
-                "missing row for {workers} devices:\n{}",
-                out.text
-            );
-        }
-        assert!(out.text.contains("Cache hits"));
-    }
-
-    #[test]
-    fn query_is_reused_not_retrained_across_targets() {
-        let _ = ActionQuery::new(ActionClass::CrossRight, 0.85).unwrap();
-        // 24 identities in the serving experiment share one trained plan;
-        // the identity count is part of the experiment's contract.
-        let targets: Vec<f64> = (0..24).map(|i| 0.70 + 0.005 * i as f64).collect();
-        assert_eq!(targets.len(), 24);
-        assert!(targets.iter().all(|t| (0.0..1.0).contains(t)));
-    }
 }

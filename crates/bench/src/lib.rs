@@ -1,8 +1,8 @@
 //! # zeus-bench
 //!
 //! The reproduction harness: shared experiment drivers used by the
-//! `reproduce` binary (which regenerates every table and figure of the
-//! paper) and by the Criterion benches.
+//! `reproduce` binary, which regenerates every table and figure of the
+//! paper.
 
 #![warn(missing_docs)]
 pub mod experiments;

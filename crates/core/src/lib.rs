@@ -18,8 +18,8 @@
 //! * [`parallel`] — the inter-video parallel executor extension sketched
 //!   in §6.4.
 //! * [`training`] — the vectorized training plane: batched-inference
-//!   lockstep rollouts, portfolio training across device-pool workers,
-//!   and the training-throughput benchmark.
+//!   lockstep rollouts and portfolio training across device-pool
+//!   workers.
 
 #![warn(missing_docs)]
 pub mod baselines;

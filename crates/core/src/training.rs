@@ -14,8 +14,9 @@
 //!    lockstep round.
 //! 2. **Portfolio parallelism** — candidates train concurrently on
 //!    `train_workers` threads, each owning one simulated device of a
-//!    [`DevicePool`] (the PR-1 hardware abstraction) that accumulates the
-//!    candidate's simulated RL-training seconds.
+//!    [`DevicePool`] (the hardware abstraction the serving pool also
+//!    uses) that accumulates the candidate's simulated RL-training
+//!    seconds.
 //! 3. **Shared feature cache** — every fork of the prototype environment
 //!    routes APFG invocations through one thread-safe
 //!    [`zeus_apfg::FeatureCache`], so parallel rollouts never recompute a
@@ -29,15 +30,19 @@
 //! regardless of `train_workers`. With `vec_envs = 1` the engine's
 //! rollout is bit-identical to the legacy serial [`DqnTrainer::train`]
 //! loop under the same seeds (see `tests/training.rs`).
+//!
+//! [`bench_env`] and [`CandidateJob::representative`] build one
+//! representative candidate outside the planner, for tests that train a
+//! single job in isolation. Training time is benchmarked by perfbench's
+//! `plan-paper6` workload.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use zeus_obs::keys;
 use zeus_obs::sync::lock_recover;
 
-use zeus_apfg::{FeatureCache, SimulatedApfg};
+use zeus_apfg::SimulatedApfg;
 use zeus_rl::agent::{DqnAgent, DqnConfig, GreedyPolicy};
 use zeus_rl::{
     DqnTrainer, Environment, RewardMode, RlError, TrainerConfig, TrainingReport, VecEnv,
@@ -92,13 +97,11 @@ pub struct CandidateJob {
 }
 
 impl CandidateJob {
-    /// The representative single-candidate job the training benchmark,
-    /// the `extension-training` experiment, and the CLI all measure: the
-    /// planner's default aggregate reward over the family's evaluation
-    /// window, with the planner's seed mixers. `base` supplies every
-    /// other trainer knob (episodes, warm-up, batch, cadence), so
-    /// callers tune workload size without re-stating the reward shape —
-    /// and all surfaces stay measuring the same configuration.
+    /// A representative single-candidate job: the planner's default
+    /// aggregate reward over the family's evaluation window, with the
+    /// planner's seed mixers. `base` supplies every other trainer knob
+    /// (episodes, warm-up, batch, cadence), so callers tune workload size
+    /// without re-stating the reward shape.
     pub fn representative(
         base: TrainerConfig,
         protocol: EvalProtocol,
@@ -129,10 +132,8 @@ impl CandidateJob {
 
 /// The training-plane prototype environment over `source`'s training
 /// split: the source's first query class, the family's full
-/// configuration space, and the most-accurate init configuration —
-/// what [`bench_training`] and the `extension-training` experiment
-/// measure against (a representative slice of what the planner trains
-/// per candidate).
+/// configuration space, and the most-accurate init configuration — a
+/// representative slice of what the planner trains per candidate.
 pub fn bench_env(source: &dyn DataSource, seed: u64) -> Result<VideoTraversalEnv, EnvError> {
     let classes = vec![source.query_classes()[0]];
     let space = ConfigSpace::for_family(source.family());
@@ -338,154 +339,10 @@ impl TrainingEngine {
     }
 }
 
-/// One measured configuration of the training-throughput benchmark.
-#[derive(Debug, Clone)]
-pub struct ThroughputSample {
-    /// Human-readable row label.
-    pub label: String,
-    /// Lockstep environments used.
-    pub vec_envs: usize,
-    /// Environment steps taken.
-    pub steps: u64,
-    /// Gradient updates performed.
-    pub updates: u64,
-    /// Wall-clock seconds.
-    pub wall_secs: f64,
-    /// Environment steps per wall-clock second.
-    pub steps_per_sec: f64,
-}
-
-/// The training-throughput benchmark: the serial baseline against the
-/// vectorized engine at increasing `vec_envs`, plus the fixed-seed
-/// equivalence verdict that gates it.
-#[derive(Debug, Clone)]
-pub struct TrainingBenchReport {
-    /// The legacy serial trainer ([`DqnTrainer::train`]).
-    pub serial: ThroughputSample,
-    /// The engine at each requested `vec_envs` (train_workers = 1, so
-    /// rows isolate the vectorization win).
-    pub vectorized: Vec<ThroughputSample>,
-    /// Whether the engine at `vec_envs = 1` reproduced the serial greedy
-    /// policy and report bit-for-bit — the invariant that licenses the
-    /// speedup numbers.
-    pub equivalent: bool,
-    /// Shared feature-cache hit rate of the widest vectorized run (each
-    /// run gets its own fresh cache, so this measures within-run reuse
-    /// only).
-    pub cache_hit_rate: f64,
-}
-
-impl TrainingBenchReport {
-    /// Speedup of the engine at the largest measured `vec_envs` over the
-    /// serial baseline.
-    pub fn best_speedup(&self) -> f64 {
-        self.vectorized
-            .iter()
-            .map(|s| s.steps_per_sec / self.serial.steps_per_sec.max(1e-12))
-            .fold(0.0, f64::max)
-    }
-
-    /// The sample with the largest `vec_envs`.
-    pub fn widest(&self) -> &ThroughputSample {
-        self.vectorized
-            .iter()
-            .max_by_key(|s| s.vec_envs)
-            .unwrap_or(&self.serial)
-    }
-}
-
-/// Measure training throughput over `proto` for one candidate job:
-/// the legacy serial trainer first, then the engine at each entry of
-/// `vec_envs_list` (ascending recommended; the last entry's cache stats
-/// are reported). Also verifies the fixed-seed serial-equivalence
-/// invariant at `vec_envs = 1`.
-///
-/// Cache treatment is deliberately asymmetric-but-fair: the serial
-/// baseline runs exactly the legacy configuration (no shared feature
-/// cache), and every vectorized run gets its *own* fresh cache — so the
-/// measured speedup includes only within-run reuse, never warm state
-/// left behind by an earlier run. Pass `proto` without a cache attached.
-pub fn bench_training(
-    proto: &VideoTraversalEnv,
-    job: &CandidateJob,
-    vec_envs_list: &[usize],
-) -> Result<TrainingBenchReport, RlError> {
-    // Serial baseline: the legacy loop, scalar forwards, per-step updates.
-    let agent = DqnAgent::new(
-        proto.state_dim(),
-        proto.num_actions(),
-        job.dqn.clone(),
-        job.dqn_seed,
-    );
-    let mut trainer = DqnTrainer::new(agent, job.trainer.clone());
-    let mut env = proto.fork(job.env_seed);
-    // zeus-lint: allow(wallclock): the benchmark's whole point is wall time
-    let start = Instant::now();
-    let serial_report = trainer.train(&mut env)?;
-    let wall = start.elapsed().as_secs_f64();
-    let serial_policy = trainer.into_agent().policy().to_bytes();
-    let serial = ThroughputSample {
-        label: "serial (legacy DqnTrainer)".into(),
-        vec_envs: 1,
-        steps: serial_report.steps,
-        updates: serial_report.updates,
-        wall_secs: wall,
-        steps_per_sec: serial_report.steps as f64 / wall.max(1e-9),
-    };
-
-    // Equivalence gate: the engine at N = 1 must reproduce the serial
-    // policy and report bit-for-bit.
-    let engine1 = TrainingEngine::new(TrainingOptions {
-        train_workers: 1,
-        vec_envs: 1,
-    });
-    let echo = engine1.train_candidate(proto, job)?;
-    // bit_eq, not ==: identical NaNs must not fail the gate.
-    let equivalent = echo.report.bit_eq(&serial_report) && echo.policy.to_bytes() == serial_policy;
-
-    let mut vectorized = Vec::with_capacity(vec_envs_list.len());
-    // The reported rate belongs to the widest run (max vec_envs), which
-    // is also the run `widest()`/`best_speedup` describe — not simply
-    // the last list entry.
-    let mut cache_hit_rate = 0.0;
-    let mut widest_n = 0;
-    for &n in vec_envs_list {
-        let cache = Arc::new(FeatureCache::new());
-        let run_proto = proto.fork(job.env_seed).with_cache(Arc::clone(&cache));
-        let engine = TrainingEngine::new(TrainingOptions {
-            train_workers: 1,
-            vec_envs: n,
-        });
-        // zeus-lint: allow(wallclock): the benchmark's whole point is wall time
-        let start = Instant::now();
-        let outcome = engine.train_candidate(&run_proto, job)?;
-        let wall = start.elapsed().as_secs_f64();
-        vectorized.push(ThroughputSample {
-            label: format!("vectorized (vec_envs = {n})"),
-            vec_envs: n,
-            steps: outcome.report.steps,
-            updates: outcome.report.updates,
-            wall_secs: wall,
-            steps_per_sec: outcome.report.steps as f64 / wall.max(1e-9),
-        });
-        if n >= widest_n {
-            widest_n = n;
-            cache_hit_rate = cache.hit_rate();
-        }
-    }
-
-    Ok(TrainingBenchReport {
-        serial,
-        vectorized,
-        equivalent,
-        cache_hit_rate,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zeus_apfg::SimulatedApfg;
+    use zeus_apfg::{FeatureCache, SimulatedApfg};
     use zeus_rl::{EpsilonSchedule, RewardMode};
     use zeus_video::{ActionClass, DatasetKind, Video};
 
@@ -590,17 +447,5 @@ mod tests {
             .unwrap();
         assert!(out.candidates.is_empty());
         assert_eq!(out.workers, 0);
-    }
-
-    #[test]
-    fn bench_reports_equivalence_and_all_rows() {
-        let proto = proto_env(3);
-        let report = bench_training(&proto, &tiny_job(3), &[1, 2]).unwrap();
-        assert!(report.equivalent, "vec_envs = 1 must reproduce serial");
-        assert_eq!(report.vectorized.len(), 2);
-        assert_eq!(report.widest().vec_envs, 2);
-        assert!(report.serial.steps > 0);
-        assert!(report.best_speedup() > 0.0);
-        assert!(report.cache_hit_rate > 0.0, "replayed forks must hit");
     }
 }

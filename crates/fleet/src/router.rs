@@ -516,8 +516,8 @@ impl FleetRouter {
             }));
         }
         // Physical saturation, attributed for the fairness audit: an
-        // in-quota tenant bounced here was not shed *by the gate* (the
-        // bench's closed-loop driver retries these), but the fleet
+        // in-quota tenant bounced here was not shed *by the gate* (a
+        // closed-loop client can retry these), but the fleet
         // records it so operators can see quota-respecting demand being
         // turned away.
         if in_quota {

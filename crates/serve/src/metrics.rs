@@ -3,7 +3,7 @@
 //!
 //! [`ServeMetrics`] is the live, thread-safe recorder the server updates;
 //! [`MetricsSnapshot`] is the immutable view handed to operators (and
-//! printed by `zeus serve-bench`). Latency is wall-clock (queueing +
+//! printed by `zeus top`). Latency is wall-clock (queueing +
 //! scheduling + the real CPU cost of simulated execution); device seconds
 //! are simulated time, so the two axes are reported separately.
 //!

@@ -1,4 +1,5 @@
-//! Workload drivers for `zeus serve-bench` and the serving experiments.
+//! Workload drivers for the CLI's `trace` / `top` commands and the
+//! serving tests.
 //!
 //! * **Open loop** — queries arrive on a Poisson process at a target rate,
 //!   regardless of how the server keeps up: the honest way to measure

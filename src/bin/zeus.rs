@@ -10,17 +10,9 @@
 //!            --catalog ./plans [--scale 0.3] [--seed 42]
 //! zeus query --dataset bdd100k --sql "..." [--catalog ./plans] \
 //!            [--method zeus-rl|zeus-sliding|all] [--scale 0.3]
-//! zeus serve-bench --dataset bdd100k [--workers 4] [--queries 120] \
-//!            [--mode open|closed] [--rate 40] [--concurrency 8] \
-//!            [--queue 64] [--method zeus-rl] [--catalog ./plans]
-//! zeus bench --json [--benchmark serving|training] [--out FILE] \
-//!            [--workers 4] [--queries 96] [--vec-envs 4] [--episodes 4] \
-//!            [--scale 0.05] [--seed 2022]
-//! zeus fleet-bench [--shards 4] [--queries 1000000] [--clients 16] \
-//!            [--tenants 8] [--datasets 4] [--scale 0.01] [--seed 2022] \
-//!            [--cache 24] [--replicas 1] [--hot-threshold N] \
-//!            [--json] [--out BENCH_fleet.json]
+//! zeus trace [--json] [--out trace.jsonl] [--queries 32]
 //! zeus top   [--shards N] ...   # N > 0: per-shard columns + fleet rollup
+//! zeus lint  [--json] [--deny-warnings] [paths...]
 //! ```
 //!
 //! `--dataset` accepts a built-in name (`bdd100k`, `thumos14`, ...) or a
@@ -33,33 +25,25 @@
 //! and stores a plan in the session's catalog; `query` executes extended
 //! ZQL (`LIMIT`, `WINDOW [t0, t1]`, `latency_budget <= Xms`,
 //! `ORDER BY confidence`, `AND NOT`) and prints the refined answer set;
-//! `serve-bench` drives an open- or closed-loop workload through the
-//! `zeus-serve` engine and verifies serial equivalence; `bench --json`
-//! runs a benchmark non-interactively and writes machine-readable
-//! numbers (the CI perf artifacts): `--benchmark serving` (the default)
-//! measures tail latency/throughput of the serving plane, and
-//! `--benchmark training` measures training throughput of the
-//! vectorized training plane against the legacy serial trainer —
-//! failing outright if the fixed-seed vectorized-vs-serial equivalence
-//! check does not hold.
+//! `trace` and `top` drive a small closed-loop workload through the
+//! `zeus-serve` engine and print what the observability plane saw.
+//! Benchmarks live in `perfbench/`, not in this binary.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 
 use zeus::api::{ExecutorKind, ZeusSession};
-use zeus::core::baselines::QueryEngine;
 use zeus::core::catalog::PlanCatalog;
 use zeus::core::planner::PlannerOptions;
 use zeus::obs::keys;
-use zeus::obs::sync::lock_recover;
-use zeus::serve::{run_closed_loop, run_open_loop, ServeConfig, WorkloadSpec};
+use zeus::serve::{run_closed_loop, ServeConfig, WorkloadSpec};
 use zeus::video::source::DataSource;
 use zeus::video::stats::DatasetStats;
 use zeus::video::video::Split;
 use zeus::video::{ConfigFamily, DatasetKind, SyntheticDataset};
 
 fn usage() -> &'static str {
-    "usage:\n  zeus datasets\n  zeus dataset gen  --kind <name> --out <file.zds> [--scale S] [--seed N]\n  zeus dataset info <file.zds>\n  zeus dataset ls   [--dir DIR]\n  zeus plan  --dataset <name|file.zds> --sql <query> --catalog <dir> [--scale S] [--seed N]\n  zeus query --dataset <name|file.zds> --sql <query> [--catalog <dir>] [--method M] [--scale S] [--seed N]\n  zeus serve-bench --dataset <name|file.zds> [--workers N] [--queries N] [--mode open|closed]\n                   [--rate QPS] [--concurrency N] [--queue N] [--cache N]\n                   [--method M] [--scale S] [--seed N] [--catalog <dir>]\n  zeus bench --json [--benchmark serving|training] [--out FILE] [--history FILE] [--workers N]\n                   [--queries N] [--vec-envs N] [--episodes N] [--scale S] [--seed N]\n  zeus fleet-bench [--shards N] [--queries N] [--clients N] [--tenants N] [--datasets N]\n                   [--scale S] [--seed N] [--cache N] [--replicas N] [--hot-threshold N]\n                   [--json] [--out FILE] [--history FILE]\n  zeus trace [--json] [--out FILE] [--dataset D] [--queries N] [--workers N] [--scale S] [--seed N]\n  zeus top   [--shards N] [--dataset D] [--queries N] [--workers N] [--scale S] [--seed N]\n  zeus lint  [--json] [--deny-warnings] [--out FILE] [paths...]   (run from the repo root)\n\ndatasets: bdd100k thumos14 activitynet cityscapes kitti — or any .zds file\nmethods:  zeus-rl (default) | zeus-sliding | all (query only)\n\nZQL: [EXPLAIN ANALYZE] SELECT segment_ids FROM <dataset|UDF(video)>\n     WHERE action_class = 'cross-right' [AND NOT action_class = '...'] AND accuracy >= 85%\n     [AND latency_budget <= 250ms] [WINDOW [t0, t1]]\n     [ORDER BY confidence] [LIMIT n]"
+    "usage:\n  zeus datasets\n  zeus dataset gen  --kind <name> --out <file.zds> [--scale S] [--seed N]\n  zeus dataset info <file.zds>\n  zeus dataset ls   [--dir DIR]\n  zeus plan  --dataset <name|file.zds> --sql <query> --catalog <dir> [--scale S] [--seed N]\n  zeus query --dataset <name|file.zds> --sql <query> [--catalog <dir>] [--method M] [--scale S] [--seed N]\n  zeus trace [--json] [--out FILE] [--dataset D] [--queries N] [--workers N] [--scale S] [--seed N]\n  zeus top   [--shards N] [--dataset D] [--queries N] [--workers N] [--scale S] [--seed N]\n  zeus lint  [--json] [--deny-warnings] [--out FILE] [paths...]   (run from the repo root)\n\ndatasets: bdd100k thumos14 activitynet cityscapes kitti — or any .zds file\nmethods:  zeus-rl (default) | zeus-sliding | all (query only)\n\nZQL: [EXPLAIN ANALYZE] SELECT segment_ids FROM <dataset|UDF(video)>\n     WHERE action_class = 'cross-right' [AND NOT action_class = '...'] AND accuracy >= 85%\n     [AND latency_budget <= 250ms] [WINDOW [t0, t1]]\n     [ORDER BY confidence] [LIMIT n]"
 }
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -82,25 +66,6 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         i += 2;
     }
     Ok(flags)
-}
-
-/// Escape a string for splicing into a JSON string literal (dataset
-/// names come from user-authored `.zds` profiles and may contain
-/// quotes/backslashes/control characters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn dataset_kind(name: &str) -> Result<DatasetKind, String> {
@@ -126,9 +91,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "dataset" => cmd_dataset(&args[1..]),
         "plan" => cmd_plan(&parse_flags(&args[1..])?),
         "query" => cmd_query(&parse_flags(&args[1..])?),
-        "serve-bench" => cmd_serve_bench(&parse_flags(&args[1..])?),
-        "bench" => cmd_bench(&parse_flags(&args[1..])?),
-        "fleet-bench" => cmd_fleet_bench(&parse_flags(&args[1..])?),
         "trace" => cmd_trace(&parse_flags(&args[1..])?),
         "top" => cmd_top(&parse_flags(&args[1..])?),
         "lint" => cmd_lint(&args[1..]),
@@ -480,26 +442,13 @@ fn serving_templates(source: &dyn DataSource) -> Vec<String> {
         .collect()
 }
 
-/// Stand up a server over planned templates and drive a workload.
-#[allow(clippy::too_many_arguments)]
+/// Stand up a Zeus-Sliding server over planned templates and drive
+/// `queries` submissions from 8 closed-loop clients.
 fn run_serving_workload(
     session: &ZeusSession,
-    executor: ExecutorKind,
     workers: usize,
-    queue: usize,
-    cache: usize,
     queries: usize,
-    mode: &str,
-    rate: f64,
-    concurrency: usize,
-) -> Result<
-    (
-        zeus::serve::WorkloadReport,
-        Vec<zeus::core::query::ActionQuery>,
-        zeus::serve::ZeusServer,
-    ),
-    String,
-> {
+) -> Result<(Vec<zeus::core::query::ActionQuery>, zeus::serve::ZeusServer), String> {
     let mut templates = Vec::new();
     for sql in serving_templates(session.source()) {
         let query = session.query(&sql).map_err(|e| e.to_string())?;
@@ -518,221 +467,17 @@ fn run_serving_workload(
     let server = session
         .serve(ServeConfig {
             workers,
-            queue_capacity: queue,
-            cache_capacity: cache,
-            executor,
+            queue_capacity: 256,
+            cache_capacity: 128,
+            executor: ExecutorKind::ZeusSliding,
             ..ServeConfig::default()
         })
         .map_err(|e| e.to_string())?;
     let spec = WorkloadSpec::new(templates.clone(), queries, session.corpus_id().0 ^ 0x5EED);
 
-    eprintln!("serving {queries} queries ({mode} loop) across {workers} simulated devices...");
-    let report = match mode {
-        "open" => run_open_loop(&server, &spec, rate),
-        _ => run_closed_loop(&server, &spec, concurrency),
-    };
-    Ok((report, templates, server))
-}
-
-fn cmd_serve_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    let workers: usize = flag_or(flags, "workers", 4)?;
-    let queries: usize = flag_or(flags, "queries", 120)?;
-    let queue: usize = flag_or(flags, "queue", 64)?;
-    let cache: usize = flag_or(flags, "cache", 128)?;
-    let rate: f64 = flag_or(flags, "rate", 40.0)?;
-    let concurrency: usize = flag_or(flags, "concurrency", 8)?;
-    let mode = flags.get("mode").map(String::as_str).unwrap_or("open");
-    let method = flags.get("method").map(String::as_str).unwrap_or("zeus-rl");
-    // Validate everything before the expensive corpus + planning work.
-    if !matches!(mode, "open" | "closed") {
-        return Err(format!("unknown --mode '{mode}' (open | closed)"));
-    }
-    if workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
-    if queue == 0 || cache == 0 {
-        return Err("--queue and --cache must be at least 1".into());
-    }
-    if concurrency == 0 {
-        return Err("--concurrency must be at least 1".into());
-    }
-    let executor = match method {
-        "zeus-rl" => ExecutorKind::ZeusRl,
-        "zeus-sliding" => ExecutorKind::ZeusSliding,
-        other => {
-            return Err(format!(
-                "serve-bench supports zeus-rl | zeus-sliding, got '{other}'"
-            ))
-        }
-    };
-
-    let session = session_from_flags(flags, 0.05, Some(serving_options()))?;
-    let (report, templates, server) = run_serving_workload(
-        &session,
-        executor,
-        workers,
-        queue,
-        cache,
-        queries,
-        mode,
-        rate,
-        concurrency,
-    )?;
-    server.shutdown();
-
-    println!(
-        "\n== serve-bench: {} on {} ==",
-        executor,
-        session.default_source_name()
-    );
-    match mode {
-        "open" => println!(
-            "open loop: Poisson arrivals at {rate:.0} qps, {} submitted, {} shed",
-            queries, report.shed
-        ),
-        _ => println!(
-            "closed loop: {concurrency} clients, {} completed ({} transient sheds retried)",
-            report.outcomes.len(),
-            report.shed
-        ),
-    }
-    println!("{}", report.metrics);
-
-    // Verify: every distinct template's served result must match serial
-    // execution exactly (same engine on one fresh device).
-    let test = session.source().store().split(Split::Test);
-    let cost = zeus::sim::CostModel::default();
-    let mut verified = 0usize;
-    for query in &templates {
-        let Some(outcome) = report.outcomes.iter().find(|o| &o.query == query) else {
-            continue;
-        };
-        let stored = session
-            .plans()
-            .get(session.corpus_id(), query)
-            .ok_or("plan vanished from store")?;
-        let exec = match executor {
-            ExecutorKind::ZeusRl => stored.zeus_rl_engine(cost.clone()).execute(&test),
-            _ => stored.sliding_engine(cost.clone()).execute(&test),
-        };
-        let mut serial = exec.labels.clone();
-        serial.sort_by_key(|(id, _)| *id);
-        if serial != outcome.labels {
-            return Err(format!(
-                "serial mismatch for {}: concurrent serving diverged",
-                PlanCatalog::key(query)
-            ));
-        }
-        verified += 1;
-    }
-    println!(
-        "serial-equivalence: OK ({verified}/{} templates byte-identical)",
-        templates.len()
-    );
-    Ok(())
-}
-
-/// Machine-readable benchmarks: `--benchmark serving` (default) or
-/// `--benchmark training`, both requiring `--json`.
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    if flags.get("json").is_none() {
-        return Err("bench currently requires --json".into());
-    }
-    match flags
-        .get("benchmark")
-        .map(String::as_str)
-        .unwrap_or("serving")
-    {
-        "serving" => cmd_bench_serving(flags),
-        "training" => cmd_bench_training(flags),
-        other => Err(format!(
-            "unknown --benchmark '{other}' (serving | training)"
-        )),
-    }
-}
-
-/// Serving benchmark: run the closed-loop serve workload and write
-/// p50/p95/p99 + throughput JSON (the CI perf artifact seeding the
-/// performance trajectory).
-fn cmd_bench_serving(flags: &HashMap<String, String>) -> Result<(), String> {
-    let out = flags
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("BENCH_serving.json")
-        .to_string();
-    let workers: usize = flag_or(flags, "workers", 4)?;
-    let queries: usize = flag_or(flags, "queries", 96)?;
-    let mut flags = flags.clone();
-    flags
-        .entry("dataset".into())
-        .or_insert_with(|| "bdd100k".into());
-
-    let session = session_from_flags(&flags, 0.05, Some(serving_options()))?;
-    let (report, templates, server) = run_serving_workload(
-        &session,
-        ExecutorKind::ZeusSliding,
-        workers,
-        256,
-        128,
-        queries,
-        "closed",
-        0.0,
-        8,
-    )?;
-    let m = server.metrics();
-    server.shutdown();
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"serving\",\n  \"dataset\": \"{}\",\n  \"workers\": {},\n  \"queries\": {},\n  \"templates\": {},\n  \"completed\": {},\n  \"shed\": {},\n  \"p50_ms\": {:.3},\n  \"p95_ms\": {:.3},\n  \"p99_ms\": {:.3},\n  \"mean_ms\": {:.3},\n  \"throughput_qps\": {:.3},\n  \"cache_hit_rate\": {:.4},\n  \"device_secs\": {:.3},\n  \"wall_secs\": {:.3}\n}}\n",
-        json_escape(session.default_source_name()),
-        workers,
-        queries,
-        templates.len(),
-        m.completed,
-        m.shed,
-        m.p50.as_secs_f64() * 1e3,
-        m.p95.as_secs_f64() * 1e3,
-        m.p99.as_secs_f64() * 1e3,
-        m.mean.as_secs_f64() * 1e3,
-        m.throughput_qps,
-        m.cache_hit_rate(),
-        m.device_secs,
-        report.wall.as_secs_f64(),
-    );
-    std::fs::write(&out, &json).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {out}:\n{json}");
-
-    // Append one compact record to the committed benchmark history so CI
-    // can diff this run against the previous entry (throughput
-    // regression gate).
-    let history = flags
-        .get("history")
-        .map(String::as_str)
-        .unwrap_or("BENCH_history.jsonl");
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let record = format!(
-        "{{\"ts\":{ts},\"bench\":\"serving\",\"dataset\":\"{}\",\"workers\":{workers},\"queries\":{queries},\"completed\":{},\"shed\":{},\"p50_ms\":{:.3},\"p95_ms\":{:.3},\"p99_ms\":{:.3},\"throughput_qps\":{:.3},\"cache_hit_rate\":{:.4}}}\n",
-        json_escape(session.default_source_name()),
-        m.completed,
-        m.shed,
-        m.p50.as_secs_f64() * 1e3,
-        m.p95.as_secs_f64() * 1e3,
-        m.p99.as_secs_f64() * 1e3,
-        m.throughput_qps,
-        m.cache_hit_rate(),
-    );
-    use std::io::Write as _;
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(history)
-        .and_then(|mut f| f.write_all(record.as_bytes()))
-        .map_err(|e| format!("appending {history}: {e}"))?;
-    println!("appended history record to {history}");
-    Ok(())
+    eprintln!("serving {queries} queries (closed loop) across {workers} simulated devices...");
+    run_closed_loop(&server, &spec, 8);
+    Ok((templates, server))
 }
 
 /// `zeus trace`: drive a small serving workload (with one
@@ -752,17 +497,7 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
         .or_insert_with(|| "bdd100k".into());
 
     let session = session_from_flags(&flags, 0.05, Some(serving_options()))?;
-    let (_report, templates, server) = run_serving_workload(
-        &session,
-        ExecutorKind::ZeusSliding,
-        workers,
-        256,
-        128,
-        queries,
-        "closed",
-        0.0,
-        8,
-    )?;
+    let (templates, server) = run_serving_workload(&session, workers, queries)?;
 
     // One EXPLAIN ANALYZE per template: full trace trees with every
     // query stage, plus the per-stage reports.
@@ -826,17 +561,7 @@ fn cmd_top(flags: &HashMap<String, String>) -> Result<(), String> {
         .or_insert_with(|| "bdd100k".into());
 
     let session = session_from_flags(&flags, 0.05, Some(serving_options()))?;
-    let (_report, _templates, server) = run_serving_workload(
-        &session,
-        ExecutorKind::ZeusSliding,
-        workers,
-        256,
-        128,
-        queries,
-        "closed",
-        0.0,
-        8,
-    )?;
+    let (_templates, server) = run_serving_workload(&session, workers, queries)?;
     let snap = server.snapshot();
     let m = server.metrics();
     server.shutdown();
@@ -1005,569 +730,5 @@ fn cmd_top_fleet(flags: &HashMap<String, String>, shards: usize) -> Result<(), S
         c(keys::FLEET_SHED_OVER_QUOTA),
         c(keys::FLEET_SHED_UNDER_QUOTA),
     );
-    Ok(())
-}
-
-/// splitmix64: deterministic workload generation without pulling the
-/// RNG crates into the binary.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Cumulative Zipf(`s`) distribution over ranks `0..n` (rank 0 heaviest).
-fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
-    let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
-    let total: f64 = weights.iter().sum();
-    let mut acc = 0.0;
-    weights
-        .iter()
-        .map(|w| {
-            acc += w / total;
-            acc
-        })
-        .collect()
-}
-
-/// Sample a rank from a cumulative distribution with uniform `u` in [0, 1).
-fn zipf_pick(cdf: &[f64], u: f64) -> usize {
-    cdf.iter()
-        .position(|&c| u < c)
-        .unwrap_or(cdf.len().saturating_sub(1))
-}
-
-/// Outcome of driving one workload run through a fleet router.
-struct FleetRun {
-    completed: u64,
-    quota_shed: u64,
-    retries: u64,
-    wall_secs: f64,
-}
-
-impl FleetRun {
-    fn qps(&self) -> f64 {
-        self.completed as f64 / self.wall_secs.max(1e-9)
-    }
-}
-
-/// Drive `work` (corpus, template, tenant index triples) through the
-/// router from `clients` closed-loop threads. Quota sheds are terminal
-/// for a request; a saturated fleet (every candidate shard's queue
-/// full) is retried after a yield — the driver never abandons an
-/// in-quota request, which is what keeps `fleet.shed.under_quota` an
-/// invariant the CI gate can check.
-fn run_fleet_workload(
-    router: &zeus::fleet::FleetRouter,
-    work: &[(u8, u8, u8)],
-    templates: &[Vec<zeus::api::QueryIr>],
-    tenants: &[zeus::api::TenantId],
-    clients: usize,
-) -> Result<FleetRun, String> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-    use zeus::fleet::FleetError;
-
-    let completed = AtomicU64::new(0);
-    let quota_shed = AtomicU64::new(0);
-    let retries = AtomicU64::new(0);
-    let failure: Mutex<Option<String>> = Mutex::new(None);
-    let start = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        let chunk = work.len().div_ceil(clients).max(1);
-        for part in work.chunks(chunk) {
-            let (completed, quota_shed, retries, failure) =
-                (&completed, &quota_shed, &retries, &failure);
-            scope.spawn(move || {
-                let (mut done, mut shed, mut retried) = (0u64, 0u64, 0u64);
-                'items: for &(corpus, template, tenant) in part {
-                    let ir = &templates[corpus as usize][template as usize];
-                    let tenant = &tenants[tenant as usize];
-                    let mut attempts = 0u32;
-                    loop {
-                        match router.submit(ir, tenant, None) {
-                            Ok(routed) => {
-                                routed.stream.wait();
-                                done += 1;
-                                break;
-                            }
-                            Err(FleetError::QuotaExceeded { .. }) => {
-                                shed += 1;
-                                break;
-                            }
-                            Err(FleetError::Saturated { .. }) if attempts < 100_000 => {
-                                attempts += 1;
-                                retried += 1;
-                                std::thread::yield_now();
-                            }
-                            Err(e) => {
-                                *lock_recover(failure) = Some(e.to_string());
-                                break 'items;
-                            }
-                        }
-                    }
-                }
-                completed.fetch_add(done, Ordering::Relaxed);
-                quota_shed.fetch_add(shed, Ordering::Relaxed);
-                retries.fetch_add(retried, Ordering::Relaxed);
-            });
-        }
-    });
-    let wall_secs = start.elapsed().as_secs_f64();
-    if let Some(e) = failure.into_inner().unwrap() {
-        return Err(format!("fleet workload failed: {e}"));
-    }
-    Ok(FleetRun {
-        completed: completed.into_inner(),
-        quota_shed: quota_shed.into_inner(),
-        retries: retries.into_inner(),
-        wall_secs,
-    })
-}
-
-/// `zeus fleet-bench`: the sharded-fleet benchmark. Registers several
-/// built-in corpora in one session, plans each corpus's serving
-/// templates once, then drives the same heavy-tailed workload (Zipf
-/// tenant and corpus mix, precomputed from `--seed`) through a
-/// single-shard router and an `--shards`-wide fleet, reporting the
-/// fleet's speedup, shard balance, replication hits, and per-tenant
-/// quota outcomes. Writes `BENCH_fleet.json` and appends a
-/// `"bench":"fleet"` record to the benchmark history.
-///
-/// Every server — the baseline and each shard alike — gets the same
-/// `--cache` result-cache capacity, sized *below* the workload's
-/// distinct-template working set. The fleet's throughput edge is
-/// aggregate cache: rendezvous routing pins each corpus's templates to
-/// one shard, so every shard's share of the working set fits its cache
-/// while the lone baseline server thrashes (each eviction costs a full
-/// device re-execution, orders of magnitude above a cached replay).
-/// `--replicas 1` keeps hot-corpus replication from smearing the whole
-/// working set across every shard, which would re-create the thrash.
-fn cmd_fleet_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    use zeus::api::{FleetConfig, QueryIr, QuotaSpec, TenantId};
-    use zeus::serve::ServeConfig;
-
-    let shards: usize = flag_or(flags, "shards", 4)?;
-    let queries: usize = flag_or(flags, "queries", 1_000_000)?;
-    let clients: usize = flag_or(flags, "clients", 16)?;
-    let tenants: usize = flag_or(flags, "tenants", 8)?;
-    let datasets: usize = flag_or(flags, "datasets", 16)?;
-    let scale: f64 = flag_or(flags, "scale", 0.01)?;
-    let seed: u64 = flag_or(flags, "seed", 2022)?;
-    let cache: usize = flag_or(flags, "cache", 24)?;
-    let replicas: usize = flag_or(flags, "replicas", 1)?;
-    // Auto threshold: only corpora drawing more than ~an eighth of the
-    // whole run replicate, so the tail corpora keep strict affinity.
-    let hot_threshold: u64 = flag_or(flags, "hot-threshold", (queries as u64 / 8).max(1_000))?;
-    let out = flags
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("BENCH_fleet.json");
-    if shards == 0 || clients == 0 || queries == 0 {
-        return Err("--shards, --clients, and --queries must be at least 1".into());
-    }
-    if tenants == 0 || tenants > 64 {
-        return Err("--tenants must be in 1..=64".into());
-    }
-    if datasets == 0 || datasets > 64 {
-        return Err("--datasets must be in 1..=64".into());
-    }
-
-    // One session holding every corpus; the fleet shards over its
-    // registered sources and seeds shard plan stores from its plans.
-    // `--datasets` counts *corpora*: distinct synthetic corpora cycled
-    // over the dataset families, each generated from its own seed so it
-    // fingerprints (and therefore HRW-places and cache-keys) uniquely.
-    let families = &DatasetKind::ALL[..4]; // KITTI has too few classes to template
-    let corpora: Vec<(String, DatasetKind)> = (0..datasets)
-        .map(|i| {
-            let kind = families[i % families.len()];
-            (format!("{}_{i:02}", kind.registry_name()), kind)
-        })
-        .collect();
-    eprintln!("generating {datasets} corpora at scale {scale}...");
-    let mut builder = ZeusSession::builder()
-        .scale(scale)
-        .seed(seed)
-        .planner(serving_options());
-    for (i, (name, kind)) in corpora.iter().enumerate() {
-        builder = builder.register(name, kind.generate(scale, seed.wrapping_add(1 + i as u64)));
-    }
-    let session = builder
-        .default_source(&corpora[0].0)
-        .build()
-        .map_err(|e| e.to_string())?;
-
-    // Per-corpus templates, addressed by ZQL `FROM <corpus>` so the
-    // router routes each to its corpus's shard.
-    let mut templates: Vec<Vec<QueryIr>> = Vec::new();
-    for (name, kind) in &corpora {
-        let target = match kind.family() {
-            ConfigFamily::Driving => 85,
-            ConfigFamily::Untrimmed => 75,
-        };
-        let mut irs = Vec::new();
-        for class in kind.query_classes() {
-            for t in [target, target - 5] {
-                let sql = format!(
-                    "SELECT segment_ids FROM {name} WHERE action_class = '{}' AND accuracy >= {t}%",
-                    class.query_name(),
-                );
-                let query = session.query(&sql).map_err(|e| e.to_string())?;
-                query.plan().map_err(|e| e.to_string())?;
-                irs.push(query.ir().clone());
-            }
-        }
-        templates.push(irs);
-    }
-
-    // The workload: heavy-tailed tenant and corpus mixes, precomputed so
-    // both runs replay the identical request sequence.
-    let tenant_ids: Vec<TenantId> = (0..tenants)
-        .map(|i| TenantId::new(format!("tenant-{i}")))
-        .collect();
-    let corpus_cdf = zipf_cdf(datasets, 1.2);
-    let tenant_cdf = zipf_cdf(tenants, 1.1);
-    let mut rng = seed ^ 0xF1EE7;
-    let work: Vec<(u8, u8, u8)> = (0..queries)
-        .map(|_| {
-            let c = zipf_pick(
-                &corpus_cdf,
-                (splitmix64(&mut rng) >> 11) as f64 / (1u64 << 53) as f64,
-            );
-            let t = (splitmix64(&mut rng) % templates[c].len() as u64) as u8;
-            let n = zipf_pick(
-                &tenant_cdf,
-                (splitmix64(&mut rng) >> 11) as f64 / (1u64 << 53) as f64,
-            );
-            (c as u8, t, n as u8)
-        })
-        .collect();
-
-    // Quotas: everyone effectively unlimited except the heaviest tenant,
-    // whose admission budget (the bucket's burst) covers only a slice of
-    // its demand — strict mode sheds the rest, and only the rest. The
-    // budget scales with the run so sheds show up at any --queries.
-    let constrained = QuotaSpec {
-        rate_per_sec: (queries as f64 / 200.0).max(100.0),
-        burst: (queries as f64 / 20.0).max(100.0),
-    };
-    let fleet_config = |shards: usize| FleetConfig {
-        shards,
-        serve: ServeConfig {
-            workers: 2,
-            queue_capacity: 256,
-            cache_capacity: cache,
-            ..ServeConfig::default()
-        },
-        quota: QuotaSpec {
-            rate_per_sec: 1e9,
-            burst: 1e9,
-        },
-        quota_overrides: vec![(tenant_ids[0].clone(), constrained)],
-        work_conserving: false,
-        hot_threshold,
-        replicas,
-    };
-    let working_set: usize = templates.iter().map(Vec::len).sum();
-
-    eprintln!("single-shard baseline: {queries} queries from {clients} clients...");
-    let single_router = session.fleet(fleet_config(1)).map_err(|e| e.to_string())?;
-    let single = run_fleet_workload(&single_router, &work, &templates, &tenant_ids, clients)?;
-    let single_rollup = single_router.fleet_snapshot();
-    single_router.shutdown();
-    drop(single_router);
-
-    eprintln!("fleet: same workload across {shards} shards...");
-    let router = session
-        .fleet(fleet_config(shards))
-        .map_err(|e| e.to_string())?;
-    let fleet = run_fleet_workload(&router, &work, &templates, &tenant_ids, clients)?;
-
-    let rollup = router.fleet_snapshot();
-    let c = |name: &str| rollup.counter(name).unwrap_or(0);
-    let loads = router.shard_loads();
-    let max_load = loads.iter().copied().max().unwrap_or(0);
-    let min_load = loads.iter().copied().min().unwrap_or(0);
-    let balance_ratio = max_load as f64 / (min_load.max(1)) as f64;
-    let speedup = fleet.qps() / single.qps().max(1e-9);
-    let hit_rate = |snap: &zeus::obs::ObsSnapshot| {
-        let hits = snap.counter(keys::CACHE_RESULT_HIT).unwrap_or(0);
-        let misses = snap.counter(keys::CACHE_RESULT_MISS).unwrap_or(0);
-        hits as f64 / ((hits + misses).max(1)) as f64
-    };
-    let hit_single = hit_rate(&single_rollup);
-    let hit_fleet = hit_rate(&rollup);
-    let tenant_stats = router.gate().tenant_stats();
-    router.shutdown();
-
-    println!(
-        "\n== fleet-bench: {datasets} corpora, {} tenants, {clients} clients ==",
-        tenants
-    );
-    println!(
-        "single   {:>9} completed  {:>7} shed  {:>8.2}s wall  {:>9.0} qps",
-        single.completed,
-        single.quota_shed,
-        single.wall_secs,
-        single.qps()
-    );
-    println!(
-        "fleet x{shards} {:>9} completed  {:>7} shed  {:>8.2}s wall  {:>9.0} qps   ({speedup:.2}x)",
-        fleet.completed,
-        fleet.quota_shed,
-        fleet.wall_secs,
-        fleet.qps()
-    );
-    let load_list: Vec<String> = loads.iter().map(u64::to_string).collect();
-    println!(
-        "shards    loads [{}]  balance {balance_ratio:.2}  retries {}",
-        load_list.join(", "),
-        fleet.retries,
-    );
-    println!(
-        "plans     replica-hits {}  replicated {}  failover {}",
-        c(keys::FLEET_PLAN_REPLICA_HITS),
-        c(keys::FLEET_PLAN_REPLICATED),
-        c(keys::FLEET_FAILOVER),
-    );
-    println!(
-        "quota     shed over {}  under {}",
-        c(keys::FLEET_SHED_OVER_QUOTA),
-        c(keys::FLEET_SHED_UNDER_QUOTA),
-    );
-    println!(
-        "cache     capacity {cache}/server  working set {working_set}  hit rate single {:.1}%  fleet {:.1}%",
-        hit_single * 100.0,
-        hit_fleet * 100.0,
-    );
-    for (tenant, stats) in &tenant_stats {
-        println!(
-            "tenant    {:<12} admitted {:>9}  shed {:>9}",
-            tenant.to_string(),
-            stats.admitted,
-            stats.shed
-        );
-    }
-
-    let tenant_json: Vec<String> = tenant_stats
-        .iter()
-        .map(|(tenant, stats)| {
-            format!(
-                "    {{\"tenant\": \"{}\", \"admitted\": {}, \"over_quota_admitted\": {}, \"shed\": {}}}",
-                json_escape(tenant.as_str()),
-                stats.admitted,
-                stats.over_quota_admitted,
-                stats.shed
-            )
-        })
-        .collect();
-    let dataset_json: Vec<String> = corpora
-        .iter()
-        .map(|(name, _)| format!("\"{name}\""))
-        .collect();
-    let json = format!(
-        "{{\n  \"benchmark\": \"fleet\",\n  \"datasets\": [{}],\n  \"shards\": {shards},\n  \"clients\": {clients},\n  \"tenants\": {tenants},\n  \"queries\": {queries},\n  \"cache_capacity\": {cache},\n  \"working_set\": {working_set},\n  \"replicas\": {replicas},\n  \"completed_single\": {},\n  \"wall_single_secs\": {:.3},\n  \"qps_single\": {:.1},\n  \"completed_fleet\": {},\n  \"wall_fleet_secs\": {:.3},\n  \"qps_fleet\": {:.1},\n  \"speedup_vs_single\": {:.3},\n  \"shard_loads\": [{}],\n  \"balance_ratio\": {:.3},\n  \"replica_hits\": {},\n  \"replicated_plans\": {},\n  \"failover\": {},\n  \"retries\": {},\n  \"shed_over_quota\": {},\n  \"shed_under_quota\": {},\n  \"cache_hit_rate_single\": {:.4},\n  \"cache_hit_rate_fleet\": {:.4},\n  \"tenant_stats\": [\n{}\n  ]\n}}\n",
-        dataset_json.join(", "),
-        single.completed,
-        single.wall_secs,
-        single.qps(),
-        fleet.completed,
-        fleet.wall_secs,
-        fleet.qps(),
-        speedup,
-        load_list.join(", "),
-        balance_ratio,
-        c(keys::FLEET_PLAN_REPLICA_HITS),
-        c(keys::FLEET_PLAN_REPLICATED),
-        c(keys::FLEET_FAILOVER),
-        fleet.retries,
-        c(keys::FLEET_SHED_OVER_QUOTA),
-        c(keys::FLEET_SHED_UNDER_QUOTA),
-        hit_single,
-        hit_fleet,
-        tenant_json.join(",\n"),
-    );
-    std::fs::write(out, &json).map_err(|e| format!("writing {out}: {e}"))?;
-    if flags.contains_key("json") {
-        print!("{json}");
-    }
-    println!("wrote {out}");
-
-    let history = flags
-        .get("history")
-        .map(String::as_str)
-        .unwrap_or("BENCH_history.jsonl");
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let record = format!(
-        "{{\"ts\":{ts},\"bench\":\"fleet\",\"shards\":{shards},\"queries\":{queries},\"qps_single\":{:.1},\"qps_fleet\":{:.1},\"speedup\":{:.3},\"balance_ratio\":{:.3},\"replica_hits\":{},\"shed_over_quota\":{},\"shed_under_quota\":{}}}\n",
-        single.qps(),
-        fleet.qps(),
-        speedup,
-        balance_ratio,
-        c(keys::FLEET_PLAN_REPLICA_HITS),
-        c(keys::FLEET_SHED_OVER_QUOTA),
-        c(keys::FLEET_SHED_UNDER_QUOTA),
-    );
-    use std::io::Write as _;
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(history)
-        .and_then(|mut f| f.write_all(record.as_bytes()))
-        .map_err(|e| format!("appending {history}: {e}"))?;
-    println!("appended history record to {history}");
-    Ok(())
-}
-
-/// Training-throughput benchmark: the legacy serial trainer against the
-/// vectorized `TrainingEngine` on the same corpus, seeds, and
-/// hyperparameters. Writes `BENCH_training.json` and *fails* when the
-/// fixed-seed equivalence invariant (engine at `vec_envs = 1` ≡ serial
-/// trainer, bit-for-bit) does not hold — the gate the CI step relies on.
-fn cmd_bench_training(flags: &HashMap<String, String>) -> Result<(), String> {
-    use zeus::core::metrics::EvalProtocol;
-    use zeus::core::training::{bench_env, bench_training, CandidateJob};
-    use zeus::rl::TrainerConfig;
-
-    let out = flags
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("BENCH_training.json")
-        .to_string();
-    let vec_envs: usize = flag_or(flags, "vec-envs", 4)?;
-    let episodes: usize = flag_or(flags, "episodes", 4)?;
-    let scale: f64 = flag_or(flags, "scale", 0.05)?;
-    let seed: u64 = flag_or(flags, "seed", 2022)?;
-    if vec_envs == 0 || episodes == 0 {
-        return Err("--vec-envs and --episodes must be at least 1".into());
-    }
-    if flags.contains_key("workers") || flags.contains_key("queries") {
-        // Refuse rather than silently ignore: this benchmark trains one
-        // candidate, so portfolio workers cannot affect it.
-        return Err(
-            "--workers/--queries apply to the serving benchmark; the training \
-             benchmark scales with --vec-envs and --episodes"
-                .into(),
-        );
-    }
-    let dataset = flags
-        .get("dataset")
-        .map(String::as_str)
-        .unwrap_or("bdd100k");
-    let ds = if dataset.ends_with(".zds") {
-        SyntheticDataset::load(dataset).map_err(|e| e.to_string())?
-    } else {
-        dataset_kind(dataset)?.generate(scale, seed)
-    };
-
-    // The shared representative workload (same env + job construction
-    // as the `extension-training` experiment): the corpus's full
-    // configuration space with the planner's default aggregate reward —
-    // a slice of what `QueryPlanner::plan` trains per candidate.
-    let proto = bench_env(&ds, seed).map_err(|e| e.to_string())?;
-    let job = CandidateJob::representative(
-        TrainerConfig {
-            episodes,
-            warmup: 256,
-            ..TrainerConfig::default()
-        },
-        EvalProtocol::for_family(ds.family()),
-        0.85,
-        seed,
-    );
-
-    eprintln!(
-        "training benchmark on {} ({} train videos, {episodes} episodes, vec_envs up to {vec_envs})...",
-        ds.name(),
-        ds.store.split(Split::Train).len(),
-    );
-    let list: Vec<usize> = if vec_envs > 2 {
-        vec![2, vec_envs]
-    } else {
-        vec![vec_envs]
-    };
-    let report = bench_training(&proto, &job, &list).map_err(|e| e.to_string())?;
-
-    println!("\n== training throughput: {} ==", ds.name());
-    let row = |s: &zeus::core::training::ThroughputSample| {
-        println!(
-            "  {:<28} {:>8} steps {:>6} updates {:>8.2}s wall {:>9.0} steps/s",
-            s.label, s.steps, s.updates, s.wall_secs, s.steps_per_sec
-        );
-    };
-    row(&report.serial);
-    for s in &report.vectorized {
-        row(s);
-    }
-    let widest = report.widest().clone();
-    let speedup = widest.steps_per_sec / report.serial.steps_per_sec.max(1e-12);
-    println!(
-        "  speedup {speedup:.2}x at vec_envs = {}, feature-cache hit rate {:.1}%, equivalence {}",
-        widest.vec_envs,
-        report.cache_hit_rate * 100.0,
-        if report.equivalent { "OK" } else { "FAILED" },
-    );
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"training\",\n  \"dataset\": \"{}\",\n  \"episodes\": {},\n  \"vec_envs\": {},\n  \"serial_steps\": {},\n  \"serial_updates\": {},\n  \"serial_wall_secs\": {:.4},\n  \"serial_steps_per_sec\": {:.1},\n  \"vec_steps\": {},\n  \"vec_updates\": {},\n  \"vec_wall_secs\": {:.4},\n  \"vec_steps_per_sec\": {:.1},\n  \"speedup\": {:.3},\n  \"cache_hit_rate\": {:.4},\n  \"equivalence\": {}\n}}\n",
-        json_escape(ds.name()),
-        episodes,
-        widest.vec_envs,
-        report.serial.steps,
-        report.serial.updates,
-        report.serial.wall_secs,
-        report.serial.steps_per_sec,
-        widest.steps,
-        widest.updates,
-        widest.wall_secs,
-        widest.steps_per_sec,
-        speedup,
-        report.cache_hit_rate,
-        report.equivalent,
-    );
-    std::fs::write(&out, &json).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {out}");
-    if !report.equivalent {
-        return Err(
-            "vectorized-vs-serial equivalence FAILED: the engine at vec_envs = 1 did not \
-             reproduce the serial policy bit-for-bit"
-                .into(),
-        );
-    }
-
-    // Append to the committed benchmark history (only equivalence-clean
-    // runs — a failing run must not move the CI trend baseline) so CI
-    // can diff training throughput across commits the same way it diffs
-    // serving throughput.
-    let history = flags
-        .get("history")
-        .map(String::as_str)
-        .unwrap_or("BENCH_history.jsonl");
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let record = format!(
-        "{{\"ts\":{ts},\"bench\":\"training\",\"dataset\":\"{}\",\"episodes\":{episodes},\"vec_envs\":{},\"serial_steps_per_sec\":{:.1},\"vec_steps_per_sec\":{:.1},\"speedup\":{speedup:.3},\"cache_hit_rate\":{:.4}}}\n",
-        json_escape(ds.name()),
-        widest.vec_envs,
-        report.serial.steps_per_sec,
-        widest.steps_per_sec,
-        report.cache_hit_rate,
-    );
-    use std::io::Write as _;
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(history)
-        .and_then(|mut f| f.write_all(record.as_bytes()))
-        .map_err(|e| format!("appending {history}: {e}"))?;
-    println!("appended history record to {history}");
     Ok(())
 }

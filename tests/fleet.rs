@@ -99,6 +99,15 @@ fn fleet_routes_replicates_and_serves_identical_results() {
         "corpus must go hot after 64 submissions over threshold 8"
     );
     assert!(replica_outcomes > 0, "round-robin must reach a replica");
+    // Once the hot corpus is replicated, round-robin keeps every shard
+    // within 2x of the least-loaded one.
+    let loads = router.shard_loads();
+    let max = loads.iter().copied().max().expect("three shards");
+    let min = loads.iter().copied().min().expect("three shards");
+    assert!(
+        max <= 2 * min,
+        "shard loads {loads:?} must stay within 2x once replicated"
+    );
     let snap = router.fleet_snapshot();
     assert!(snap.counter("fleet.plan.replica_hits").unwrap_or(0) > 0);
     assert!(snap.counter("fleet.plan.replicated").unwrap_or(0) > 0);
