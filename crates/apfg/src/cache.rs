@@ -3,9 +3,11 @@
 //! "To accelerate this training process, Zeus first runs the APFG on all
 //! the input segments at different resolutions and segment lengths to
 //! generate the feature vectors. ... The agent then directly uses the
-//! precomputed features during training" (§5). The cache is shared across
-//! training episodes (and across threads in the parallel executor), hence
-//! the `parking_lot::RwLock`.
+//! precomputed features during training" (§5). Zeus fills the cache
+//! on-line rather than ahead of time: one cache is shared by every
+//! candidate's rollout during planning, across training episodes and
+//! across the training engine's worker threads, hence the
+//! `parking_lot::RwLock`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,19 +54,6 @@ impl FeatureCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Hit fraction in `[0, 1]` (0 when no lookups happened) — the
-    /// training plane's measure of how much ProxyFeature recomputation
-    /// the shared cache absorbed across parallel rollouts.
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits() as f64;
-        let total = hits + self.misses() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            hits / total
-        }
-    }
-
     /// Fetch the cached output or compute (and cache) it.
     pub fn get_or_compute(
         &self,
@@ -82,70 +71,6 @@ impl FeatureCache {
         let out = generator.process(video, start, config);
         self.map.write().insert(key, out.clone());
         out
-    }
-
-    /// Eagerly populate the cache for every step position of a video under
-    /// one configuration (the batched pre-processing pass of §5). Returns
-    /// the number of invocations performed.
-    pub fn precompute(
-        &self,
-        generator: &dyn FeatureGenerator,
-        video: &Video,
-        config: Configuration,
-    ) -> usize {
-        let stride = config.frames_covered();
-        let mut count = 0;
-        let mut start = 0;
-        while start < video.num_frames {
-            self.get_or_compute(generator, video, start, config);
-            count += 1;
-            start += stride;
-        }
-        count
-    }
-
-    /// Parallel pre-processing across videos — the §5 optimization
-    /// ("this preprocessing step uses a batching optimization and
-    /// leverages multiple GPUs to lower the RL training time"). Each
-    /// worker walks a share of the corpus; results land in the shared
-    /// map. Returns the number of invocations performed.
-    pub fn precompute_parallel(
-        &self,
-        generator: &(dyn FeatureGenerator + Sync),
-        videos: &[&Video],
-        config: Configuration,
-        workers: usize,
-    ) -> usize {
-        assert!(workers > 0, "need at least one worker");
-        let total = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let share: Vec<&Video> = videos
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % workers == w)
-                        .map(|(_, v)| *v)
-                        .collect();
-                    s.spawn(move |_| {
-                        share
-                            .iter()
-                            .map(|v| self.precompute(generator, v, config))
-                            .sum::<usize>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("precompute worker panicked"))
-                .sum::<usize>()
-        })
-        .expect("thread scope failed");
-        total
-    }
-
-    /// Drop all cached entries.
-    pub fn clear(&self) {
-        self.map.write().clear();
     }
 }
 
@@ -191,14 +116,12 @@ mod tests {
         let cache = FeatureCache::new();
         let v = video();
         let c = Configuration::new(100, 4, 2);
-        assert_eq!(cache.hit_rate(), 0.0, "no lookups yet");
         let a = cache.get_or_compute(&gen, &v, 0, c);
         let b = cache.get_or_compute(&gen, &v, 0, c);
         assert_eq!(a, b);
         assert_eq!(gen.calls.load(Ordering::SeqCst), 1);
         assert_eq!(cache.len(), 1);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -212,55 +135,5 @@ mod tests {
         cache.get_or_compute(&gen, &v, 8, Configuration::new(100, 4, 2));
         cache.get_or_compute(&gen, &v, 0, Configuration::new(200, 4, 2));
         assert_eq!(gen.calls.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn precompute_walks_the_video() {
-        let gen = Counting {
-            calls: AtomicUsize::new(0),
-        };
-        let cache = FeatureCache::new();
-        let v = video();
-        // Covers 8 frames per step over 100 frames -> 13 invocations.
-        let n = cache.precompute(&gen, &v, Configuration::new(100, 4, 2));
-        assert_eq!(n, 13);
-        assert_eq!(cache.len(), 13);
-    }
-
-    #[test]
-    fn parallel_precompute_matches_sequential() {
-        use crate::simulated::SimulatedApfg;
-        use zeus_video::{ActionClass, DatasetKind};
-        let ds = DatasetKind::Bdd100k.generate(0.04, 5);
-        let videos: Vec<&Video> = ds.store.videos().iter().collect();
-        let apfg = SimulatedApfg::new(vec![ActionClass::CrossRight], 300, 8, 8, 3);
-        let config = Configuration::new(150, 8, 8);
-
-        let seq_cache = FeatureCache::new();
-        let mut seq_n = 0;
-        for v in &videos {
-            seq_n += seq_cache.precompute(&apfg, v, config);
-        }
-        let par_cache = FeatureCache::new();
-        let par_n = par_cache.precompute_parallel(&apfg, &videos, config, 4);
-        assert_eq!(seq_n, par_n);
-        assert_eq!(seq_cache.len(), par_cache.len());
-        // Spot-check one entry matches (determinism through the cache).
-        let v = videos[0];
-        let a = seq_cache.get_or_compute(&apfg, v, 0, config);
-        let b = par_cache.get_or_compute(&apfg, v, 0, config);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let gen = Counting {
-            calls: AtomicUsize::new(0),
-        };
-        let cache = FeatureCache::new();
-        let v = video();
-        cache.get_or_compute(&gen, &v, 0, Configuration::new(100, 4, 2));
-        cache.clear();
-        assert!(cache.is_empty());
     }
 }

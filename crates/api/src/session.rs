@@ -68,7 +68,6 @@ pub struct ZeusSessionBuilder {
     seed: u64,
     options: PlannerOptions,
     train_workers: Option<usize>,
-    vec_envs: Option<usize>,
     catalog: Option<PathBuf>,
     executor: ExecutorKind,
     obs: Option<ObsHub>,
@@ -101,7 +100,6 @@ impl Default for ZeusSessionBuilder {
             seed: 2022,
             options: PlannerOptions::default(),
             train_workers: None,
-            vec_envs: None,
             catalog: None,
             executor: ExecutorKind::ZeusRl,
             obs: None,
@@ -198,8 +196,8 @@ impl ZeusSessionBuilder {
     /// Planner options used for every query planned by the session.
     /// `options.seed` is overridden by the session seed at build time,
     /// keeping corpus and planner seeds aligned (likewise
-    /// [`Self::train_workers`] / [`Self::vec_envs`] override
-    /// `options.training`, so the knobs compose in any order).
+    /// [`Self::train_workers`] overrides `options.training`, so the
+    /// knobs compose in any order).
     pub fn planner(mut self, options: PlannerOptions) -> Self {
         self.options = options;
         self
@@ -210,15 +208,6 @@ impl ZeusSessionBuilder {
     /// for any value; this only trades planning wall-clock for cores.
     pub fn train_workers(mut self, workers: usize) -> Self {
         self.train_workers = Some(workers);
-        self
-    }
-
-    /// Lockstep environments per candidate rollout (clamped to ≥ 1).
-    /// `1` (the default) reproduces the serial training dynamics
-    /// bit-for-bit; larger values batch Q-network forwards and update
-    /// once per lockstep round for higher training throughput.
-    pub fn vec_envs(mut self, envs: usize) -> Self {
-        self.vec_envs = Some(envs);
         self
     }
 
@@ -272,9 +261,6 @@ impl ZeusSessionBuilder {
         options.seed = self.seed;
         if let Some(workers) = self.train_workers {
             options.training.train_workers = workers;
-        }
-        if let Some(envs) = self.vec_envs {
-            options.training.vec_envs = envs.max(1);
         }
         if self.sources.is_empty() {
             self.sources.push((

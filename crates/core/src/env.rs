@@ -7,13 +7,12 @@
 //! constructs and processes the *next* segment, whose feature becomes the
 //! next state (Algorithm 1, lines 6–8).
 //!
-//! The corpus is held behind an `Arc`, so the vectorized training plane
-//! can [`VideoTraversalEnv::fork`] N seeded copies (one per lockstep
-//! environment, one set per portfolio candidate) without cloning a single
-//! video. An optional shared [`FeatureCache`] memoises APFG invocations
-//! across those copies — the §5 pre-processing optimization applied
-//! on-line: parallel rollouts that revisit a `(video, start, config)`
-//! never recompute its ProxyFeature.
+//! The corpus is held behind an `Arc`, so the training plane can
+//! [`VideoTraversalEnv::fork`] one seeded copy per portfolio candidate
+//! without cloning a single video. An optional shared [`FeatureCache`]
+//! memoises APFG invocations across those copies — the §5 pre-processing
+//! optimization applied on-line: rollouts that revisit a
+//! `(video, start, config)` never recompute its ProxyFeature.
 
 use std::sync::Arc;
 
@@ -99,29 +98,6 @@ impl VideoTraversalEnv {
         init_config: Configuration,
         seed: u64,
     ) -> Result<Self, EnvError> {
-        Self::shared(
-            videos.into(),
-            classes,
-            apfg,
-            space,
-            alphas,
-            init_config,
-            seed,
-        )
-    }
-
-    /// Build an environment over an already-shared corpus — the fan-out
-    /// path: every [`VideoTraversalEnv::fork`] and every parallel worker
-    /// borrows the same `Arc<[Video]>` instead of re-cloning the corpus.
-    pub fn shared(
-        videos: Arc<[Video]>,
-        classes: Vec<ActionClass>,
-        apfg: Arc<dyn FeatureGenerator + Send + Sync>,
-        space: ConfigSpace,
-        alphas: Vec<f32>,
-        init_config: Configuration,
-        seed: u64,
-    ) -> Result<Self, EnvError> {
         if videos.is_empty() {
             return Err(EnvError::NoVideos);
         }
@@ -133,7 +109,7 @@ impl VideoTraversalEnv {
         }
         let order: Vec<usize> = (0..videos.len()).collect();
         Ok(VideoTraversalEnv {
-            videos,
+            videos: videos.into(),
             order,
             apfg,
             cache: None,
@@ -150,17 +126,17 @@ impl VideoTraversalEnv {
 
     /// Route APFG invocations through a shared, thread-safe feature
     /// cache. Caching is semantically invisible — the APFG is a pure
-    /// function of `(video, start, config)` — but parallel rollouts stop
+    /// function of `(video, start, config)` — but rollouts stop
     /// recomputing ProxyFeatures they have already seen.
     pub fn with_cache(mut self, cache: Arc<FeatureCache>) -> Self {
         self.cache = Some(cache);
         self
     }
 
-    /// A cheap seeded copy for vectorized / multi-worker rollouts: the
-    /// corpus, APFG, and cache are shared by `Arc`, only the traversal
-    /// state is fresh. `fork(s)` behaves identically to constructing a
-    /// new environment over the same corpus with seed `s`.
+    /// A cheap seeded copy for a candidate's rollout: the corpus, APFG,
+    /// and cache are shared by `Arc`, only the traversal state is fresh.
+    /// `fork(s)` behaves identically to constructing a new environment
+    /// over the same corpus with seed `s`.
     pub fn fork(&self, seed: u64) -> Self {
         VideoTraversalEnv {
             videos: Arc::clone(&self.videos),
@@ -176,17 +152,6 @@ impl VideoTraversalEnv {
             frame_cursor: 0,
             state: Vec::new(),
         }
-    }
-
-    /// Re-seed in place: restores the exact state of a freshly
-    /// constructed environment with `seed` (identity video order, cursors
-    /// at zero) without touching the shared corpus.
-    pub fn reset_with_seed(&mut self, seed: u64) {
-        self.rng = ChaCha8Rng::seed_from_u64(seed);
-        self.order = (0..self.videos.len()).collect();
-        self.vid_cursor = 0;
-        self.frame_cursor = 0;
-        self.state = Vec::new();
     }
 
     /// Number of training videos in the corpus.
@@ -444,19 +409,6 @@ mod tests {
         let mut fresh = tiny_env(7);
         assert!(Arc::ptr_eq(&base.videos, &forked.videos));
         assert_eq!(trace(&mut forked, 2), trace(&mut fresh, 2));
-    }
-
-    #[test]
-    fn reset_with_seed_replays_the_episode() {
-        let mut env = tiny_env(9);
-        let first = trace(&mut env, 1);
-        let diverged = trace(&mut env, 1); // rng advanced: different order
-        env.reset_with_seed(9);
-        let replayed = trace(&mut env, 1);
-        assert_eq!(first, replayed, "reseeding must restore the trajectory");
-        // (The middle trace usually differs; assert only that replay works
-        // even after arbitrary traversal.)
-        let _ = diverged;
     }
 
     #[test]

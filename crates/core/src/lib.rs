@@ -17,9 +17,8 @@
 //!   (Figures 12b/14), and evaluated query results.
 //! * [`parallel`] — the inter-video parallel executor extension sketched
 //!   in §6.4.
-//! * [`training`] — the vectorized training plane: batched-inference
-//!   lockstep rollouts and portfolio training across device-pool
-//!   workers.
+//! * [`training`] — the training plane: the candidate portfolio trained
+//!   across device-pool workers, one rollout per candidate.
 
 #![warn(missing_docs)]
 pub mod baselines;

@@ -165,12 +165,6 @@ pub struct PlannerOptions {
     /// thinned to at most this many configurations at roughly geometric
     /// throughput spacing (fastest and most accurate always kept).
     pub max_actions: usize,
-    /// Safety margin added to the query target during static-config
-    /// selection. Validation-profiled accuracies carry a winner's-curse
-    /// bias (the chosen config looks better on validation than on test);
-    /// planning against `target + margin` makes the *test* accuracy land
-    /// at the target.
-    pub target_margin: f64,
     /// The RL candidate portfolio: one agent is trained per spec and the
     /// planner keeps the candidate with the best validation utility
     /// (meets the target at the highest throughput; otherwise highest
@@ -180,10 +174,8 @@ pub struct PlannerOptions {
     pub candidates: Vec<CandidateSpec>,
     /// Disable the §5 model-reuse optimization (per-config ensemble).
     pub per_config_ensemble: bool,
-    /// Vectorized training plane knobs: portfolio worker threads and
-    /// lockstep environments per candidate rollout. Results are
-    /// independent of `train_workers`; `vec_envs = 1` (the default)
-    /// reproduces the serial training dynamics bit-for-bit.
+    /// Training plane knobs: portfolio worker threads. Trained policies
+    /// are independent of `train_workers`.
     pub training: TrainingOptions,
     /// Base seed for the APFG noise process and RL training.
     pub seed: u64,
@@ -203,13 +195,11 @@ impl Default for PlannerOptions {
                 update_every: 4,
                 epsilon: EpsilonSchedule::new(1.0, 0.05, 10_000),
                 reward_mode: RewardMode::Local { beta: 0.0 }, // replaced in plan()
-                stratify: true,
                 seed: 0,
             },
             dqn: DqnConfig::default(),
             window_multiple: 25,
             max_actions: 8,
-            target_margin: 0.05,
             candidates: CandidateSpec::default_portfolio(),
             per_config_ensemble: false,
             training: TrainingOptions::default(),
@@ -506,12 +496,12 @@ impl<'a> QueryPlanner<'a> {
         let frontier_configs: Vec<Configuration> = frontier.iter().map(|p| p.config).collect();
         let exec_space = space.restricted_to(&frontier_configs);
 
-        // 3. Train the RL candidate portfolio on the training split —
-        // vectorized: candidates are scheduled across the training
-        // engine's device-pool workers, and each candidate's rollout
-        // steps `vec_envs` seeded environment forks in lockstep. A
-        // shared feature cache deduplicates APFG invocations across all
-        // of them (§5's pre-processing optimization applied on-line).
+        // 3. Train the RL candidate portfolio on the training split:
+        // candidates are scheduled across the training engine's
+        // device-pool workers, each rolling out over its own seeded fork
+        // of the prototype environment. A shared feature cache
+        // deduplicates APFG invocations across all of them (§5's
+        // pre-processing optimization applied on-line).
         let train_videos: Vec<Video> = self
             .source
             .store()

@@ -1,35 +1,29 @@
-//! The vectorized training plane: one engine that trains the planner's
-//! whole candidate portfolio across worker threads and lockstep
-//! environments.
+//! The training plane: one engine that trains the planner's whole
+//! candidate portfolio across worker threads.
 //!
 //! Zeus spends the bulk of its optimization time training one DQN per
 //! candidate reward spec over the video-traversal MDP (§4, Algorithm 1).
-//! Episodes over independent videos are embarrassingly parallel, so the
-//! engine exploits three independent axes:
+//! Each candidate is one [`DqnTrainer::train`] rollout over a seeded fork
+//! of the prototype [`VideoTraversalEnv`], and the engine spreads the
+//! portfolio over two axes:
 //!
-//! 1. **Batched inference** — each candidate's rollout steps
-//!    `vec_envs` seeded copies of [`VideoTraversalEnv`] in lockstep
-//!    ([`zeus_rl::VecEnv`]), selecting all ε-greedy actions with one
-//!    `[n, d]` Q-network forward and performing one gradient update per
-//!    lockstep round.
-//! 2. **Portfolio parallelism** — candidates train concurrently on
+//! 1. **Portfolio parallelism** — candidates train concurrently on
 //!    `train_workers` threads, each owning one simulated device of a
 //!    [`DevicePool`] (the hardware abstraction the serving pool also
 //!    uses) that accumulates the candidate's simulated RL-training
 //!    seconds.
-//! 3. **Shared feature cache** — every fork of the prototype environment
+//! 2. **Shared feature cache** — every fork of the prototype environment
 //!    routes APFG invocations through one thread-safe
-//!    [`zeus_apfg::FeatureCache`], so parallel rollouts never recompute a
-//!    ProxyFeature another rollout already produced (§5's pre-processing
-//!    optimization applied on-line).
+//!    [`zeus_apfg::FeatureCache`], so concurrent candidates never
+//!    recompute a ProxyFeature another one already produced (§5's
+//!    pre-processing optimization applied on-line).
 //!
 //! **Determinism.** Every candidate's result is a pure function of its
 //! [`CandidateJob`] seeds: jobs are claimed from a shared cursor but each
-//! trains an independently seeded agent on independently seeded
-//! environment forks, so the trained policies are bit-identical
-//! regardless of `train_workers`. With `vec_envs = 1` the engine's
-//! rollout is bit-identical to the legacy serial [`DqnTrainer::train`]
-//! loop under the same seeds (see `tests/training.rs`).
+//! trains an independently seeded agent on an independently seeded
+//! environment fork, so the trained policies are bit-identical
+//! regardless of `train_workers` (see `tests/training.rs`, which also
+//! pins two golden policies).
 //!
 //! [`bench_env`] and [`CandidateJob::representative`] build one
 //! representative candidate outside the planner, for tests that train a
@@ -44,9 +38,7 @@ use zeus_obs::sync::lock_recover;
 
 use zeus_apfg::SimulatedApfg;
 use zeus_rl::agent::{DqnAgent, DqnConfig, GreedyPolicy};
-use zeus_rl::{
-    DqnTrainer, Environment, RewardMode, RlError, TrainerConfig, TrainingReport, VecEnv,
-};
+use zeus_rl::{DqnTrainer, Environment, RewardMode, RlError, TrainerConfig, TrainingReport};
 use zeus_sim::{CostModel, SimDuration};
 use zeus_video::video::Split;
 use zeus_video::{DataSource, Video};
@@ -56,27 +48,13 @@ use crate::env::{EnvError, VideoTraversalEnv};
 use crate::metrics::EvalProtocol;
 use crate::parallel::DevicePool;
 
-/// Knobs of the vectorized training plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Knobs of the training plane.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrainingOptions {
     /// Worker threads for portfolio (per-candidate) training. `0` = one
     /// per available CPU, capped at the candidate count. Any value yields
     /// the same trained policies; this only trades wall-clock for cores.
     pub train_workers: usize,
-    /// Lockstep environments per candidate rollout. `1` reproduces the
-    /// serial trainer bit-for-bit; larger values batch action selection
-    /// and update once per round (more throughput, fewer updates per
-    /// environment step).
-    pub vec_envs: usize,
-}
-
-impl Default for TrainingOptions {
-    fn default() -> Self {
-        TrainingOptions {
-            train_workers: 0,
-            vec_envs: 1,
-        }
-    }
 }
 
 /// One candidate's fully-seeded training assignment. Everything the
@@ -90,9 +68,8 @@ pub struct CandidateJob {
     pub dqn: DqnConfig,
     /// Seed for network initialisation and exploration draws.
     pub dqn_seed: u64,
-    /// Base seed for this candidate's environment forks; lockstep env
-    /// `j` is seeded with a deterministic mix of this and `j` (env 0
-    /// uses the base seed itself, preserving the serial trajectory).
+    /// Seed for this candidate's environment fork (video order per
+    /// episode).
     pub env_seed: u64,
 }
 
@@ -185,13 +162,6 @@ pub fn rl_training_secs(cost: &CostModel, report: &TrainingReport, batch_size: u
         + report.steps as f64 * cost.mlp_head().as_secs() * 2.0
 }
 
-/// Deterministic per-lockstep-environment seed: env 0 keeps the base
-/// seed (serial trajectory), later envs decorrelate via a fixed odd
-/// multiplier.
-fn env_fork_seed(base: u64, j: usize) -> u64 {
-    base ^ (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// The training engine.
 #[derive(Debug, Clone, Default)]
 pub struct TrainingEngine {
@@ -203,9 +173,8 @@ pub struct TrainingEngine {
 }
 
 impl TrainingEngine {
-    /// An engine with the given knobs (`vec_envs` is clamped to ≥ 1).
-    pub fn new(mut options: TrainingOptions) -> Self {
-        options.vec_envs = options.vec_envs.max(1);
+    /// An engine with the given knobs.
+    pub fn new(options: TrainingOptions) -> Self {
         TrainingEngine { options, obs: None }
     }
 
@@ -234,9 +203,8 @@ impl TrainingEngine {
         requested.clamp(1, jobs.max(1))
     }
 
-    /// Train one candidate: fork `vec_envs` seeded environments off the
-    /// prototype and run the vectorized loop (with one environment this
-    /// is bit-identical to the serial loop).
+    /// Train one candidate: fork the prototype with the job's
+    /// environment seed and run the training loop over it.
     pub fn train_candidate(
         &self,
         proto: &VideoTraversalEnv,
@@ -255,13 +223,7 @@ impl TrainingEngine {
             // zeus-lint: allow(wallclock): telemetry measures real training wall time
             std::time::Instant::now()
         });
-        let envs: Vec<Box<dyn Environment + Send>> = (0..self.options.vec_envs)
-            .map(|j| {
-                Box::new(proto.fork(env_fork_seed(job.env_seed, j))) as Box<dyn Environment + Send>
-            })
-            .collect();
-        let mut venv = VecEnv::new(envs)?;
-        let report = trainer.train_vec(&mut venv)?;
+        let report = trainer.train(&mut proto.fork(job.env_seed))?;
         if let (Some(hub), Some(started)) = (&self.obs, candidate_started) {
             hub.tracer.record_stage("candidate", started.elapsed());
         }
@@ -376,7 +338,6 @@ mod tests {
                 update_every: 2,
                 epsilon: EpsilonSchedule::new(1.0, 0.1, 400),
                 reward_mode: RewardMode::Local { beta: 0.4 },
-                stratify: true,
                 seed,
             },
             dqn: DqnConfig::default(),
@@ -393,7 +354,6 @@ mod tests {
         let run = |workers| {
             TrainingEngine::new(TrainingOptions {
                 train_workers: workers,
-                vec_envs: 2,
             })
             .train_portfolio(&proto, &jobs, &cost)
             .unwrap()
@@ -411,32 +371,6 @@ mod tests {
         let total = |o: &PortfolioOutcome| o.device_busy_secs.iter().sum::<f64>();
         assert!((total(&solo) - total(&wide)).abs() < 1e-6);
         assert!(total(&solo) > 0.0);
-    }
-
-    #[test]
-    fn engine_vec1_matches_legacy_serial_trainer() {
-        let proto = proto_env(9);
-        let job = tiny_job(7);
-        let engine = TrainingEngine::new(TrainingOptions {
-            train_workers: 1,
-            vec_envs: 1,
-        });
-        let vec_out = engine.train_candidate(&proto, &job).unwrap();
-
-        let agent = DqnAgent::new(
-            proto.state_dim(),
-            proto.num_actions(),
-            job.dqn.clone(),
-            job.dqn_seed,
-        );
-        let mut trainer = DqnTrainer::new(agent, job.trainer.clone());
-        let mut env = proto.fork(job.env_seed);
-        let serial_report = trainer.train(&mut env).unwrap();
-        assert_eq!(vec_out.report, serial_report);
-        assert_eq!(
-            vec_out.policy.to_bytes(),
-            trainer.into_agent().policy().to_bytes()
-        );
     }
 
     #[test]

@@ -65,25 +65,6 @@ impl Tensor {
         }
     }
 
-    /// Stack equal-length rows into a `[n, d]` tensor — the batched
-    /// inference entry point (one forward over N states instead of N
-    /// forwards over `[1, d]`). Panics on an empty row set or ragged
-    /// rows; batch producers (`zeus-rl`'s `VecEnv`) validate shape with
-    /// typed errors before reaching this primitive.
-    pub fn from_rows(rows: &[&[f32]]) -> Self {
-        assert!(!rows.is_empty(), "from_rows needs at least one row");
-        let d = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * d);
-        for row in rows {
-            assert_eq!(row.len(), d, "from_rows requires equal-length rows");
-            data.extend_from_slice(row);
-        }
-        Tensor {
-            shape: vec![rows.len(), d],
-            data,
-        }
-    }
-
     /// 1-D convenience constructor.
     pub fn vector(data: Vec<f32>) -> Self {
         let n = data.len();
@@ -592,24 +573,6 @@ mod tests {
         }
         // Large-magnitude row must not produce NaN (stability check).
         assert!(s.all_finite());
-    }
-
-    #[test]
-    fn from_rows_stacks_in_order() {
-        let a = [1.0f32, 2.0];
-        let b = [3.0f32, 4.0];
-        let t = Tensor::from_rows(&[&a, &b]);
-        assert_eq!(t.shape(), &[2, 2]);
-        assert_eq!(t.data(), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(t.row(1), &b);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length rows")]
-    fn from_rows_rejects_ragged_rows() {
-        let a = [1.0f32, 2.0];
-        let b = [3.0f32];
-        let _ = Tensor::from_rows(&[&a, &b]);
     }
 
     #[test]

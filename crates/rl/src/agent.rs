@@ -109,27 +109,10 @@ impl DqnAgent {
         self.q.forward_inference(&x).into_vec()
     }
 
-    /// Q-values for a batch of states: one `[n, d]` forward instead of
-    /// `n` scalar forwards. Returns the `[n, num_actions]` tensor
-    /// (shape `[0, num_actions]` for an empty batch).
-    pub fn q_values_batch(&self, states: &[&[f32]]) -> Tensor {
-        if states.is_empty() {
-            return Tensor::zeros(&[0, self.num_actions]);
-        }
-        self.q.forward_inference(&Tensor::from_rows(states))
-    }
-
     /// Greedy action: `argmax(φ(state))` (Algorithm 1 line 6).
     pub fn greedy_action(&self, state: &[f32]) -> usize {
         let q = self.q_values(state);
         Tensor::vector(q).argmax()
-    }
-
-    /// Batched greedy actions: per-row argmax over one `[n, d]` forward.
-    /// This is the vectorized rollout's replacement for `n` calls to
-    /// [`DqnAgent::greedy_action`].
-    pub fn act_batch(&self, states: &[&[f32]]) -> Vec<usize> {
-        self.q_values_batch(states).argmax_rows()
     }
 
     /// ε-greedy action selection.
@@ -139,29 +122,6 @@ impl DqnAgent {
         } else {
             self.greedy_action(state)
         }
-    }
-
-    /// Batched ε-greedy selection: the greedy candidates come from one
-    /// batched forward, then each row draws its exploration coin in row
-    /// order. The network forward consumes no randomness, so with one
-    /// state this draws the agent RNG in exactly the order
-    /// [`DqnAgent::select_action`] does — the bit-equivalence hook of the
-    /// vectorized trainer.
-    pub fn select_actions_batch(&mut self, states: &[&[f32]], epsilon: f64) -> Vec<usize> {
-        if states.is_empty() {
-            return Vec::new();
-        }
-        let greedy = self.act_batch(states);
-        greedy
-            .into_iter()
-            .map(|g| {
-                if self.rng.gen::<f64>() < epsilon {
-                    self.rng.gen_range(0..self.num_actions)
-                } else {
-                    g
-                }
-            })
-            .collect()
     }
 
     /// One DQN update over a minibatch (Algorithm 1 lines 11–14):
@@ -238,11 +198,6 @@ impl DqnAgent {
         Ok(loss)
     }
 
-    /// Force a target-network sync.
-    pub fn sync_target(&mut self) {
-        self.target.copy_weights_from(&self.q);
-    }
-
     /// Snapshot the online network weights (for checkpointing).
     pub fn snapshot(&self) -> Vec<Vec<f32>> {
         self.q.snapshot()
@@ -274,16 +229,6 @@ impl GreedyPolicy {
     pub fn act(&self, state: &[f32]) -> usize {
         let x = Tensor::from_vec(&[1, state.len()], state.to_vec());
         self.net.forward_inference(&x).argmax()
-    }
-
-    /// Greedy actions for a batch of states via one `[n, d]` forward.
-    pub fn act_batch(&self, states: &[&[f32]]) -> Vec<usize> {
-        if states.is_empty() {
-            return Vec::new();
-        }
-        self.net
-            .forward_inference(&Tensor::from_rows(states))
-            .argmax_rows()
     }
 
     /// Serialize the policy network to bytes (Zeus checkpoint format).
@@ -324,47 +269,6 @@ mod tests {
     fn q_values_shape() {
         let a = DqnAgent::new(4, 3, DqnConfig::default(), 0);
         assert_eq!(a.q_values(&[0.0; 4]).len(), 3);
-    }
-
-    #[test]
-    fn batched_inference_matches_scalar() {
-        let a = DqnAgent::new(3, 4, DqnConfig::default(), 9);
-        let states: Vec<Vec<f32>> = (0..5)
-            .map(|i| vec![i as f32 * 0.2, -0.4, 0.7 - i as f32 * 0.1])
-            .collect();
-        let rows: Vec<&[f32]> = states.iter().map(Vec::as_slice).collect();
-        let q = a.q_values_batch(&rows);
-        assert_eq!(q.shape(), &[5, 4]);
-        let acts = a.act_batch(&rows);
-        for (i, s) in states.iter().enumerate() {
-            assert_eq!(q.row(i), a.q_values(s).as_slice(), "row {i}");
-            assert_eq!(acts[i], a.greedy_action(s), "row {i}");
-        }
-        // The policy's batch path agrees too.
-        let p = a.policy();
-        assert_eq!(p.act_batch(&rows), acts);
-        assert!(p.act_batch(&[]).is_empty());
-        // Empty batches are well-defined everywhere, not a panic.
-        assert!(a.act_batch(&[]).is_empty());
-        assert_eq!(a.q_values_batch(&[]).shape(), &[0, 4]);
-    }
-
-    #[test]
-    fn batched_selection_draws_rng_like_scalar() {
-        // With ε = 0 no coins matter; with the same seed, batched and
-        // scalar selection must agree action-for-action, and a fresh twin
-        // consuming coins one row at a time must reproduce the batched
-        // draw order at any ε.
-        let mut a = DqnAgent::new(2, 3, DqnConfig::default(), 4);
-        let mut b = DqnAgent::new(2, 3, DqnConfig::default(), 4);
-        let states = [[0.1f32, 0.9], [0.8, 0.2], [0.5, 0.5]];
-        let rows: Vec<&[f32]> = states.iter().map(|s| s.as_slice()).collect();
-        for eps in [0.0, 0.6, 1.0] {
-            let batched = a.select_actions_batch(&rows, eps);
-            let scalar: Vec<usize> = states.iter().map(|s| b.select_action(s, eps)).collect();
-            assert_eq!(batched, scalar, "eps {eps}");
-        }
-        assert!(a.select_actions_batch(&[], 0.5).is_empty());
     }
 
     #[test]

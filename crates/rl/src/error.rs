@@ -18,11 +18,6 @@ pub enum RlError {
         /// The offending experience's state length.
         got: usize,
     },
-    /// A [`crate::VecEnv`] was constructed with no environments.
-    NoEnvironments,
-    /// The environments of a [`crate::VecEnv`] disagree on their MDP
-    /// shape (state dimension, action count, or fastness values).
-    MixedEnvironments(String),
 }
 
 impl std::fmt::Display for RlError {
@@ -34,10 +29,6 @@ impl std::fmt::Display for RlError {
                     f,
                     "state dim mismatch: network expects {expected}, got {got}"
                 )
-            }
-            RlError::NoEnvironments => write!(f, "vectorized environment needs at least one env"),
-            RlError::MixedEnvironments(detail) => {
-                write!(f, "environments disagree on MDP shape: {detail}")
             }
         }
     }
@@ -58,9 +49,5 @@ mod tests {
         }
         .to_string()
         .contains("24"));
-        assert!(RlError::NoEnvironments.to_string().contains("at least one"));
-        assert!(RlError::MixedEnvironments("state_dim 2 vs 3".into())
-            .to_string()
-            .contains("state_dim 2 vs 3"));
     }
 }

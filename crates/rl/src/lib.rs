@@ -14,14 +14,10 @@
 //! * [`reward`] — the local fastness-based reward (Eq. 2) and the
 //!   accuracy-aware aggregate reward (Algorithm 2), including the delayed
 //!   (temporary-buffer) replay update of §4.6.
-//! * [`trainer::DqnTrainer`] — the full training loop: episode
+//! * [`trainer::DqnTrainer`] — the training loop: episode
 //!   concatenation, per-episode video shuffling (handled by the
-//!   environment), warm-up, periodic updates, target sync. Two gears:
-//!   the serial loop (`train`) and the vectorized lockstep loop
-//!   (`train_vec`) whose single-environment case is bit-identical to the
-//!   serial one.
-//! * [`vec_env::VecEnv`] — N identically-shaped environments stepped in
-//!   lockstep so ε-greedy selection becomes one batched forward.
+//!   environment), warm-up, stratified replay, periodic updates, target
+//!   sync, and optional `train.*` telemetry.
 //! * [`schedule::EpsilonSchedule`] — linear exploration decay.
 //! * [`error::RlError`] — typed training-path failures (no panics on
 //!   user-reachable input).
@@ -34,7 +30,6 @@ pub mod replay;
 pub mod reward;
 pub mod schedule;
 pub mod trainer;
-pub mod vec_env;
 
 pub use agent::{DqnAgent, DqnConfig};
 pub use env::{Environment, Transition};
@@ -43,4 +38,3 @@ pub use replay::{Experience, ReplayBuffer};
 pub use reward::{aggregate_reward, local_reward, window_accuracy, RewardMode};
 pub use schedule::EpsilonSchedule;
 pub use trainer::{DqnTrainer, TrainerConfig, TrainingReport};
-pub use vec_env::VecEnv;

@@ -1,5 +1,5 @@
 //! The training loop: Algorithm 1 with the delayed aggregate-reward replay
-//! update of §4.6, in two gears.
+//! update of §4.6.
 //!
 //! "During the processing of the current aggregation window, the query
 //! planner uses Algorithm 1 to collect the incomplete experience tuples
@@ -8,40 +8,34 @@
 //! rewards collected using Algorithm 2. Zeus then pushes the updated
 //! experience tuples to the replay buffer."
 //!
-//! [`DqnTrainer::train`] is the serial loop: one environment, one
-//! `[1, d]` Q-network forward per step. [`DqnTrainer::train_vec`] is the
-//! vectorized loop: N seeded environments stepped in lockstep, all N
-//! ε-greedy actions chosen with *one* batched forward, and one gradient
-//! update per lockstep round. With `N = 1` the vectorized loop performs
-//! bit-for-bit the same RNG draws, replay pushes, and updates as the
-//! serial loop on a fresh trainer — the equivalence the training plane's
-//! determinism tests pin down.
+//! [`DqnTrainer::train`] runs one ε-greedy rollout over one environment:
+//! a `[1, d]` Q-network forward per greedy step and a minibatch update
+//! every `update_every` steps once the replay buffer is warm.
 
-use std::time::Instant;
-
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use zeus_obs::TrainObs;
+use zeus_obs::{Trace, TrainObs};
 
 use crate::agent::DqnAgent;
 use crate::env::{Environment, Transition};
 use crate::error::RlError;
 use crate::replay::{Experience, ReplayBuffer};
 use crate::reward::{aggregate_reward_scaled, local_reward, window_outcome, RewardMode};
-use crate::vec_env::VecEnv;
 
 use crate::schedule::EpsilonSchedule;
 
 /// Trainer hyperparameters. Paper values (§5): replay capacity 10 K,
 /// initialised with 5 K tuples, minibatch 1 K. The defaults here are
-/// scaled for the reproduction's smaller (compact-feature) problem;
-/// `TrainerConfig::paper()` restores the published constants.
+/// scaled for the reproduction's smaller (compact-feature) problem.
+///
+/// Replay is always stratified: action-window and background
+/// experiences live in separate buffers and minibatches are drawn
+/// half-and-half. On sparse corpora (BDD100K is 7% action) uniform
+/// replay starves the agent of the action-adjacent transitions that
+/// matter most.
 #[derive(Debug, Clone)]
 pub struct TrainerConfig {
-    /// Number of training episodes T (Algorithm 1). In the vectorized
-    /// loop this is the *total* episode budget, distributed across the
-    /// environments.
+    /// Number of training episodes T (Algorithm 1).
     pub episodes: usize,
     /// Replay buffer capacity.
     pub replay_capacity: usize,
@@ -50,20 +44,12 @@ pub struct TrainerConfig {
     pub warmup: usize,
     /// Minibatch size per update.
     pub batch_size: usize,
-    /// Environment steps between gradient updates. The vectorized loop
-    /// counts lockstep *rounds* (N environment steps each) instead, the
-    /// standard vectorized-rollout cadence; with one environment a round
-    /// is one step and the two cadences coincide.
+    /// Environment steps between gradient updates.
     pub update_every: usize,
     /// Exploration schedule.
     pub epsilon: EpsilonSchedule,
     /// Reward assignment mode (§4.4 local or §4.5/4.6 aggregate).
     pub reward_mode: RewardMode,
-    /// Stratified replay: keep action-window and background experiences
-    /// in separate buffers and sample minibatches half-and-half. On
-    /// sparse corpora (BDD100K is 7% action) uniform replay starves the
-    /// agent of the action-adjacent transitions that matter most.
-    pub stratify: bool,
     /// RNG seed for replay sampling.
     pub seed: u64,
 }
@@ -87,21 +73,7 @@ impl Default for TrainerConfig {
                 local_mix: 0.5,
                 beta: 0.0,
             },
-            stratify: true,
             seed: 0,
-        }
-    }
-}
-
-impl TrainerConfig {
-    /// The paper's published constants (§5): 10 K replay, 5 K warm-up,
-    /// 1 K minibatch.
-    pub fn paper() -> Self {
-        TrainerConfig {
-            replay_capacity: 10_000,
-            warmup: 5_000,
-            batch_size: 1_000,
-            ..Self::default()
         }
     }
 }
@@ -121,23 +93,6 @@ pub struct TrainingReport {
 }
 
 impl TrainingReport {
-    /// Bit-exact equality: reward/loss vectors compare by `f32` bit
-    /// pattern, so two runs that produced the *same* NaN still compare
-    /// equal (derived `PartialEq` would report them unequal). This is
-    /// what equivalence gates should use.
-    pub fn bit_eq(&self, other: &TrainingReport) -> bool {
-        let bits_eq = |a: &[f32], b: &[f32]| {
-            a.len() == b.len()
-                && a.iter()
-                    .zip(b.iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits())
-        };
-        self.steps == other.steps
-            && self.updates == other.updates
-            && bits_eq(&self.episode_rewards, &other.episode_rewards)
-            && bits_eq(&self.episode_losses, &other.episode_losses)
-    }
-
     /// Mean reward over the last quarter of episodes (convergence probe).
     pub fn final_reward(&self) -> f32 {
         if self.episode_rewards.is_empty() {
@@ -160,8 +115,7 @@ struct Pending {
 }
 
 /// Per-episode accumulator: reward/loss statistics plus the §4.6
-/// temporary window buffer. Shared by the serial and vectorized loops so
-/// the two reward paths cannot drift apart.
+/// temporary window buffer.
 struct EpisodeAccum {
     reward_sum: f32,
     reward_count: u32,
@@ -292,20 +246,12 @@ impl EpisodeAccum {
     }
 }
 
-/// One environment's slot in the vectorized loop: which global episode it
-/// is running, its current state, and its episode accumulator.
-struct EnvSlot {
-    episode: usize,
-    state: Vec<f32>,
-    acc: EpisodeAccum,
-}
-
 /// The DQN trainer.
 pub struct DqnTrainer {
     agent: DqnAgent,
     cfg: TrainerConfig,
     replay: ReplayBuffer,
-    /// Second buffer for action-window experiences when stratifying.
+    /// Second buffer for action-window experiences (stratified replay).
     replay_action: ReplayBuffer,
     rng: ChaCha8Rng,
     global_step: u64,
@@ -344,7 +290,7 @@ impl DqnTrainer {
     }
 
     fn push_experience(&mut self, e: Experience, action_window: bool) {
-        if self.cfg.stratify && action_window {
+        if action_window {
             self.replay_action.push(e);
         } else {
             self.replay.push(e);
@@ -358,7 +304,7 @@ impl DqnTrainer {
             // RlError::EmptyBatch from the agent instead of a panic.
             return Vec::new();
         }
-        if !self.cfg.stratify || self.replay_action.is_empty() {
+        if self.replay_action.is_empty() {
             return self
                 .replay
                 .sample(want, &mut self.rng)
@@ -391,7 +337,7 @@ impl DqnTrainer {
     }
 
     /// Sample a minibatch and apply one gradient update, returning the
-    /// loss. Shared by both loops so cadence is the only difference.
+    /// loss.
     fn update_once(&mut self) -> Result<f32, RlError> {
         let batch = self.sample_batch();
         let refs: Vec<&Experience> = batch.iter().collect();
@@ -418,7 +364,13 @@ impl DqnTrainer {
         &self.agent
     }
 
-    /// Run the full serial training loop over `env`.
+    /// Run the full training loop over `env`: `cfg.episodes` episodes
+    /// of ε-greedy rollout, pushing experience tuples into the replay
+    /// buffer and updating every `update_every` steps after warm-up.
+    ///
+    /// With telemetry attached the run is one trace labelled `train`: an
+    /// `episode` span per episode, enclosing a `batch_forward` span per
+    /// action selection and an `update` span per gradient step.
     pub fn train(&mut self, env: &mut dyn Environment) -> Result<TrainingReport, RlError> {
         let obs = self.obs.clone();
         let trace = obs.as_ref().map(|o| o.tracer.trace("train"));
@@ -426,9 +378,11 @@ impl DqnTrainer {
         for _ in 0..self.cfg.episodes {
             let _span = trace.as_ref().map(|t| t.span("episode"));
             let steps_before = report.steps;
-            let (mean_r, mean_l) = self.run_episode(env, &mut report)?;
+            let updates_before = report.updates;
+            let (mean_r, mean_l) = self.run_episode(env, trace.as_ref(), &mut report)?;
             if let Some(o) = &obs {
                 o.steps.add(report.steps - steps_before);
+                o.updates.add(report.updates - updates_before);
                 o.episodes.inc();
             }
             report.episode_rewards.push(mean_r);
@@ -440,6 +394,7 @@ impl DqnTrainer {
     fn run_episode(
         &mut self,
         env: &mut dyn Environment,
+        trace: Option<&Trace>,
         report: &mut TrainingReport,
     ) -> Result<(f32, f32), RlError> {
         let mut state = env.reset();
@@ -449,7 +404,10 @@ impl DqnTrainer {
 
         loop {
             let eps = self.current_epsilon();
-            let action = self.agent.select_action(&state, eps);
+            let action = {
+                let _span = trace.map(|t| t.span("batch_forward"));
+                self.agent.select_action(&state, eps)
+            };
             let t = env.step(action);
             self.global_step += 1;
             report.steps += 1;
@@ -463,14 +421,10 @@ impl DqnTrainer {
                     .global_step
                     .is_multiple_of(self.cfg.update_every as u64)
             {
-                // zeus-lint: allow(wallclock): stage tracing wants real elapsed time
-                let update_start = self.obs.as_ref().map(|_| Instant::now());
-                let loss = self.update_once()?;
-                if let Some(started) = update_start {
-                    let o = self.obs.as_ref().expect("obs set when timed");
-                    o.tracer.record_stage("update", started.elapsed());
-                    o.updates.inc();
-                }
+                let loss = {
+                    let _span = trace.map(|t| t.span("update"));
+                    self.update_once()?
+                };
                 acc.note_loss(loss);
                 report.updates += 1;
             }
@@ -482,207 +436,6 @@ impl DqnTrainer {
         }
 
         Ok((acc.mean_reward(), acc.mean_loss()))
-    }
-
-    /// Run the full training loop over N lockstep environments.
-    ///
-    /// Each round selects one ε-greedy action per live environment with a
-    /// single batched `[n, d]` forward, steps every environment, and then
-    /// performs at most one gradient update (`update_every` counts rounds
-    /// here). The total episode budget `cfg.episodes` is distributed
-    /// dynamically: whenever an environment finishes its episode it picks
-    /// up the next unstarted episode index, and the report's per-episode
-    /// vectors are ordered by that global index.
-    ///
-    /// **Equivalence guarantee:** on a fresh trainer, `train_vec` over a
-    /// single environment performs exactly the same RNG draws, replay
-    /// pushes, and gradient updates as [`DqnTrainer::train`] over that
-    /// environment, so the resulting policy and [`TrainingReport`] are
-    /// bit-identical.
-    pub fn train_vec(&mut self, venv: &mut VecEnv) -> Result<TrainingReport, RlError> {
-        let obs = self.obs.clone();
-        let trace = obs.as_ref().map(|o| o.tracer.trace("train_vec"));
-        let episodes = self.cfg.episodes;
-        let mut report = TrainingReport {
-            episode_rewards: vec![0.0; episodes],
-            episode_losses: vec![0.0; episodes],
-            ..TrainingReport::default()
-        };
-        let alpha_max = venv
-            .alphas()
-            .iter()
-            .fold(0.0f32, |a, &b| a.max(b))
-            .max(1e-9);
-        let mode = self.cfg.reward_mode;
-
-        // Hand out the first wave of episodes, one per environment.
-        let mut next_episode = 0usize;
-        let mut slots: Vec<Option<EnvSlot>> = Vec::with_capacity(venv.len());
-        for i in 0..venv.len() {
-            if next_episode < episodes {
-                let state = venv.reset(i);
-                slots.push(Some(EnvSlot {
-                    episode: next_episode,
-                    state,
-                    acc: EpisodeAccum::new(alpha_max),
-                }));
-                next_episode += 1;
-            } else {
-                slots.push(None);
-            }
-        }
-
-        let mut rounds: u64 = 0;
-        let mut finished: Vec<usize> = Vec::new();
-        while slots.iter().any(Option::is_some) {
-            rounds += 1;
-            let eps = self.current_epsilon();
-
-            // One batched forward selects every live environment's action.
-            let (live, actions) = {
-                let _span = trace.as_ref().map(|t| t.span("batch_forward"));
-                let mut live = Vec::new();
-                let mut states: Vec<&[f32]> = Vec::new();
-                for (i, slot) in slots.iter().enumerate() {
-                    if let Some(s) = slot {
-                        live.push(i);
-                        states.push(s.state.as_slice());
-                    }
-                }
-                let actions = self.agent.select_actions_batch(&states, eps);
-                (live, actions)
-            };
-            if let Some(o) = &obs {
-                o.steps.add(live.len() as u64);
-            }
-
-            finished.clear();
-            for (&i, &action) in live.iter().zip(&actions) {
-                let t = venv.step(i, action);
-                self.global_step += 1;
-                report.steps += 1;
-                let slot = slots[i].as_mut().expect("live slot");
-                let pushes = slot.acc.absorb(mode, &t);
-                slot.state = t.next_state;
-                if t.done {
-                    finished.push(i);
-                }
-                for (e, action_window) in pushes {
-                    self.push_experience(e, action_window);
-                }
-            }
-
-            // One update per round; its loss is attributed to every
-            // episode that was active this round (with one environment
-            // this is exactly the serial attribution).
-            if self.replay_len() >= self.cfg.warmup
-                && rounds.is_multiple_of(self.cfg.update_every as u64)
-            {
-                let update_span = trace.as_ref().map(|t| t.span("update"));
-                let loss = self.update_once()?;
-                drop(update_span);
-                if let Some(o) = &obs {
-                    o.updates.inc();
-                }
-                report.updates += 1;
-                for slot in slots.iter_mut().flatten() {
-                    slot.acc.note_loss(loss);
-                }
-            }
-
-            // Retire finished episodes; start the next ones in env order.
-            for &i in &finished {
-                let slot = slots[i].take().expect("finished slot");
-                if let Some(o) = &obs {
-                    o.episodes.inc();
-                }
-                report.episode_rewards[slot.episode] = slot.acc.mean_reward();
-                report.episode_losses[slot.episode] = slot.acc.mean_loss();
-                if next_episode < episodes {
-                    let state = venv.reset(i);
-                    slots[i] = Some(EnvSlot {
-                        episode: next_episode,
-                        state,
-                        acc: EpisodeAccum::new(alpha_max),
-                    });
-                    next_episode += 1;
-                }
-            }
-        }
-        Ok(report)
-    }
-
-    /// Exploration-free greedy rollout returning mean per-decision reward
-    /// under the trainer's reward mode (evaluation helper).
-    pub fn evaluate(&mut self, env: &mut dyn Environment, episodes: usize) -> f32 {
-        let mut total = 0.0f32;
-        let mut count = 0u32;
-        for _ in 0..episodes {
-            let mut state = env.reset();
-            let mut window_gt: Vec<bool> = Vec::new();
-            let mut window_pred: Vec<bool> = Vec::new();
-            let mut window_alpha = 0.0f32;
-            let alpha_max = env.alphas().iter().fold(0.0f32, |a, &b| a.max(b)).max(1e-9);
-            let mut decisions = 0u32;
-            loop {
-                let action = self.agent.greedy_action(&state);
-                let t = env.step(action);
-                match self.cfg.reward_mode {
-                    RewardMode::Local { beta } => {
-                        total += local_reward(t.alpha, beta, t.has_action());
-                        count += 1;
-                    }
-                    RewardMode::Aggregate {
-                        target_accuracy,
-                        window_frames,
-                        eval_window,
-                        fastness_bonus,
-                        fp_penalty,
-                        deficit_scale,
-                        local_mix: _,
-                        beta: _,
-                    } => {
-                        window_alpha += t.alpha * t.span_len() as f32;
-                        window_gt.extend_from_slice(&t.gt);
-                        window_pred.extend_from_slice(&t.pred);
-                        decisions += 1;
-                        if window_gt.len() >= window_frames || t.done {
-                            let outcome = window_outcome(&window_gt, &window_pred, eval_window);
-                            let r = match outcome.accuracy {
-                                Some(acc) => {
-                                    aggregate_reward_scaled(acc, target_accuracy, deficit_scale)
-                                }
-                                None => {
-                                    let mean_alpha = window_alpha / window_gt.len().max(1) as f32;
-                                    fastness_bonus * (mean_alpha / alpha_max)
-                                        - fp_penalty * outcome.fp_fraction as f32
-                                }
-                            };
-                            total += r * decisions as f32;
-                            count += decisions;
-                            window_gt.clear();
-                            window_pred.clear();
-                            window_alpha = 0.0;
-                            decisions = 0;
-                        }
-                    }
-                }
-                state = t.next_state;
-                if t.done {
-                    break;
-                }
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f32
-        }
-    }
-
-    /// Let callers draw reproducible randomness tied to the trainer.
-    pub fn gen_seed(&mut self) -> u64 {
-        self.rng.gen()
     }
 }
 
@@ -713,7 +466,6 @@ mod tests {
                 update_every: 1,
                 epsilon: EpsilonSchedule::new(1.0, 0.05, 1_500),
                 reward_mode: mode,
-                stratify: true,
                 seed,
             },
         )
@@ -768,17 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_runs_greedy() {
-        let mut trainer = small_trainer(aggregate_mode(1), 3);
-        let mut env = Bandit::new(9, 100);
-        let _ = trainer.train(&mut env).unwrap();
-        let score = trainer.evaluate(&mut env, 3);
-        // A trained greedy policy mostly earns the on-target reward (0 for
-        // perfect windows, -0.8 for misses) — well above always-wrong.
-        assert!(score > -0.2, "greedy eval score {score}");
-    }
-
-    #[test]
     fn aggregate_window_flushes_at_episode_end() {
         // window_frames larger than the episode: everything flushes at
         // done, so all experiences still reach the replay buffer.
@@ -809,65 +550,37 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_single_env_is_bit_identical_to_serial() {
-        for (mode, seed) in [
-            (aggregate_mode(3), 11u64),
-            (RewardMode::Local { beta: 0.4 }, 12),
-        ] {
-            let mut serial = small_trainer(mode, seed);
-            let mut vectorized = small_trainer(mode, seed);
-            let mut env_a = Bandit::new(seed ^ 7, 60);
-            let env_b = Bandit::new(seed ^ 7, 60);
-            let report_a = serial.train(&mut env_a).unwrap();
-            let mut venv = VecEnv::single(Box::new(env_b));
-            let report_b = vectorized.train_vec(&mut venv).unwrap();
-            assert_eq!(report_a, report_b, "reports diverged (seed {seed})");
-            assert_eq!(
-                serial.agent().policy().to_bytes(),
-                vectorized.agent().policy().to_bytes(),
-                "policies diverged (seed {seed})"
+    fn stratified_minibatches_split_between_the_buffers() {
+        // Background experiences take action 0, action-window ones
+        // action 1, so a batch's composition reads off its actions.
+        let sample = |background: usize, action_window: usize| {
+            let agent = DqnAgent::new(1, 2, DqnConfig::default(), 0);
+            let mut trainer = DqnTrainer::new(
+                agent,
+                TrainerConfig {
+                    batch_size: 8,
+                    ..TrainerConfig::default()
+                },
             );
-        }
-    }
-
-    #[test]
-    fn vectorized_multi_env_is_deterministic_and_learns() {
-        let run = || {
-            let mut trainer = small_trainer(aggregate_mode(1), 21);
-            let envs: Vec<Box<dyn Environment + Send>> = (0..4)
-                .map(|i| Box::new(Bandit::new(100 + i, 80)) as Box<dyn Environment + Send>)
-                .collect();
-            let mut venv = VecEnv::new(envs).unwrap();
-            let report = trainer.train_vec(&mut venv).unwrap();
-            (report, trainer.agent().policy().to_bytes())
+            for (count, window) in [(background, false), (action_window, true)] {
+                for _ in 0..count {
+                    let e = Experience {
+                        state: vec![0.0],
+                        action: usize::from(window),
+                        reward: 0.0,
+                        next_state: vec![0.0],
+                        done: false,
+                    };
+                    trainer.push_experience(e, window);
+                }
+            }
+            let batch = trainer.sample_batch();
+            let from_action = batch.iter().filter(|e| e.action == 1).count();
+            (batch.len() - from_action, from_action)
         };
-        let (report_a, policy_a) = run();
-        let (report_b, policy_b) = run();
-        assert_eq!(report_a, report_b, "vectorized training must be replayable");
-        assert_eq!(policy_a, policy_b);
-        // Episode budget fully spent, steps counted across all envs.
-        assert_eq!(report_a.episode_rewards.len(), 30);
-        assert_eq!(report_a.steps, 30 * 80);
-        assert!(report_a.updates > 0);
-        // The lockstep cadence does one update per round (4 env steps),
-        // so the update count is roughly a quarter of the serial one.
-        let mut serial = small_trainer(aggregate_mode(1), 21);
-        let serial_report = serial.train(&mut Bandit::new(100, 80)).unwrap();
-        assert!(report_a.updates * 3 < serial_report.updates);
-    }
-
-    #[test]
-    fn vectorized_bandit_still_learns_the_context() {
-        let mut trainer = small_trainer(aggregate_mode(1), 9);
-        let envs: Vec<Box<dyn Environment + Send>> = (0..2)
-            .map(|i| Box::new(Bandit::new(40 + i, 100)) as Box<dyn Environment + Send>)
-            .collect();
-        let mut venv = VecEnv::new(envs).unwrap();
-        let report = trainer.train_vec(&mut venv).unwrap();
-        assert!(report.updates > 0);
-        let agent = trainer.agent();
-        assert_eq!(agent.greedy_action(&[0.0]), 0);
-        assert_eq!(agent.greedy_action(&[1.0]), 1);
+        assert_eq!(sample(20, 20), (4, 4), "half from each buffer");
+        assert_eq!(sample(20, 0), (8, 0), "no action windows yet");
+        assert_eq!(sample(0, 20), (0, 8), "no background yet");
     }
 
     #[test]

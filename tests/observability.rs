@@ -1,6 +1,6 @@
 //! The observability plane, end to end: metric registry exactness under
 //! contention, span-tree well-formedness across a full
-//! `session.query().run()` and a vectorized training round, and the
+//! `session.query().run()` and a training round, and the
 //! `EXPLAIN ANALYZE` acceptance check (stage sum ≡ measured e2e).
 
 use std::time::Instant;
@@ -154,7 +154,7 @@ fn served_explain_covers_every_query_stage() {
 }
 
 #[test]
-fn train_vec_round_produces_a_well_formed_trace() {
+fn training_round_produces_a_well_formed_trace() {
     let hub = ObsHub::new();
     let dataset = DatasetKind::Bdd100k.generate(0.05, 7);
     let proto = bench_env(&dataset, 7).expect("env builds");
@@ -168,23 +168,19 @@ fn train_vec_round_produces_a_well_formed_trace() {
         0.85,
         7,
     );
-    let engine = TrainingEngine::new(TrainingOptions {
-        train_workers: 1,
-        vec_envs: 2,
-    })
-    .with_obs(hub.clone());
+    let engine = TrainingEngine::new(TrainingOptions { train_workers: 1 }).with_obs(hub.clone());
     engine.train_candidate(&proto, &job).expect("trains");
 
     let traces = hub.tracer.recent_traces();
-    let vec_trace = traces
+    let train = traces
         .iter()
-        .find(|t| t.label == "train_vec")
-        .expect("train_vec trace published");
-    assert!(vec_trace.well_formed(), "{vec_trace:?}");
-    for stage in ["batch_forward", "update"] {
+        .find(|t| t.label == "train")
+        .expect("train trace published");
+    assert!(train.well_formed(), "{train:?}");
+    for stage in ["episode", "batch_forward", "update"] {
         assert!(
-            vec_trace.spans.iter().any(|s| s.name == stage),
-            "stage '{stage}' missing from {vec_trace:?}"
+            train.spans.iter().any(|s| s.name == stage),
+            "stage '{stage}' missing from {train:?}"
         );
     }
     let snap = hub.metrics.snapshot();
