@@ -70,9 +70,11 @@ impl R3dLite {
         // kill every unit of a small network).
         let x = Tensor::vector(volume.iter().map(|v| v - 0.45).collect());
         let (z1, s1) = self.conv1.forward(&x, shape);
-        let a1 = Activation::LeakyRelu.forward(&z1);
+        let mut a1 = z1.clone();
+        Activation::LeakyRelu.forward_in_place(a1.data_mut());
         let (z2, s2) = self.conv2.forward(&a1, s1);
-        let a2 = Activation::LeakyRelu.forward(&z2);
+        let mut a2 = z2.clone();
+        Activation::LeakyRelu.forward_in_place(a2.data_mut());
         let feat = self.gap.forward(&a2, s2);
         let logits = self.head.forward(&Tensor::from_vec(
             &[1, R3D_LITE_FEATURES],
@@ -92,11 +94,11 @@ impl R3dLite {
             .clone();
         let g_feat = self.head.backward(grad_logits);
         let g_feat = Tensor::vector(g_feat.data().to_vec());
-        let g_a2 = self.gap.backward(&g_feat);
-        let g_z2 = Activation::LeakyRelu.backward(&cache.z2, &g_a2);
-        let g_a1 = self.conv2.backward(&g_z2);
+        let mut g_z2 = self.gap.backward(&g_feat);
+        Activation::LeakyRelu.backward_in_place(cache.z2.data(), g_z2.data_mut());
+        let mut g_z1 = self.conv2.backward(&g_z2);
         let _ = cache.s1; // shape bookkeeping retained for clarity
-        let g_z1 = Activation::LeakyRelu.backward(&cache.z1, &g_a1);
+        Activation::LeakyRelu.backward_in_place(cache.z1.data(), g_z1.data_mut());
         let _ = self.conv1.backward(&g_z1);
     }
 

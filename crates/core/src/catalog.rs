@@ -247,6 +247,16 @@ pub fn decode_plan(bytes: &[u8]) -> Result<StoredPlan, CatalogError> {
     let policy_bytes = r.take(policy_len)?;
     let policy = GreedyPolicy::from_bytes(policy_bytes)
         .map_err(|e| CatalogError::Corrupt(format!("policy: {e}")))?;
+    // The restored executor feeds the policy APFG features and indexes the
+    // stored space with its action, so both widths must match.
+    if policy.state_dim() != zeus_apfg::FEATURE_DIM || policy.num_actions() != n_configs {
+        return Err(CatalogError::Corrupt(format!(
+            "policy maps {} inputs to {} actions; expected {} features and {n_configs} configurations",
+            policy.state_dim(),
+            policy.num_actions(),
+            zeus_apfg::FEATURE_DIM
+        )));
+    }
 
     Ok(StoredPlan {
         query: ActionQuery::multi(classes, target)
@@ -385,6 +395,29 @@ mod tests {
         let mut bad_version = bytes.clone();
         bad_version[4] = 9;
         assert!(decode_plan(&bad_version).is_err(), "version");
+    }
+
+    /// `plan` re-encoded around an untrained policy of the given shape.
+    fn with_policy_shape(mut plan: QueryPlan, seed: u64, inputs: usize, actions: usize) -> Vec<u8> {
+        use zeus_rl::agent::{DqnAgent, DqnConfig};
+        plan.policy = DqnAgent::new(inputs, actions, DqnConfig::default(), 1).policy();
+        encode_plan(&plan, seed)
+    }
+
+    #[test]
+    fn decode_rejects_a_policy_with_more_actions_than_configurations() {
+        let (plan, seed) = tiny_plan();
+        let actions = plan.space.len() + 1;
+        let bytes = with_policy_shape(plan, seed, zeus_apfg::FEATURE_DIM, actions);
+        assert!(matches!(decode_plan(&bytes), Err(CatalogError::Corrupt(_))));
+    }
+
+    #[test]
+    fn decode_rejects_a_policy_of_the_wrong_input_width() {
+        let (plan, seed) = tiny_plan();
+        let actions = plan.space.len();
+        let bytes = with_policy_shape(plan, seed, zeus_apfg::FEATURE_DIM + 1, actions);
+        assert!(matches!(decode_plan(&bytes), Err(CatalogError::Corrupt(_))));
     }
 
     #[test]

@@ -1,6 +1,4 @@
-//! Activation functions with cached-mask backprop.
-
-use crate::tensor::Tensor;
+//! Activation functions, applied in place to pre-activation buffers.
 
 /// Supported activation kinds for MLP hidden layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,34 +16,70 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Apply the activation elementwise.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
+    /// The activation of one pre-activation value.
+    #[inline]
+    fn apply(self, v: f32) -> f32 {
         match self {
-            Activation::Relu => x.map(|v| if v > 0.0 { v } else { 0.0 }),
-            Activation::LeakyRelu => x.map(|v| if v > 0.0 { v } else { 0.1 * v }),
-            Activation::Tanh => x.map(f32::tanh),
-            Activation::Identity => x.clone(),
+            Activation::Relu => {
+                if v > 0.0 {
+                    v
+                } else {
+                    0.0
+                }
+            }
+            Activation::LeakyRelu => {
+                if v > 0.0 {
+                    v
+                } else {
+                    0.1 * v
+                }
+            }
+            Activation::Tanh => v.tanh(),
+            Activation::Identity => v,
         }
     }
 
-    /// Gradient of the activation given its *input* `x` and upstream
-    /// gradient `grad_out`.
-    pub fn backward(&self, x: &Tensor, grad_out: &Tensor) -> Tensor {
-        assert_eq!(x.shape(), grad_out.shape(), "activation grad shape");
+    /// The derivative at one pre-activation value.
+    #[inline]
+    fn derivative(self, v: f32) -> f32 {
         match self {
             Activation::Relu => {
-                let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                grad_out.mul(&mask)
+                if v > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
             }
             Activation::LeakyRelu => {
-                let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.1 });
-                grad_out.mul(&mask)
+                if v > 0.0 {
+                    1.0
+                } else {
+                    0.1
+                }
             }
-            Activation::Tanh => {
-                let d = x.map(|v| 1.0 - v.tanh() * v.tanh());
-                grad_out.mul(&d)
+            Activation::Tanh => 1.0 - v.tanh() * v.tanh(),
+            Activation::Identity => 1.0,
+        }
+    }
+
+    /// Replace each pre-activation in `x` by its activation.
+    pub fn forward_in_place(self, x: &mut [f32]) {
+        if self != Activation::Identity {
+            for v in x {
+                *v = self.apply(*v);
             }
-            Activation::Identity => grad_out.clone(),
+        }
+    }
+
+    /// Multiply the upstream gradient `grad` in place by the activation's
+    /// derivative at the pre-activations `x`, giving the gradient with
+    /// respect to `x`.
+    pub fn backward_in_place(self, x: &[f32], grad: &mut [f32]) {
+        assert_eq!(x.len(), grad.len(), "activation grad shape");
+        if self != Activation::Identity {
+            for (g, &v) in grad.iter_mut().zip(x) {
+                *g *= self.derivative(v);
+            }
         }
     }
 }
@@ -54,44 +88,51 @@ impl Activation {
 mod tests {
     use super::*;
 
+    fn forward(act: Activation, x: &[f32]) -> Vec<f32> {
+        let mut y = x.to_vec();
+        act.forward_in_place(&mut y);
+        y
+    }
+
+    fn backward(act: Activation, x: &[f32], grad: &[f32]) -> Vec<f32> {
+        let mut g = grad.to_vec();
+        act.backward_in_place(x, &mut g);
+        g
+    }
+
     #[test]
     fn relu_forward_backward() {
-        let x = Tensor::vector(vec![-1.0, 0.0, 2.0]);
-        let y = Activation::Relu.forward(&x);
-        assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
-        let g = Activation::Relu.backward(&x, &Tensor::vector(vec![1.0, 1.0, 1.0]));
-        assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
+        let x = [-1.0, 0.0, 2.0];
+        assert_eq!(forward(Activation::Relu, &x), [0.0, 0.0, 2.0]);
+        assert_eq!(backward(Activation::Relu, &x, &[1.0; 3]), [0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn tanh_gradient_matches_numeric() {
-        let x = Tensor::vector(vec![0.3, -0.7]);
-        let ones = Tensor::vector(vec![1.0, 1.0]);
-        let g = Activation::Tanh.backward(&x, &ones);
+        let x = [0.3f32, -0.7];
+        let g = backward(Activation::Tanh, &x, &[1.0, 1.0]);
         let eps = 1e-3f32;
         for i in 0..2 {
-            let xv = x.data()[i];
-            let numeric = ((xv + eps).tanh() - (xv - eps).tanh()) / (2.0 * eps);
-            assert!((g.data()[i] - numeric).abs() < 1e-4);
+            let numeric = ((x[i] + eps).tanh() - (x[i] - eps).tanh()) / (2.0 * eps);
+            assert!((g[i] - numeric).abs() < 1e-4);
         }
     }
 
     #[test]
     fn leaky_relu_keeps_negative_gradient() {
-        let x = Tensor::vector(vec![-2.0, 3.0]);
-        let y = Activation::LeakyRelu.forward(&x);
-        assert!((y.data()[0] + 0.2).abs() < 1e-6);
-        assert_eq!(y.data()[1], 3.0);
-        let g = Activation::LeakyRelu.backward(&x, &Tensor::vector(vec![1.0, 1.0]));
-        assert!((g.data()[0] - 0.1).abs() < 1e-6);
-        assert_eq!(g.data()[1], 1.0);
+        let x = [-2.0f32, 3.0];
+        let y = forward(Activation::LeakyRelu, &x);
+        assert!((y[0] + 0.2).abs() < 1e-6);
+        assert_eq!(y[1], 3.0);
+        let g = backward(Activation::LeakyRelu, &x, &[1.0, 1.0]);
+        assert!((g[0] - 0.1).abs() < 1e-6);
+        assert_eq!(g[1], 1.0);
     }
 
     #[test]
     fn identity_passthrough() {
-        let x = Tensor::vector(vec![1.0, -2.0]);
-        assert_eq!(Activation::Identity.forward(&x), x);
-        let g = Tensor::vector(vec![0.5, 0.5]);
-        assert_eq!(Activation::Identity.backward(&x, &g), g);
+        let x = [1.0, -2.0];
+        assert_eq!(forward(Activation::Identity, &x), x);
+        assert_eq!(backward(Activation::Identity, &x, &[0.5, 0.5]), [0.5, 0.5]);
     }
 }

@@ -9,8 +9,12 @@
 //!
 //! * [`tensor::Tensor`] — row-major `f32` n-dimensional arrays with the
 //!   small set of ops the models use (matmul, elementwise, reductions).
+//!   Every dense product runs through one tiled GEMM kernel with runtime
+//!   AVX2 dispatch (see [`tensor`]).
 //! * [`linear::Linear`], [`activation::Activation`], [`mlp::Mlp`] — dense
-//!   layers with manual backprop, composed into the Q-network.
+//!   layers with manual backprop, composed into the Q-network. Layers read
+//!   their weights in place, activations run in place, and the buffers a
+//!   training step caches are reused from call to call.
 //! * [`conv::Conv3d`], [`conv::MaxPool3d`], [`conv::GlobalAvgPool3d`] — 3D
 //!   convolutional blocks used by the small real R3D path (`zeus-apfg`).
 //! * [`loss`] — Huber (the DQN loss of Algorithm 1), MSE, and
@@ -21,7 +25,9 @@
 //!
 //! Determinism is a design requirement: every random operation takes an
 //! explicit RNG so the benchmark harness can regenerate the paper's tables
-//! bit-for-bit.
+//! bit-for-bit. The GEMM kernel keeps the summation order of the plain
+//! triple loop and never fuses a multiply with an add, so a trained policy
+//! has the same bits with or without AVX2.
 
 #![warn(missing_docs)]
 pub mod activation;

@@ -2,16 +2,19 @@
 
 use rand::Rng;
 
+use crate::activation::Activation;
 use crate::init;
 use crate::param::Param;
-use crate::tensor::Tensor;
+use crate::tensor::{gemm, transpose_into, Strided, Tensor};
 
 /// A dense layer computing `Y = X W + b` over 2-D batches `[batch, in]`.
 ///
 /// The layer caches its input during [`Linear::forward`] so that
 /// [`Linear::backward`] can compute `dW = X^T dY` without the caller
 /// re-supplying activations — the same contract PyTorch modules provide.
-#[derive(Debug, Clone)]
+/// Weights and bias are read in place, and the input cache and the
+/// backward scratch are reused from call to call.
+#[derive(Debug)]
 pub struct Linear {
     /// Weight matrix, row-major `[in_dim, out_dim]`.
     pub w: Param,
@@ -19,36 +22,50 @@ pub struct Linear {
     pub b: Param,
     in_dim: usize,
     out_dim: usize,
-    cached_input: Option<Tensor>,
+    /// Input of the last training forward, row-major `[batch, in_dim]`.
+    input: Vec<f32>,
+    /// Rows in `input`; `None` until the first training forward.
+    batch: Option<usize>,
+    /// `[in_dim, out_dim]` backward scratch: `dW` before it is
+    /// accumulated, then `W^T` for the input gradient.
+    scratch: Vec<f32>,
+}
+
+/// A clone copies the parameters only. The input cache and the scratch
+/// are this layer's working memory, so a clone (such as a served policy)
+/// carries no training batch, and must run a training forward before a
+/// backward.
+impl Clone for Linear {
+    fn clone(&self) -> Self {
+        Self::from_params(self.in_dim, self.out_dim, self.w.clone(), self.b.clone())
+    }
 }
 
 impl Linear {
-    /// Create a layer with He-normal weights (suited to the ReLU MLPs Zeus
-    /// uses) and zero bias.
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
-        let w = Param::new(init::he_normal(in_dim, in_dim * out_dim, rng));
-        let b = Param::zeros(out_dim);
+    fn from_params(in_dim: usize, out_dim: usize, w: Param, b: Param) -> Self {
         Linear {
             w,
             b,
             in_dim,
             out_dim,
-            cached_input: None,
+            input: Vec::new(),
+            batch: None,
+            scratch: Vec::new(),
         }
+    }
+
+    /// Create a layer with He-normal weights (suited to the ReLU MLPs Zeus
+    /// uses) and zero bias.
+    pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+        let w = Param::new(init::he_normal(in_dim, in_dim * out_dim, rng));
+        Self::from_params(in_dim, out_dim, w, Param::zeros(out_dim))
     }
 
     /// Create a layer with Xavier-uniform weights (used by output heads
     /// where activations are linear).
     pub fn new_xavier(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         let w = Param::new(init::xavier_uniform(in_dim, out_dim, rng));
-        let b = Param::zeros(out_dim);
-        Linear {
-            w,
-            b,
-            in_dim,
-            out_dim,
-            cached_input: None,
-        }
+        Self::from_params(in_dim, out_dim, w, Param::zeros(out_dim))
     }
 
     /// Input dimensionality.
@@ -61,8 +78,79 @@ impl Linear {
         self.out_dim
     }
 
-    fn weight_tensor(&self) -> Tensor {
-        Tensor::from_vec(&[self.in_dim, self.out_dim], self.w.value.clone())
+    /// `out = x W + b` for `x` of `[rows, in_dim]`. `out` is resized to
+    /// `[rows, out_dim]`, reusing its allocation; the bias is added after
+    /// each element's sum, as a separate rounding step.
+    pub(crate) fn affine(&self, x: &[f32], rows: usize, out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(rows * self.out_dim, 0.0);
+        gemm(
+            Strided::row_major(x, rows, self.in_dim),
+            &self.w.value,
+            self.out_dim,
+            out,
+        );
+        for row in out.chunks_exact_mut(self.out_dim.max(1)) {
+            for (o, &b) in row.iter_mut().zip(&self.b.value) {
+                *o += b;
+            }
+        }
+    }
+
+    /// Training forward pass over `act(x)`: caches `act(x)` as the layer
+    /// input for [`Linear::backward_into`] and writes `act(x) W + b` into
+    /// `out`.
+    pub(crate) fn forward_into(
+        &mut self,
+        x: &[f32],
+        rows: usize,
+        act: Activation,
+        out: &mut Vec<f32>,
+    ) {
+        self.input.clear();
+        self.input.extend_from_slice(x);
+        act.forward_in_place(&mut self.input);
+        self.batch = Some(rows);
+        self.affine(&self.input, rows, out);
+    }
+
+    /// Backward pass for the last training forward, given `dY` of
+    /// `[batch, out_dim]`: accumulates `dW` and `db`, and writes
+    /// `dX = dY W^T` into `dx` when one is asked for.
+    ///
+    /// Panics if called before a training forward.
+    pub(crate) fn backward_into(&mut self, dy: &[f32], dx: Option<&mut Vec<f32>>) {
+        let rows = self.batch.expect("backward called before forward");
+        assert_eq!(dy.len(), rows * self.out_dim, "grad shape mismatch");
+        // dW = X^T dY, read through a transposed view of the cached X.
+        self.scratch.clear();
+        self.scratch.resize(self.in_dim * self.out_dim, 0.0);
+        gemm(
+            Strided::transposed(&self.input, rows, self.in_dim),
+            dy,
+            self.out_dim,
+            &mut self.scratch,
+        );
+        self.w.accumulate(&self.scratch);
+        // db = column sums of dY, each summed from 0.0 down the rows.
+        for (j, g) in self.b.grad.iter_mut().enumerate() {
+            *g += dy
+                .iter()
+                .skip(j)
+                .step_by(self.out_dim)
+                .fold(0.0f32, |s, &v| s + v);
+        }
+        if let Some(dx) = dx {
+            transpose_into(&self.w.value, self.in_dim, self.out_dim, &mut self.scratch);
+            dx.clear();
+            dx.resize(rows * self.in_dim, 0.0);
+            gemm(
+                Strided::row_major(dy, rows, self.out_dim),
+                &self.scratch,
+                self.in_dim,
+                dx,
+            );
+        }
     }
 
     /// Forward pass, caching the input for the subsequent backward pass.
@@ -75,41 +163,21 @@ impl Linear {
             x.shape()[1],
             self.in_dim
         );
-        let w = self.weight_tensor();
-        let bias = Tensor::vector(self.b.value.clone());
-        let y = x.matmul(&w).add_row_broadcast(&bias);
-        self.cached_input = Some(x.clone());
-        y
-    }
-
-    /// Inference-only forward pass that does not cache the input.
-    pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        assert_eq!(x.ndim(), 2, "Linear expects [batch, features]");
-        let w = self.weight_tensor();
-        let bias = Tensor::vector(self.b.value.clone());
-        x.matmul(&w).add_row_broadcast(&bias)
+        let rows = x.shape()[0];
+        let mut out = Vec::new();
+        self.forward_into(x.data(), rows, Activation::Identity, &mut out);
+        Tensor::from_vec(&[rows, self.out_dim], out)
     }
 
     /// Backward pass: accumulate `dW`, `db` and return `dX`.
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        assert_eq!(grad_out.shape()[0], x.shape()[0], "batch mismatch");
+        assert_eq!(grad_out.ndim(), 2, "Linear expects [batch, features]");
         assert_eq!(grad_out.shape()[1], self.out_dim, "grad width mismatch");
-
-        // dW = X^T dY  (fused, no transpose materialisation)
-        let dw = x.matmul_tn(grad_out);
-        self.w.accumulate(dw.data());
-        // db = column sums of dY
-        let db = grad_out.sum_rows();
-        self.b.accumulate(db.data());
-        // dX = dY W^T (matmul_nt multiplies by the transpose of its argument)
-        let w = self.weight_tensor();
-        grad_out.matmul_nt(&w)
+        let mut dx = Vec::new();
+        self.backward_into(grad_out.data(), Some(&mut dx));
+        Tensor::from_vec(&[grad_out.shape()[0], self.in_dim], dx)
     }
 
     /// Mutable references to this layer's parameters (weights then bias).
@@ -183,9 +251,9 @@ mod tests {
         for i in 0..l.w.value.len() {
             let orig = l.w.value[i];
             l.w.value[i] = orig + eps;
-            let up = l.forward_inference(&x).sum();
+            let up = l.forward(&x).sum();
             l.w.value[i] = orig - eps;
-            let down = l.forward_inference(&x).sum();
+            let down = l.forward(&x).sum();
             l.w.value[i] = orig;
             let numeric = (up - down) / (2.0 * eps);
             assert!(
@@ -203,6 +271,46 @@ mod tests {
         let mut l = Linear::new(2, 2, &mut rng);
         let dy = Tensor::zeros(&[1, 2]);
         let _ = l.backward(&dy);
+    }
+
+    #[test]
+    fn reused_input_buffer_holds_only_the_last_batch() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut fresh = Linear::new(3, 5, &mut rng);
+        let mut reused = fresh.clone();
+        let x = Tensor::from_vec(&[2, 3], vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5]);
+        let dy = Tensor::from_vec(&[2, 5], (0..10).map(|i| (i as f32).sin()).collect());
+
+        // A larger batch first leaves four rows in the input buffer.
+        let _ = reused.forward(&Tensor::from_vec(
+            &[4, 3],
+            (0..12).map(|i| i as f32).collect(),
+        ));
+        let _ = reused.forward(&x);
+        let dx_reused = reused.backward(&dy);
+        let _ = fresh.forward(&x);
+        let dx_fresh = fresh.backward(&dy);
+
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(reused.w.grad.as_slice()),
+            bits(fresh.w.grad.as_slice())
+        );
+        assert_eq!(
+            bits(reused.b.grad.as_slice()),
+            bits(fresh.b.grad.as_slice())
+        );
+        assert_eq!(bits(dx_reused.data()), bits(dx_fresh.data()));
+    }
+
+    #[test]
+    fn clone_copies_parameters_but_not_the_forward_cache() {
+        let mut l = fixed_layer();
+        let x = Tensor::from_vec(&[1, 2], vec![1.0, 2.0]);
+        let y = l.forward(&x);
+        let mut copy = l.clone();
+        assert!(copy.input.is_empty() && copy.batch.is_none() && copy.scratch.is_empty());
+        assert_eq!(copy.forward(&x), y);
     }
 
     #[test]

@@ -11,19 +11,41 @@ use rand::SeedableRng;
 use crate::activation::Activation;
 use crate::linear::Linear;
 use crate::param::Param;
+use crate::serialize::DecodeError;
 use crate::tensor::Tensor;
 
 /// A feed-forward network `Linear -> act -> ... -> Linear` (identity output).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Mlp {
     layers: Vec<Linear>,
     hidden_activation: Activation,
-    /// Pre-activation inputs cached per layer during `forward` (needed to
-    /// compute activation gradients in `backward`).
-    cached_preacts: Vec<Tensor>,
+    /// Pre-activation output of each hidden layer from the last `forward`
+    /// (needed for the activation gradients in `backward`). The buffers
+    /// are reused from call to call.
+    preacts: Vec<Vec<f32>>,
+    /// Gradient with respect to each hidden layer's pre-activation output,
+    /// filled by `backward`; reused like `preacts`.
+    deltas: Vec<Vec<f32>>,
+}
+
+/// Like [`Linear`]'s, a clone copies the parameters only: a policy cloned
+/// from a trained network carries none of its training buffers.
+impl Clone for Mlp {
+    fn clone(&self) -> Self {
+        Self::from_layers(self.layers.clone(), self.hidden_activation)
+    }
 }
 
 impl Mlp {
+    fn from_layers(layers: Vec<Linear>, hidden_activation: Activation) -> Self {
+        Mlp {
+            layers,
+            hidden_activation,
+            preacts: Vec::new(),
+            deltas: Vec::new(),
+        }
+    }
+
     /// Build an MLP from a layer-size spec, e.g. `&[24, 64, 64, 16]` builds
     /// three `Linear` layers (the paper's 3-FC-layer Q-network shape).
     pub fn new(sizes: &[usize], hidden_activation: Activation, rng: &mut impl Rng) -> Self {
@@ -32,11 +54,7 @@ impl Mlp {
         for w in sizes.windows(2) {
             layers.push(Linear::new(w[0], w[1], rng));
         }
-        Mlp {
-            layers,
-            hidden_activation,
-            cached_preacts: Vec::new(),
-        }
+        Self::from_layers(layers, hidden_activation)
     }
 
     /// Number of `Linear` layers.
@@ -59,56 +77,70 @@ impl Mlp {
         self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
     }
 
+    /// Validate a `[batch, in_dim]` input, returning the batch size.
+    fn check_input(&self, x: &Tensor) -> usize {
+        assert_eq!(x.ndim(), 2, "Mlp expects [batch, features]");
+        assert_eq!(x.shape()[1], self.in_dim(), "input width != in_dim");
+        x.shape()[0]
+    }
+
     /// Training forward pass (caches activations for `backward`).
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cached_preacts.clear();
-        let n = self.layers.len();
-        let mut h = x.clone();
+        let rows = self.check_input(x);
+        let last = self.layers.len() - 1;
+        self.preacts.resize_with(last, Vec::new);
+        let mut out = Vec::new();
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            let z = layer.forward(&h);
-            if i + 1 < n {
-                self.cached_preacts.push(z.clone());
-                h = self.hidden_activation.forward(&z);
-            } else {
-                h = z; // identity output head
-            }
+            let (done, rest) = self.preacts.split_at_mut(i);
+            // Layer i's input is x, or the activated output of layer i - 1.
+            let (input, act) = match done.last() {
+                Some(z) => (z.as_slice(), self.hidden_activation),
+                None => (x.data(), Activation::Identity),
+            };
+            let z = if i < last { &mut rest[0] } else { &mut out };
+            layer.forward_into(input, rows, act, z);
         }
-        h
+        Tensor::from_vec(&[rows, self.out_dim()], out)
     }
 
     /// Inference forward pass without caching (usable through `&self`).
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        let n = self.layers.len();
-        let mut h = x.clone();
+        let rows = self.check_input(x);
+        let last = self.layers.len() - 1;
+        let (mut h, mut z) = (Vec::new(), Vec::new());
         for (i, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward_inference(&h);
-            h = if i + 1 < n {
-                self.hidden_activation.forward(&z)
-            } else {
-                z
-            };
+            layer.affine(if i == 0 { x.data() } else { &h }, rows, &mut z);
+            if i < last {
+                self.hidden_activation.forward_in_place(&mut z);
+            }
+            std::mem::swap(&mut h, &mut z);
         }
-        h
+        Tensor::from_vec(&[rows, self.out_dim()], h)
     }
 
     /// Backward pass from an output gradient; accumulates parameter
-    /// gradients and returns the gradient w.r.t. the network input.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let n = self.layers.len();
-        assert_eq!(
-            self.cached_preacts.len(),
-            n.saturating_sub(1),
-            "backward called before forward"
-        );
-        let mut grad = grad_out.clone();
-        for i in (0..n).rev() {
-            grad = self.layers[i].backward(&grad);
-            if i > 0 {
-                let z = &self.cached_preacts[i - 1];
-                grad = self.hidden_activation.backward(z, &grad);
+    /// gradients. The gradient with respect to the network input is not
+    /// computed.
+    pub fn backward(&mut self, grad_out: &Tensor) {
+        let last = self.layers.len() - 1;
+        assert_eq!(self.preacts.len(), last, "backward called before forward");
+        self.deltas.resize_with(last, Vec::new);
+        for i in (0..=last).rev() {
+            let (below, rest) = self.deltas.split_at_mut(i);
+            let dy = if i == last {
+                grad_out.data()
+            } else {
+                rest[0].as_slice()
+            };
+            match below.last_mut() {
+                Some(dx) => {
+                    self.layers[i].backward_into(dy, Some(dx));
+                    self.hidden_activation
+                        .backward_in_place(&self.preacts[i - 1], dx);
+                }
+                None => self.layers[i].backward_into(dy, None),
             }
         }
-        grad
     }
 
     /// Zero all parameter gradients.
@@ -157,20 +189,28 @@ impl Mlp {
     /// Rebuild an MLP from a snapshot produced by [`Mlp::snapshot`]. Layer
     /// shapes are recovered from the flat buffers: each `(weights, bias)`
     /// pair implies `out = bias.len()`, `in = weights.len() / out`.
-    pub fn from_snapshot(snap: &[Vec<f32>], hidden_activation: Activation) -> Mlp {
-        assert!(
-            !snap.is_empty() && snap.len().is_multiple_of(2),
-            "snapshot must hold (weights, bias) pairs"
-        );
+    ///
+    /// A snapshot read from outside the program may be malformed: buffers
+    /// that do not pair up, or layers that do not chain, are a
+    /// [`DecodeError::BadShape`].
+    pub fn from_snapshot(
+        snap: &[Vec<f32>],
+        hidden_activation: Activation,
+    ) -> Result<Mlp, DecodeError> {
+        if snap.is_empty() || !snap.len().is_multiple_of(2) {
+            return Err(DecodeError::BadShape);
+        }
         let mut sizes = Vec::with_capacity(snap.len() / 2 + 1);
         for pair in snap.chunks(2) {
             let out = pair[1].len();
-            assert!(out > 0 && pair[0].len() % out == 0, "corrupt snapshot");
+            if out == 0 || pair[0].is_empty() || pair[0].len() % out != 0 {
+                return Err(DecodeError::BadShape);
+            }
             let inp = pair[0].len() / out;
-            if sizes.is_empty() {
-                sizes.push(inp);
-            } else {
-                assert_eq!(*sizes.last().unwrap(), inp, "layer shapes must chain");
+            match sizes.last() {
+                None => sizes.push(inp),
+                Some(&prev) if prev != inp => return Err(DecodeError::BadShape),
+                Some(_) => {}
             }
             sizes.push(out);
         }
@@ -179,7 +219,7 @@ impl Mlp {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
         let mut mlp = Mlp::new(&sizes, hidden_activation, &mut rng);
         mlp.load_snapshot(snap);
-        mlp
+        Ok(mlp)
     }
 }
 
@@ -231,7 +271,7 @@ mod tests {
         net.zero_grad();
         let y = net.forward(&x);
         let dy = Tensor::full(y.shape(), 1.0);
-        let _ = net.backward(&dy);
+        net.backward(&dy);
         let analytic: Vec<Vec<f32>> = net.params_mut().iter().map(|p| p.grad.clone()).collect();
 
         // Numeric gradients.
@@ -282,7 +322,7 @@ mod tests {
             net.zero_grad();
             let y = net.forward(&x);
             let (l, dy) = loss::mse(&y, &t);
-            let _ = net.backward(&dy);
+            net.backward(&dy);
             opt.step(&mut net.params_mut());
             final_loss = l;
         }
@@ -293,7 +333,7 @@ mod tests {
     fn from_snapshot_reconstructs_the_network() {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let original = Mlp::new(&[5, 7, 3], Activation::Relu, &mut rng);
-        let rebuilt = Mlp::from_snapshot(&original.snapshot(), Activation::Relu);
+        let rebuilt = Mlp::from_snapshot(&original.snapshot(), Activation::Relu).unwrap();
         assert_eq!(rebuilt.in_dim(), 5);
         assert_eq!(rebuilt.out_dim(), 3);
         let x = Tensor::from_vec(&[2, 5], (0..10).map(|i| i as f32 / 10.0).collect());
@@ -304,9 +344,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "snapshot must hold")]
     fn from_snapshot_rejects_odd_buffers() {
-        let _ = Mlp::from_snapshot(&[vec![1.0]], Activation::Relu);
+        let rebuilt = Mlp::from_snapshot(&[vec![1.0]], Activation::Relu);
+        assert_eq!(rebuilt.err(), Some(DecodeError::BadShape));
+    }
+
+    #[test]
+    fn from_snapshot_rejects_layers_that_do_not_chain() {
+        // Layer 0 is 2 -> 3, layer 1 expects 4 inputs.
+        let snap = [vec![0.0; 6], vec![0.0; 3], vec![0.0; 4], vec![0.0; 1]];
+        let rebuilt = Mlp::from_snapshot(&snap, Activation::Relu);
+        assert_eq!(rebuilt.err(), Some(DecodeError::BadShape));
+        // A weight buffer that is not a whole number of bias-width rows.
+        let ragged = [vec![0.0; 5], vec![0.0; 3]];
+        let rebuilt = Mlp::from_snapshot(&ragged, Activation::Relu);
+        assert_eq!(rebuilt.err(), Some(DecodeError::BadShape));
+    }
+
+    #[test]
+    fn clone_copies_parameters_but_no_training_buffers() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let mut net = Mlp::new(&[3, 5, 2], Activation::Relu, &mut rng);
+        let x = Tensor::from_vec(&[2, 3], vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]);
+        let y = net.forward(&x);
+        net.backward(&Tensor::full(y.shape(), 1.0));
+        let copy = net.clone();
+        assert_eq!(copy.forward_inference(&x), y);
+        assert!(copy.preacts.is_empty() && copy.deltas.is_empty());
     }
 
     #[test]

@@ -41,6 +41,8 @@ pub enum DecodeError {
     BadVersion(u32),
     /// A declared buffer ran past the end of input.
     BadLength,
+    /// The buffers do not form a chain of `(weights, bias)` layers.
+    BadShape,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -50,6 +52,9 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "not a Zeus checkpoint (bad magic)"),
             DecodeError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             DecodeError::BadLength => write!(f, "corrupt checkpoint (bad buffer length)"),
+            DecodeError::BadShape => {
+                write!(f, "corrupt checkpoint (buffers do not chain as layers)")
+            }
         }
     }
 }
@@ -70,7 +75,9 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<Vec<f32>>, DecodeError> {
     }
     let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
     let mut pos = 12usize;
-    let mut out = Vec::with_capacity(count);
+    // `count` comes from the input: every buffer takes at least its 4-byte
+    // length field, so the remaining bytes bound the allocation.
+    let mut out = Vec::with_capacity(count.min((bytes.len() - pos) / 4));
     for _ in 0..count {
         if pos + 4 > bytes.len() {
             return Err(DecodeError::BadLength);
@@ -131,6 +138,15 @@ mod tests {
         let mut bytes = encode(&[vec![1.0]]);
         bytes[4] = 99;
         assert!(matches!(decode(&bytes), Err(DecodeError::BadVersion(99))));
+    }
+
+    #[test]
+    fn huge_buffer_count_is_bounded_by_the_input() {
+        // A bare header claiming u32::MAX buffers must not try to reserve
+        // room for them.
+        let mut bytes = encode(&[]);
+        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&bytes), Err(DecodeError::BadLength));
     }
 
     #[test]

@@ -1,10 +1,22 @@
-//! Row-major `f32` tensors.
+//! Row-major `f32` tensors and the crate's one GEMM kernel.
 //!
 //! This is deliberately a small tensor type: Zeus only needs dense 1-D/2-D
 //! algebra for the Q-network and 5-D indexing for video segments flowing
 //! through the small real 3D-CNN. We favour clarity and determinism over
-//! generality; hot paths (matmul, elementwise) are written so the compiler
-//! can elide bounds checks via slice iteration.
+//! generality.
+//!
+//! Every dense product in the crate runs through one crate-private kernel,
+//! `gemm`: [`Tensor::matmul`], and inside [`crate::Linear`] the forward
+//! `X W`, the weight gradient `X^T dY` and the input gradient `dY W^T`.
+//! The kernel reads its left operand through a row and a column stride, so
+//! `X^T` is never copied; `dY W^T` multiplies against a materialised `W^T`.
+//! It accumulates 4-row by 16- or 8-column tiles in registers, with scalar
+//! edges. Each output element is still one sum over `k` in ascending order,
+//! starting from `0.0`, of unfused products, so the result is bit-identical
+//! to the plain triple loop whatever the tiling. The body is compiled
+//! twice, portable and with AVX2 (never FMA), and
+//! `is_x86_feature_detected!` picks one at run time; both give the same
+//! bits.
 
 use std::fmt;
 
@@ -131,14 +143,6 @@ impl Tensor {
         self.data[r * cols + c]
     }
 
-    /// 2-D mutable element accessor (row, col).
-    #[inline]
-    pub fn at2_mut(&mut self, r: usize, c: usize) -> &mut f32 {
-        debug_assert_eq!(self.ndim(), 2);
-        let cols = self.shape[1];
-        &mut self.data[r * cols + c]
-    }
-
     /// Borrow row `r` of a 2-D tensor as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
@@ -147,97 +151,21 @@ impl Tensor {
         &self.data[r * cols..(r + 1) * cols]
     }
 
-    /// Mutably borrow row `r` of a 2-D tensor.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        debug_assert_eq!(self.ndim(), 2);
-        let cols = self.shape[1];
-        &mut self.data[r * cols..(r + 1) * cols]
-    }
-
-    /// Matrix multiplication of 2-D tensors: `[m, k] x [k, n] -> [m, n]`.
-    ///
-    /// Written as an `ikj` loop over slices so the inner loop vectorizes.
+    /// Matrix multiplication of 2-D tensors: `[m, k] x [k, n] -> [m, n]`,
+    /// computed by the crate's GEMM kernel (see the module docs).
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.ndim(), 2, "matmul lhs must be 2-D");
         assert_eq!(other.ndim(), 2, "matmul rhs must be 2-D");
         let (m, k) = (self.shape[0], self.shape[1]);
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "inner dimensions must agree: {k} vs {k2}");
-
         let mut out = vec![0.0f32; m * n];
-        let a = &self.data;
-        let b = &other.data;
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue;
-                }
-                let b_row = &b[p * n..(p + 1) * n];
-                for (o, &b_pj) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a_ip * b_pj;
-                }
-            }
-        }
-        Tensor {
-            shape: vec![m, n],
-            data: out,
-        }
-    }
-
-    /// `self^T x other`: `[k, m]^T x [k, n] -> [m, n]` without materialising
-    /// the transpose (used for weight gradients `dW = X^T dY`).
-    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 2);
-        assert_eq!(other.ndim(), 2);
-        let (k, m) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "outer dimensions must agree: {k} vs {k2}");
-
-        let mut out = vec![0.0f32; m * n];
-        for p in 0..k {
-            let a_row = &self.data[p * m..(p + 1) * m];
-            let b_row = &other.data[p * n..(p + 1) * n];
-            for (i, &a_pi) in a_row.iter().enumerate() {
-                if a_pi == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (o, &b_pj) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a_pi * b_pj;
-                }
-            }
-        }
-        Tensor {
-            shape: vec![m, n],
-            data: out,
-        }
-    }
-
-    /// `self x other^T`: `[m, k] x [n, k]^T -> [m, n]` without materialising
-    /// the transpose (used for input gradients `dX = dY W^T`).
-    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 2);
-        assert_eq!(other.ndim(), 2);
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "inner dimensions must agree: {k} vs {k2}");
-
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                    acc += x * y;
-                }
-                *o = acc;
-            }
-        }
+        gemm(
+            Strided::row_major(&self.data, m, k),
+            &other.data,
+            n,
+            &mut out,
+        );
         Tensor {
             shape: vec![m, n],
             data: out,
@@ -248,12 +176,8 @@ impl Tensor {
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.ndim(), 2);
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
+        let mut out = Vec::new();
+        transpose_into(&self.data, m, n, &mut out);
         Tensor {
             shape: vec![n, m],
             data: out,
@@ -290,72 +214,12 @@ impl Tensor {
         }
     }
 
-    /// Elementwise (Hadamard) product. Shapes must match exactly.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape, other.shape, "mul shapes must match");
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .collect();
-        Tensor {
-            shape: self.shape.clone(),
-            data,
-        }
-    }
-
     /// Multiply every element by a scalar.
     pub fn scale(&self, s: f32) -> Tensor {
         let data = self.data.iter().map(|a| a * s).collect();
         Tensor {
             shape: self.shape.clone(),
             data,
-        }
-    }
-
-    /// Add a 1-D bias row-wise to a 2-D tensor: `[m, n] + [n] -> [m, n]`.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 2);
-        assert_eq!(bias.ndim(), 1);
-        let (m, n) = (self.shape[0], self.shape[1]);
-        assert_eq!(bias.shape[0], n, "bias length must equal column count");
-        let mut data = self.data.clone();
-        for i in 0..m {
-            let row = &mut data[i * n..(i + 1) * n];
-            for (x, &b) in row.iter_mut().zip(bias.data.iter()) {
-                *x += b;
-            }
-        }
-        Tensor {
-            shape: self.shape.clone(),
-            data,
-        }
-    }
-
-    /// Sum a 2-D tensor over rows, producing a 1-D tensor of length `n`
-    /// (used for bias gradients).
-    pub fn sum_rows(&self) -> Tensor {
-        assert_eq!(self.ndim(), 2);
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; n];
-        for i in 0..m {
-            let row = &self.data[i * n..(i + 1) * n];
-            for (o, &x) in out.iter_mut().zip(row.iter()) {
-                *o += x;
-            }
-        }
-        Tensor {
-            shape: vec![n],
-            data: out,
-        }
-    }
-
-    /// Apply a function elementwise.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
         }
     }
 
@@ -460,9 +324,171 @@ impl Tensor {
     }
 }
 
+/// Write the transpose of the row-major `rows x cols` matrix `src` into
+/// `dst` (resized to `cols x rows`, reusing its allocation).
+pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut Vec<f32>) {
+    assert_eq!(src.len(), rows * cols, "transpose source length");
+    dst.clear();
+    dst.resize(rows * cols, 0.0);
+    for (i, row) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            dst[j * rows + i] = v;
+        }
+    }
+}
+
+/// A read-only `rows x cols` matrix view over a slice: element `(i, p)`
+/// is `data[i * row_stride + p * col_stride]`. One view type lets the
+/// GEMM kernel read both `X` and `X^T` without copying either.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Strided<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+    row_stride: usize,
+    col_stride: usize,
+}
+
+impl<'a> Strided<'a> {
+    /// `data` as a row-major `rows x cols` matrix.
+    pub(crate) fn row_major(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(data.len(), rows * cols, "row-major view length");
+        Strided {
+            data,
+            rows,
+            cols,
+            row_stride: cols,
+            col_stride: 1,
+        }
+    }
+
+    /// The transpose of the row-major `rows x cols` matrix in `data`,
+    /// i.e. a `cols x rows` view.
+    pub(crate) fn transposed(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(data.len(), rows * cols, "transposed view length");
+        Strided {
+            data,
+            rows: cols,
+            cols: rows,
+            row_stride: 1,
+            col_stride: cols,
+        }
+    }
+}
+
+/// `out = A x B` for an `m x k` view `A` and a row-major `k x n` matrix
+/// `B`, written to the row-major `m x n` slice `out`.
+///
+/// Every output element is one sum over `p` in ascending order, starting
+/// from `0.0`, of the unfused products `A[i, p] * B[p, j]`; register tiling
+/// only changes which elements are summed side by side. Results are
+/// therefore bit-identical to the textbook triple loop, and to each other
+/// across the portable and AVX2 bodies. The AVX2 body is chosen at run
+/// time; FMA is never enabled, since a fused multiply-add rounds once
+/// where the loop rounds twice.
+pub(crate) fn gemm(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
+    assert_eq!(b.len(), a.cols * n, "gemm rhs must be [k, n]");
+    assert_eq!(out.len(), a.rows * n, "gemm output must be [m, n]");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `gemm_avx2` requires only the AVX2 target feature,
+            // and `is_x86_feature_detected!("avx2")` just confirmed that
+            // the running CPU supports it.
+            unsafe { gemm_avx2(a, b, n, out) };
+            return;
+        }
+    }
+    gemm_portable(a, b, n, out);
+}
+
+/// [`gemm_body`] compiled for the build's baseline target features.
+fn gemm_portable(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
+    gemm_body(a, b, n, out);
+}
+
+/// [`gemm_body`] compiled with AVX2 enabled (and FMA deliberately not).
+/// Calling it is sound only on a CPU with AVX2, which [`gemm`] checks.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
+    gemm_body(a, b, n, out);
+}
+
+/// The kernel: 4-row blocks, then single rows; within each, 16-column
+/// and 8-column register tiles, then single columns.
+#[inline(always)]
+fn gemm_body(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
+    let mut i = 0;
+    while i + 4 <= a.rows {
+        tile_row::<4>(a, b, n, out, i);
+        i += 4;
+    }
+    while i < a.rows {
+        tile_row::<1>(a, b, n, out, i);
+        i += 1;
+    }
+}
+
+/// Rows `i0..i0 + R` of the output, tiled across the columns.
+#[inline(always)]
+fn tile_row<const R: usize>(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32], i0: usize) {
+    let mut j = 0;
+    while j + 16 <= n {
+        tile::<R, 16>(a, b, n, out, i0, j);
+        j += 16;
+    }
+    while j + 8 <= n {
+        tile::<R, 8>(a, b, n, out, i0, j);
+        j += 8;
+    }
+    while j < n {
+        tile::<R, 1>(a, b, n, out, i0, j);
+        j += 1;
+    }
+}
+
+/// One `R x C` output tile, accumulated in registers over all of `k`.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    a: Strided<'_>,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    i0: usize,
+    j0: usize,
+) {
+    let mut acc = [[0.0f32; C]; R];
+    for p in 0..a.cols {
+        let b_row: &[f32; C] = b[p * n + j0..p * n + j0 + C]
+            .try_into()
+            .expect("tile lies within B");
+        let a_col: [f32; R] =
+            std::array::from_fn(|r| a.data[(i0 + r) * a.row_stride + p * a.col_stride]);
+        // Counted loops, not iterator adapters: the test suite runs
+        // unoptimised, where every adapter step is a function call.
+        let mut c = 0;
+        while c < C {
+            let mut r = 0;
+            while r < R {
+                acc[r][c] += a_col[r] * b_row[c];
+                r += 1;
+            }
+            c += 1;
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let start = (i0 + r) * n + j0;
+        out[start..start + C].copy_from_slice(acc_row);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn zeros_and_shape() {
@@ -505,24 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_tn_equals_explicit_transpose() {
-        let a = Tensor::from_vec(&[3, 2], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Tensor::from_vec(&[3, 2], vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let fused = a.matmul_tn(&b);
-        let explicit = a.transpose().matmul(&b);
-        assert_eq!(fused, explicit);
-    }
-
-    #[test]
-    fn matmul_nt_equals_explicit_transpose() {
-        let a = Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Tensor::from_vec(&[4, 3], (0..12).map(|x| x as f32).collect());
-        let fused = a.matmul_nt(&b);
-        let explicit = a.matmul(&b.transpose());
-        assert_eq!(fused, explicit);
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(a.transpose().transpose(), a);
@@ -534,18 +542,7 @@ mod tests {
         let b = Tensor::vector(vec![4.0, 5.0, 6.0]);
         assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn broadcast_and_sum_rows() {
-        let x = Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Tensor::vector(vec![10.0, 20.0, 30.0]);
-        let y = x.add_row_broadcast(&b);
-        assert_eq!(y.data(), &[11.0, 22.0, 33.0, 14.0, 25.0, 36.0]);
-        let s = x.sum_rows();
-        assert_eq!(s.data(), &[5.0, 7.0, 9.0]);
     }
 
     #[test]
@@ -600,5 +597,134 @@ mod tests {
     fn norm_matches_hand_value() {
         let t = Tensor::vector(vec![3.0, 4.0]);
         assert!((t.norm() - 5.0).abs() < 1e-6);
+    }
+
+    // The three matmul loops this kernel replaced, kept verbatim (over
+    // slices) as the bit-level reference: `X W` and `X^T dY` skipped zero
+    // left-hand factors, `dY W^T` took dot products.
+    fn reference_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for (p, &a_ip) in a_row.iter().enumerate() {
+                if a_ip == 0.0 {
+                    continue;
+                }
+                let b_row = &b[p * n..(p + 1) * n];
+                for (o, &b_pj) in out_row.iter_mut().zip(b_row.iter()) {
+                    *o += a_ip * b_pj;
+                }
+            }
+        }
+        out
+    }
+
+    fn reference_tn(a: &[f32], b: &[f32], k: usize, m: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for p in 0..k {
+            let a_row = &a[p * m..(p + 1) * m];
+            let b_row = &b[p * n..(p + 1) * n];
+            for (i, &a_pi) in a_row.iter().enumerate() {
+                if a_pi == 0.0 {
+                    continue;
+                }
+                let out_row = &mut out[i * n..(i + 1) * n];
+                for (o, &b_pj) in out_row.iter_mut().zip(b_row.iter()) {
+                    *o += a_pi * b_pj;
+                }
+            }
+        }
+        out
+    }
+
+    fn reference_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for (j, o) in out_row.iter_mut().enumerate() {
+                let b_row = &b[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (&x, &y) in a_row.iter().zip(b_row.iter()) {
+                    acc += x * y;
+                }
+                *o = acc;
+            }
+        }
+        out
+    }
+
+    /// Finite values with signed zeros and subnormals mixed in.
+    fn values(rng: &mut ChaCha8Rng, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => rng.gen_range(-1.0f32..1.0) * 1e-39,
+                _ => rng.gen_range(-10.0f32..10.0),
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Run `kernel` on the three layouts the layers use and return
+    /// `(kernel output, reference output)` per layout.
+    fn layouts(
+        kernel: fn(Strided<'_>, &[f32], usize, &mut [f32]),
+        (m, n, k, seed): (usize, usize, usize, u64),
+    ) -> Vec<(Vec<f32>, Vec<f32>)> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let run = |a: Strided<'_>, b: &[f32]| {
+            let mut out = vec![f32::NAN; m * n];
+            kernel(a, b, n, &mut out);
+            out
+        };
+        // X W: X is [m, k], W is [k, n].
+        let x = values(&mut rng, m * k);
+        let w = values(&mut rng, k * n);
+        let nn = run(Strided::row_major(&x, m, k), &w);
+        // X^T dY: X is [k, m] (k batch rows), dY is [k, n].
+        let xt = values(&mut rng, k * m);
+        let dy = values(&mut rng, k * n);
+        let tn = run(Strided::transposed(&xt, k, m), &dy);
+        // dY W^T: dY is [m, k], W is [n, k], multiplied as a materialised W^T.
+        let g = values(&mut rng, m * k);
+        let wn = values(&mut rng, n * k);
+        let mut w_t = Vec::new();
+        transpose_into(&wn, n, k, &mut w_t);
+        let nt = run(Strided::row_major(&g, m, k), &w_t);
+        vec![
+            (nn, reference_nn(&x, &w, m, k, n)),
+            (tn, reference_tn(&xt, &dy, k, m, n)),
+            (nt, reference_nt(&g, &wn, m, k, n)),
+        ]
+    }
+
+    fn shapes() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+        (1usize..=9, 1usize..=40, 0usize..=70, any::<u64>())
+    }
+
+    proptest! {
+        #[test]
+        fn gemm_matches_the_reference_loops_bit_for_bit(shape in shapes()) {
+            for (layout, (got, want)) in layouts(gemm, shape).into_iter().enumerate() {
+                prop_assert_eq!(bits(&got), bits(&want), "layout {} at {:?}", layout, shape);
+            }
+        }
+
+        #[test]
+        fn avx2_and_portable_bodies_agree_bit_for_bit(shape in shapes()) {
+            // `gemm` dispatches to the AVX2 body when the CPU has AVX2;
+            // without it both sides run the portable body.
+            let dispatched = layouts(gemm, shape);
+            let portable = layouts(gemm_portable, shape);
+            for (layout, (d, p)) in dispatched.iter().zip(&portable).enumerate() {
+                prop_assert_eq!(bits(&d.0), bits(&p.0), "layout {} at {:?}", layout, shape);
+            }
+        }
     }
 }

@@ -35,16 +35,6 @@ proptest! {
     }
 
     #[test]
-    fn fused_transpose_matmuls_agree(a in tensor_strategy(4, 3), b in tensor_strategy(4, 2)) {
-        let fused = a.matmul_tn(&b);
-        let explicit = a.transpose().matmul(&b);
-        prop_assert_eq!(fused.shape(), explicit.shape());
-        for (x, y) in fused.data().iter().zip(explicit.data().iter()) {
-            prop_assert!((x - y).abs() < 1e-3);
-        }
-    }
-
-    #[test]
     fn softmax_is_shift_invariant(row in prop::collection::vec(-20.0f32..20.0, 1..12),
                                   shift in -50.0f32..50.0) {
         let n = row.len();
@@ -109,7 +99,7 @@ proptest! {
     fn mlp_snapshot_roundtrip_is_exact(seed in 0u64..500, hidden in 1usize..32) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let net = Mlp::new(&[6, hidden, 3], Activation::Relu, &mut rng);
-        let rebuilt = Mlp::from_snapshot(&net.snapshot(), Activation::Relu);
+        let rebuilt = Mlp::from_snapshot(&net.snapshot(), Activation::Relu).unwrap();
         let x = Tensor::from_vec(&[2, 6], (0..12).map(|i| (i as f32).sin()).collect());
         prop_assert_eq!(net.forward_inference(&x), rebuilt.forward_inference(&x));
     }
@@ -119,8 +109,9 @@ proptest! {
         let mut sorted = xs.clone();
         sorted.sort_by(f32::total_cmp);
         for act in [Activation::Relu, Activation::LeakyRelu, Activation::Tanh] {
-            let y = act.forward(&Tensor::vector(sorted.clone()));
-            for pair in y.data().windows(2) {
+            let mut y = sorted.clone();
+            act.forward_in_place(&mut y);
+            for pair in y.windows(2) {
                 prop_assert!(pair[0] <= pair[1] + 1e-6, "{act:?} must be monotone");
             }
         }

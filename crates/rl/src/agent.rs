@@ -186,7 +186,7 @@ impl DqnAgent {
         self.q.zero_grad();
         let pred = self.q.forward(&states);
         let (loss, grad) = loss::huber_selected(&pred, &actions, &targets, self.cfg.huber_delta);
-        let _ = self.q.backward(&grad);
+        self.q.backward(&grad);
         let mut params = self.q.params_mut();
         clip_grad_norm(&mut params, self.cfg.grad_clip);
         self.opt.step(&mut params);
@@ -231,6 +231,16 @@ impl GreedyPolicy {
         self.net.forward_inference(&x).argmax()
     }
 
+    /// Width of the state vector the policy reads.
+    pub fn state_dim(&self) -> usize {
+        self.net.in_dim()
+    }
+
+    /// Number of actions (configurations) the policy chooses among.
+    pub fn num_actions(&self) -> usize {
+        self.net.out_dim()
+    }
+
     /// Serialize the policy network to bytes (Zeus checkpoint format).
     pub fn to_bytes(&self) -> Vec<u8> {
         zeus_nn::serialize::encode(&self.net.snapshot())
@@ -240,7 +250,7 @@ impl GreedyPolicy {
     pub fn from_bytes(bytes: &[u8]) -> Result<GreedyPolicy, zeus_nn::serialize::DecodeError> {
         let snap = zeus_nn::serialize::decode(bytes)?;
         Ok(GreedyPolicy {
-            net: Mlp::from_snapshot(&snap, Activation::Relu),
+            net: Mlp::from_snapshot(&snap, Activation::Relu)?,
         })
     }
 
@@ -456,6 +466,23 @@ mod tests {
             assert_eq!(p.q_values(&s), q.q_values(&s));
         }
         assert!(GreedyPolicy::from_bytes(&bytes[..4]).is_err());
+        assert_eq!((q.state_dim(), q.num_actions()), (4, 3));
+    }
+
+    #[test]
+    fn policy_bytes_with_malformed_layers_are_a_typed_error() {
+        use zeus_nn::serialize::{encode, DecodeError};
+        // Decodable checkpoints whose buffers are not an MLP.
+        let one_buffer = encode(&[vec![1.0; 4]]);
+        assert_eq!(
+            GreedyPolicy::from_bytes(&one_buffer).err(),
+            Some(DecodeError::BadShape)
+        );
+        let unchained = encode(&[vec![0.0; 6], vec![0.0; 3], vec![0.0; 4], vec![0.0; 1]]);
+        assert_eq!(
+            GreedyPolicy::from_bytes(&unchained).err(),
+            Some(DecodeError::BadShape)
+        );
     }
 
     #[test]

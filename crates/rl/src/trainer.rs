@@ -246,6 +246,31 @@ impl EpisodeAccum {
     }
 }
 
+/// Draw `want` experiences by reference: half from the action-window
+/// buffer and the rest from the background buffer, or all from whichever
+/// one is non-empty. An empty result (empty replay or `want == 0`)
+/// surfaces as a typed [`RlError::EmptyBatch`] from the agent.
+fn sample_stratified<'a>(
+    background: &'a ReplayBuffer,
+    action: &'a ReplayBuffer,
+    want: usize,
+    rng: &mut ChaCha8Rng,
+) -> Vec<&'a Experience> {
+    if want == 0 {
+        return Vec::new();
+    }
+    if action.is_empty() {
+        return background.sample(want, rng);
+    }
+    if background.is_empty() {
+        return action.sample(want, rng);
+    }
+    let half = want / 2;
+    let mut batch = background.sample(want - half, rng);
+    batch.extend(action.sample(half, rng));
+    batch
+}
+
 /// The DQN trainer.
 pub struct DqnTrainer {
     agent: DqnAgent,
@@ -297,51 +322,12 @@ impl DqnTrainer {
         }
     }
 
-    fn sample_batch(&mut self) -> Vec<Experience> {
-        let want = self.cfg.batch_size.min(self.replay_len());
-        if want == 0 {
-            // Empty replay or batch_size 0: surfaces as a typed
-            // RlError::EmptyBatch from the agent instead of a panic.
-            return Vec::new();
-        }
-        if self.replay_action.is_empty() {
-            return self
-                .replay
-                .sample(want, &mut self.rng)
-                .into_iter()
-                .cloned()
-                .collect();
-        }
-        if self.replay.is_empty() {
-            return self
-                .replay_action
-                .sample(want, &mut self.rng)
-                .into_iter()
-                .cloned()
-                .collect();
-        }
-        let half = want / 2;
-        let mut batch: Vec<Experience> = self
-            .replay
-            .sample(want - half, &mut self.rng)
-            .into_iter()
-            .cloned()
-            .collect();
-        batch.extend(
-            self.replay_action
-                .sample(half, &mut self.rng)
-                .into_iter()
-                .cloned(),
-        );
-        batch
-    }
-
-    /// Sample a minibatch and apply one gradient update, returning the
-    /// loss.
+    /// Sample a minibatch by reference and apply one gradient update,
+    /// returning the loss.
     fn update_once(&mut self) -> Result<f32, RlError> {
-        let batch = self.sample_batch();
-        let refs: Vec<&Experience> = batch.iter().collect();
-        self.agent.update(&refs)
+        let want = self.cfg.batch_size.min(self.replay_len());
+        let batch = sample_stratified(&self.replay, &self.replay_action, want, &mut self.rng);
+        self.agent.update(&batch)
     }
 
     /// The exploration rate for the current step: uniform-random during
@@ -574,7 +560,13 @@ mod tests {
                     trainer.push_experience(e, window);
                 }
             }
-            let batch = trainer.sample_batch();
+            let want = trainer.cfg.batch_size.min(trainer.replay_len());
+            let batch = sample_stratified(
+                &trainer.replay,
+                &trainer.replay_action,
+                want,
+                &mut trainer.rng,
+            );
             let from_action = batch.iter().filter(|e| e.action == 1).count();
             (batch.len() - from_action, from_action)
         };
