@@ -10,7 +10,7 @@
 //! * [`tensor::Tensor`] — row-major `f32` n-dimensional arrays with the
 //!   small set of ops the models use (matmul, elementwise, reductions).
 //!   Every dense product runs through one tiled GEMM kernel with runtime
-//!   AVX2 dispatch (see [`tensor`]).
+//!   AVX-512F / AVX2 dispatch (see [`tensor`]).
 //! * [`linear::Linear`], [`activation::Activation`], [`mlp::Mlp`] — dense
 //!   layers with manual backprop, composed into the Q-network. Layers read
 //!   their weights in place, activations run in place, and the buffers a
@@ -27,7 +27,9 @@
 //! explicit RNG so the benchmark harness can regenerate the paper's tables
 //! bit-for-bit. The GEMM kernel keeps the summation order of the plain
 //! triple loop and never fuses a multiply with an add, so a trained policy
-//! has the same bits with or without AVX2.
+//! has the same bits with AVX-512F, with AVX2 or with neither. Each output
+//! row depends only on its input row, so a row computed in one batch has
+//! the bits it would have in any other.
 
 #![warn(missing_docs)]
 pub mod activation;

@@ -26,8 +26,9 @@ pub struct Linear {
     input: Vec<f32>,
     /// Rows in `input`; `None` until the first training forward.
     batch: Option<usize>,
-    /// `[in_dim, out_dim]` backward scratch: `dW` before it is
-    /// accumulated, then `W^T` for the input gradient.
+    /// Backward scratch: `[in_dim, out_dim]` `dW` before it is
+    /// accumulated, then `[out_dim]` `db`, then `W^T` for the input
+    /// gradient.
     scratch: Vec<f32>,
 }
 
@@ -132,14 +133,18 @@ impl Linear {
             &mut self.scratch,
         );
         self.w.accumulate(&self.scratch);
-        // db = column sums of dY, each summed from 0.0 down the rows.
-        for (j, g) in self.b.grad.iter_mut().enumerate() {
-            *g += dy
-                .iter()
-                .skip(j)
-                .step_by(self.out_dim)
-                .fold(0.0f32, |s, &v| s + v);
+        // db = column sums of dY, each summed from 0.0 down the rows. The
+        // rows are added in order into one accumulator row, so every
+        // column keeps its summation order without a strided pass per
+        // column.
+        self.scratch.clear();
+        self.scratch.resize(self.out_dim, 0.0);
+        for row in dy.chunks_exact(self.out_dim.max(1)) {
+            for (s, &v) in self.scratch.iter_mut().zip(row) {
+                *s += v;
+            }
         }
+        self.b.accumulate(&self.scratch);
         if let Some(dx) = dx {
             transpose_into(&self.w.value, self.in_dim, self.out_dim, &mut self.scratch);
             dx.clear();
@@ -311,6 +316,27 @@ mod tests {
         let mut copy = l.clone();
         assert!(copy.input.is_empty() && copy.batch.is_none() && copy.scratch.is_empty());
         assert_eq!(copy.forward(&x), y);
+    }
+
+    #[test]
+    fn bias_gradient_sums_each_column_from_zero_down_the_rows() {
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let mut l = Linear::new(3, 5, &mut rng);
+        let rows = 37;
+        let x = Tensor::from_vec(
+            &[rows, 3],
+            (0..rows * 3).map(|i| (i as f32).cos()).collect(),
+        );
+        let dy: Vec<f32> = (0..rows * 5)
+            .map(|i| (i as f32 * 0.7).sin() * 1e3)
+            .collect();
+        l.b.grad = vec![0.25; 5];
+        let _ = l.forward(&x);
+        let _ = l.backward(&Tensor::from_vec(&[rows, 5], dy.clone()));
+        for (j, g) in l.b.grad.iter().enumerate() {
+            let column = (0..rows).fold(0.0f32, |s, r| s + dy[r * 5 + j]);
+            assert_eq!(g.to_bits(), (0.25 + column).to_bits(), "column {j}");
+        }
     }
 
     #[test]

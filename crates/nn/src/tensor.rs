@@ -10,13 +10,23 @@
 //! `X W`, the weight gradient `X^T dY` and the input gradient `dY W^T`.
 //! The kernel reads its left operand through a row and a column stride, so
 //! `X^T` is never copied; `dY W^T` multiplies against a materialised `W^T`.
-//! It accumulates 4-row by 16- or 8-column tiles in registers, with scalar
-//! edges. Each output element is still one sum over `k` in ascending order,
-//! starting from `0.0`, of unfused products, so the result is bit-identical
-//! to the plain triple loop whatever the tiling. The body is compiled
-//! twice, portable and with AVX2 (never FMA), and
-//! `is_x86_feature_detected!` picks one at run time; both give the same
-//! bits.
+//! It accumulates 4-row and 1-row register tiles, with 16-, 8- and
+//! 1-column edges. Each output element is still one sum over `k` in
+//! ascending order, starting from `0.0`, of unfused products, so the result
+//! is bit-identical to the plain triple loop whatever the tiling.
+//!
+//! The body is compiled three times, and `is_x86_feature_detected!` picks
+//! the fastest the CPU runs, in the order AVX-512F, AVX2, portable. Only
+//! the AVX-512F body adds 32-column tiles: its 32 zmm registers hold a
+//! 4 x 32 tile's 8 accumulators, where in ymm registers the tile would take
+//! all 16. AVX-512F makes FMA available, but Rust never emits a multiply
+//! or add that LLVM may contract, so no product is fused and all three
+//! bodies give the same bits.
+//!
+//! Because every output row depends only on its own input row, a row's
+//! value does not depend on the size or makeup of the batch it is computed
+//! in. `zeus-rl`'s DQN agent relies on this to memoize target-network rows
+//! between syncs.
 
 use std::fmt;
 
@@ -383,57 +393,102 @@ impl<'a> Strided<'a> {
 /// from `0.0`, of the unfused products `A[i, p] * B[p, j]`; register tiling
 /// only changes which elements are summed side by side. Results are
 /// therefore bit-identical to the textbook triple loop, and to each other
-/// across the portable and AVX2 bodies. The AVX2 body is chosen at run
-/// time; FMA is never enabled, since a fused multiply-add rounds once
-/// where the loop rounds twice.
+/// across the three [`Body`]s, the fastest of which the running CPU
+/// supports is chosen at run time. Rust never emits a contractable
+/// multiply or add, so no product is fused even where a body's target
+/// features make FMA available: a fused multiply-add rounds once where the
+/// loop rounds twice.
 pub(crate) fn gemm(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
+    gemm_on(Body::Avx512f, a, b, n, out);
+}
+
+/// The compiled copies of [`gemm_body`], slowest first. They give the
+/// same bits and differ in speed and in the CPU features they need.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Body {
+    /// The build's baseline target features, 16-column tiles.
+    Portable,
+    /// AVX2, 16-column tiles: a 32-column tile of four rows would need
+    /// all 16 ymm registers for its accumulators.
+    Avx2,
+    /// AVX-512F, 32-column tiles, which 32 zmm registers hold easily.
+    Avx512f,
+}
+
+/// [`gemm`] on `body`, or on the fastest slower body when the running CPU
+/// lacks `body`'s features. Returns the body that ran.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn gemm_on(body: Body, a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) -> Body {
     assert_eq!(b.len(), a.cols * n, "gemm rhs must be [k, n]");
     assert_eq!(out.len(), a.rows * n, "gemm output must be [m, n]");
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if body >= Body::Avx512f && std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `gemm_avx512f` requires only the AVX-512F target
+            // feature, and `is_x86_feature_detected!("avx512f")` just
+            // confirmed that the running CPU supports it.
+            unsafe { gemm_avx512f(a, b, n, out) };
+            return Body::Avx512f;
+        }
+        if body >= Body::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: `gemm_avx2` requires only the AVX2 target feature,
             // and `is_x86_feature_detected!("avx2")` just confirmed that
             // the running CPU supports it.
             unsafe { gemm_avx2(a, b, n, out) };
-            return;
+            return Body::Avx2;
         }
     }
-    gemm_portable(a, b, n, out);
-}
-
-/// [`gemm_body`] compiled for the build's baseline target features.
-fn gemm_portable(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
-    gemm_body(a, b, n, out);
+    gemm_body::<16>(a, b, n, out);
+    Body::Portable
 }
 
 /// [`gemm_body`] compiled with AVX2 enabled (and FMA deliberately not).
-/// Calling it is sound only on a CPU with AVX2, which [`gemm`] checks.
+/// Calling it is sound only on a CPU with AVX2, which [`gemm_on`] checks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn gemm_avx2(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
-    gemm_body(a, b, n, out);
+    gemm_body::<16>(a, b, n, out);
 }
 
-/// The kernel: 4-row blocks, then single rows; within each, 16-column
-/// and 8-column register tiles, then single columns.
+/// [`gemm_body`] compiled with AVX-512F enabled, with 32-column tiles.
+/// Calling it is sound only on a CPU with AVX-512F, which [`gemm_on`]
+/// checks.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512f(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
+    gemm_body::<32>(a, b, n, out);
+}
+
+/// The kernel: 4-row blocks, then single rows; within each, `W`-column
+/// register tiles, then 16-, 8- and 1-column edges.
 #[inline(always)]
-fn gemm_body(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
+fn gemm_body<const W: usize>(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
     let mut i = 0;
     while i + 4 <= a.rows {
-        tile_row::<4>(a, b, n, out, i);
+        tile_row::<4, W>(a, b, n, out, i);
         i += 4;
     }
     while i < a.rows {
-        tile_row::<1>(a, b, n, out, i);
+        tile_row::<1, W>(a, b, n, out, i);
         i += 1;
     }
 }
 
 /// Rows `i0..i0 + R` of the output, tiled across the columns.
 #[inline(always)]
-fn tile_row<const R: usize>(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32], i0: usize) {
+fn tile_row<const R: usize, const W: usize>(
+    a: Strided<'_>,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+    i0: usize,
+) {
     let mut j = 0;
+    while j + W <= n {
+        tile::<R, W>(a, b, n, out, i0, j);
+        j += W;
+    }
+    // With `W = 16` the first loop has already covered these columns.
     while j + 16 <= n {
         tile::<R, 16>(a, b, n, out, i0, j);
         j += 16;
@@ -674,11 +729,11 @@ mod tests {
     /// Run `kernel` on the three layouts the layers use and return
     /// `(kernel output, reference output)` per layout.
     fn layouts(
-        kernel: fn(Strided<'_>, &[f32], usize, &mut [f32]),
+        mut kernel: impl FnMut(Strided<'_>, &[f32], usize, &mut [f32]),
         (m, n, k, seed): (usize, usize, usize, u64),
     ) -> Vec<(Vec<f32>, Vec<f32>)> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let run = |a: Strided<'_>, b: &[f32]| {
+        let mut run = |a: Strided<'_>, b: &[f32]| {
             let mut out = vec![f32::NAN; m * n];
             kernel(a, b, n, &mut out);
             out
@@ -704,8 +759,10 @@ mod tests {
         ]
     }
 
+    /// `n` up to 72 runs two 32-column tiles, every 16-, 8- and 1-column
+    /// edge, and (with `m % 4 != 0`) the single-row tiles.
     fn shapes() -> impl Strategy<Value = (usize, usize, usize, u64)> {
-        (1usize..=9, 1usize..=40, 0usize..=70, any::<u64>())
+        (1usize..=9, 1usize..=72, 0usize..=70, any::<u64>())
     }
 
     proptest! {
@@ -717,13 +774,31 @@ mod tests {
         }
 
         #[test]
-        fn avx2_and_portable_bodies_agree_bit_for_bit(shape in shapes()) {
-            // `gemm` dispatches to the AVX2 body when the CPU has AVX2;
-            // without it both sides run the portable body.
-            let dispatched = layouts(gemm, shape);
-            let portable = layouts(gemm_portable, shape);
-            for (layout, (d, p)) in dispatched.iter().zip(&portable).enumerate() {
-                prop_assert_eq!(bits(&d.0), bits(&p.0), "layout {} at {:?}", layout, shape);
+        fn every_body_agrees_with_the_portable_body_bit_for_bit(shape in shapes()) {
+            let portable = layouts(
+                |a, b, n, out| {
+                    gemm_on(Body::Portable, a, b, n, out);
+                },
+                shape,
+            );
+            for body in [Body::Avx512f, Body::Avx2] {
+                let mut ran = body;
+                let got = layouts(|a, b, n, out| ran = gemm_on(body, a, b, n, out), shape);
+                // A body the CPU lacks falls back to a slower one, which
+                // its own iteration covers.
+                if ran != body {
+                    continue;
+                }
+                for (layout, (g, p)) in got.iter().zip(&portable).enumerate() {
+                    prop_assert_eq!(
+                        bits(&g.0),
+                        bits(&p.0),
+                        "{:?} layout {} at {:?}",
+                        body,
+                        layout,
+                        shape
+                    );
+                }
             }
         }
     }

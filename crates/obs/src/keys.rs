@@ -54,6 +54,11 @@ pub const TRAIN_EPISODES: &str = "train.episodes";
 pub const TRAIN_STEPS: &str = "train.steps";
 /// Gradient updates performed.
 pub const TRAIN_UPDATES: &str = "train.updates";
+/// Sampled next states whose target-network row was memoized since the
+/// last target sync.
+pub const TRAIN_TARGET_MEMO_HITS: &str = "train.target_memo.hits";
+/// Sampled next states the target network evaluated.
+pub const TRAIN_TARGET_MEMO_MISSES: &str = "train.target_memo.misses";
 
 /// Queries routed by a fleet router (`fleet.*` namespace).
 pub const FLEET_ROUTED: &str = "fleet.routed";
@@ -108,6 +113,8 @@ pub fn all() -> &'static [&'static str] {
         TRAIN_EPISODES,
         TRAIN_STEPS,
         TRAIN_UPDATES,
+        TRAIN_TARGET_MEMO_HITS,
+        TRAIN_TARGET_MEMO_MISSES,
         FLEET_ROUTED,
         FLEET_PLAN_REPLICA_HITS,
         FLEET_PLAN_REPLICATED,

@@ -75,8 +75,8 @@ impl ObsHub {
     }
 
     /// Convenience: counters for the training plane
-    /// (`train.candidates/episodes/steps/updates`) plus the tracer, the
-    /// bundle a [`DqnTrainer`]-style hot loop hooks into.
+    /// (`train.episodes/steps/updates` and `train.target_memo.*`) plus the
+    /// tracer, the bundle a [`DqnTrainer`]-style hot loop hooks into.
     ///
     /// [`DqnTrainer`]: https://docs.rs/zeus-rl
     pub fn train_obs(&self) -> TrainObs {
@@ -84,6 +84,8 @@ impl ObsHub {
             episodes: self.metrics.counter(keys::TRAIN_EPISODES),
             steps: self.metrics.counter(keys::TRAIN_STEPS),
             updates: self.metrics.counter(keys::TRAIN_UPDATES),
+            target_memo_hits: self.metrics.counter(keys::TRAIN_TARGET_MEMO_HITS),
+            target_memo_misses: self.metrics.counter(keys::TRAIN_TARGET_MEMO_MISSES),
             tracer: self.tracer.clone(),
         }
     }
@@ -99,6 +101,12 @@ pub struct TrainObs {
     pub steps: Counter,
     /// Gradient updates performed (`train.updates`).
     pub updates: Counter,
+    /// Next states whose target-network row was memoized
+    /// (`train.target_memo.hits`).
+    pub target_memo_hits: Counter,
+    /// Next states the target network evaluated
+    /// (`train.target_memo.misses`).
+    pub target_memo_misses: Counter,
     /// The shared tracer (per-stage aggregates + trace trees).
     pub tracer: Tracer,
 }

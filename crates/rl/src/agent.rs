@@ -1,5 +1,7 @@
 //! The DQN agent: ε-greedy Q-network with target network (Algorithm 1).
 
+use std::collections::HashMap;
+
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -52,6 +54,9 @@ impl Default for DqnConfig {
 pub struct DqnAgent {
     q: Mlp,
     target: Mlp,
+    /// The target network's rows for the next states sampled since the
+    /// last sync.
+    target_memo: TargetMemo,
     opt: Adam,
     cfg: DqnConfig,
     num_actions: usize,
@@ -85,6 +90,7 @@ impl DqnAgent {
         DqnAgent {
             q,
             target,
+            target_memo: TargetMemo::default(),
             opt,
             cfg,
             num_actions,
@@ -101,6 +107,19 @@ impl DqnAgent {
     /// Number of gradient updates performed.
     pub fn updates(&self) -> usize {
         self.updates
+    }
+
+    /// Sampled next states, over the agent's life, whose target-network
+    /// row was already memoized since the last target sync, including
+    /// repeats within one minibatch.
+    pub(crate) fn target_memo_hits(&self) -> u64 {
+        self.target_memo.hits
+    }
+
+    /// Sampled next states, over the agent's life, that the target network
+    /// evaluated: the first sighting of each state after a target sync.
+    pub(crate) fn target_memo_misses(&self) -> u64 {
+        self.target_memo.misses
     }
 
     /// Q-values for one state.
@@ -158,7 +177,7 @@ impl DqnAgent {
         // Bootstrapped targets from the frozen network. With Double DQN
         // the online network selects the action and the target network
         // evaluates it; with plain DQN the target network does both.
-        let next_q_target = self.target.forward_inference(&next_states);
+        let next_q_target = self.target_memo.rows(&self.target, batch);
         let next_values: Vec<f32> = if self.cfg.double_dqn {
             let next_q_online = self.q.forward_inference(&next_states);
             next_q_online
@@ -193,9 +212,16 @@ impl DqnAgent {
 
         self.updates += 1;
         if self.updates.is_multiple_of(self.cfg.target_sync_every) {
-            self.target.copy_weights_from(&self.q);
+            self.sync_target();
         }
         Ok(loss)
+    }
+
+    /// Copy the online network into the target network, which outdates
+    /// every memoized target row.
+    fn sync_target(&mut self) {
+        self.target.copy_weights_from(&self.q);
+        self.target_memo.clear();
     }
 
     /// Snapshot the online network weights (for checkpointing).
@@ -206,7 +232,7 @@ impl DqnAgent {
     /// Restore online + target networks from a snapshot.
     pub fn load_snapshot(&mut self, snap: &[Vec<f32>]) {
         self.q.load_snapshot(snap);
-        self.target.copy_weights_from(&self.q);
+        self.sync_target();
     }
 
     /// Extract an immutable greedy policy.
@@ -214,6 +240,73 @@ impl DqnAgent {
         GreedyPolicy {
             net: self.q.clone(),
         }
+    }
+}
+
+/// `Q_target(s')` rows keyed by the bits of `s'`, valid from one target
+/// sync to the next, when [`DqnAgent::sync_target`] clears them.
+///
+/// A memoized row has the bits a fresh forward pass would give. `zeus-nn`
+/// computes every output element as one ascending sum from `0.0` over its
+/// own input row, and adds the bias and applies ReLU element by element,
+/// so a row's value does not depend on the size or makeup of the batch it
+/// was computed in. Keys are content, not replay slots: a state sampled
+/// again from another slot is still a hit. Between two syncs the memo
+/// holds at most `batch_size × target_sync_every` rows.
+#[derive(Debug, Default)]
+struct TargetMemo {
+    /// Row number in `values` of each memoized state, by `f32::to_bits`.
+    index: HashMap<Box<[u32]>, usize>,
+    /// The memoized rows, one after another, `num_actions` values each.
+    values: Vec<f32>,
+    hits: u64,
+    misses: u64,
+}
+
+impl TargetMemo {
+    /// `Q_target(s')` for every experience of `batch`, as a
+    /// `[batch.len(), num_actions]` tensor. The distinct states not yet
+    /// memoized go through `target` in one forward pass.
+    fn rows(&mut self, target: &Mlp, batch: &[&Experience]) -> Tensor {
+        let (state_dim, width) = (target.in_dim(), target.out_dim());
+        let memoized = self.values.len() / width;
+        let mut slots = Vec::with_capacity(batch.len());
+        let mut missed = Vec::new();
+        let mut key = Vec::with_capacity(state_dim);
+        for e in batch {
+            key.clear();
+            key.extend(e.next_state.iter().map(|v| v.to_bits()));
+            let slot = match self.index.get(key.as_slice()) {
+                Some(&slot) => {
+                    self.hits += 1;
+                    slot
+                }
+                None => {
+                    let slot = memoized + missed.len() / state_dim;
+                    self.misses += 1;
+                    self.index.insert(key.as_slice().into(), slot);
+                    missed.extend_from_slice(&e.next_state);
+                    slot
+                }
+            };
+            slots.push(slot);
+        }
+        if !missed.is_empty() {
+            let rows = missed.len() / state_dim;
+            let fresh = target.forward_inference(&Tensor::from_vec(&[rows, state_dim], missed));
+            self.values.extend_from_slice(fresh.data());
+        }
+        let mut out = Vec::with_capacity(batch.len() * width);
+        for slot in slots {
+            out.extend_from_slice(&self.values[slot * width..(slot + 1) * width]);
+        }
+        Tensor::from_vec(&[batch.len(), width], out)
+    }
+
+    /// Forget every row, keeping the counts.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.values.clear();
     }
 }
 
@@ -295,6 +388,111 @@ mod tests {
             })
         );
         assert_eq!(a.updates(), 0, "failed updates must not advance state");
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The target network's row for `state`, from a one-row forward pass.
+    fn fresh_target_row(a: &DqnAgent, state: &[f32]) -> Vec<u32> {
+        let x = Tensor::from_vec(&[1, state.len()], state.to_vec());
+        bits(a.target.forward_inference(&x).data())
+    }
+
+    /// Twelve experiences over five next states that share their first
+    /// two features, so only the whole state tells them apart.
+    fn repeating_experiences() -> Vec<Experience> {
+        (0..12)
+            .map(|i| {
+                let next = vec![0.5, -0.25, (i % 5) as f32 * 0.3 - 0.6];
+                let state = vec![(i % 3) as f32 * 0.4, 0.1 * i as f32, -0.2];
+                exp(state, i % 4, (i % 7) as f32 / 7.0 - 0.4, next, i % 6 == 5)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memoized_target_rows_equal_a_fresh_forward_bit_for_bit() {
+        let cfg = DqnConfig {
+            target_sync_every: 5,
+            learning_rate: 5e-2,
+            ..DqnConfig::default()
+        };
+        let mut a = DqnAgent::new(3, 4, cfg, 9);
+        let pool = repeating_experiences();
+        // Each batch repeats next states within itself, and shares them
+        // with the batches before it.
+        let batch_at = |u: usize| -> Vec<&Experience> {
+            (0..9)
+                .map(|j| &pool[(u * 5 + j * 7) % pool.len()])
+                .collect()
+        };
+        for u in 0..23 {
+            let batch = batch_at(u);
+            let rows = a.target_memo.rows(&a.target, &batch);
+            for (row, e) in batch.iter().enumerate() {
+                assert_eq!(
+                    bits(rows.row(row)),
+                    fresh_target_row(&a, &e.next_state),
+                    "update {u}, row {row}"
+                );
+            }
+            a.update(&batch_at(u + 1)).unwrap();
+        }
+        assert!(a.target_memo_hits() > a.target_memo_misses());
+    }
+
+    #[test]
+    fn a_repeated_next_state_is_one_miss() {
+        let mut a = DqnAgent::new(3, 4, DqnConfig::default(), 2);
+        let pool = repeating_experiences();
+        // Next states 0, 1, 2, 0, 1: three distinct.
+        let batch: Vec<&Experience> = [0, 1, 2, 5, 6].iter().map(|&i| &pool[i]).collect();
+        a.update(&batch).unwrap();
+        assert_eq!((a.target_memo_hits(), a.target_memo_misses()), (2, 3));
+        a.update(&batch).unwrap();
+        assert_eq!((a.target_memo_hits(), a.target_memo_misses()), (7, 3));
+    }
+
+    #[test]
+    fn a_target_sync_re_evaluates_memoized_states() {
+        let cfg = DqnConfig {
+            target_sync_every: 2,
+            learning_rate: 5e-2,
+            ..DqnConfig::default()
+        };
+        let mut a = DqnAgent::new(3, 4, cfg, 4);
+        let pool = repeating_experiences();
+        let batch: Vec<&Experience> = pool.iter().collect();
+        a.update(&batch).unwrap();
+        let before = bits(a.target_memo.rows(&a.target, &batch[..1]).data());
+        // The second update syncs the target network to the trained one.
+        a.update(&batch).unwrap();
+        let after = bits(a.target_memo.rows(&a.target, &batch[..1]).data());
+        assert_ne!(before, after, "the sync must change the target row");
+        assert_eq!(after, fresh_target_row(&a, &batch[0].next_state));
+        assert_eq!(a.target_memo_misses(), 5 + 1);
+    }
+
+    #[test]
+    fn a_failed_update_leaves_the_target_memo_untouched() {
+        let mut a = DqnAgent::new(3, 4, DqnConfig::default(), 0);
+        let pool = repeating_experiences();
+        a.update(&[&pool[0]]).unwrap();
+        let memoized = a.target_memo.index.len();
+        let short = exp(vec![0.0; 3], 0, 0.0, vec![0.0; 2], false);
+        assert_eq!(a.update(&[]), Err(RlError::EmptyBatch));
+        assert_eq!(
+            a.update(&[&pool[1], &pool[2], &short]),
+            Err(RlError::StateDimMismatch {
+                expected: 3,
+                got: 2
+            })
+        );
+        assert_eq!(a.target_memo.index.len(), memoized);
+        assert_eq!(a.target_memo.values.len(), memoized * 4);
+        assert_eq!((a.target_memo_hits(), a.target_memo_misses()), (0, 1));
     }
 
     #[test]

@@ -304,8 +304,9 @@ impl DqnTrainer {
     }
 
     /// Attach training-plane telemetry: `train.steps` / `train.episodes`
-    /// / `train.updates` counters plus per-stage (`episode`,
-    /// `batch_forward`, `update`) span timing on the shared tracer.
+    /// / `train.updates` / `train.target_memo.{hits,misses}` counters plus
+    /// per-stage (`episode`, `batch_forward`, `update`) span timing on the
+    /// shared tracer.
     pub fn set_obs(&mut self, obs: TrainObs) {
         self.obs = Some(obs);
     }
@@ -365,10 +366,16 @@ impl DqnTrainer {
             let _span = trace.as_ref().map(|t| t.span("episode"));
             let steps_before = report.steps;
             let updates_before = report.updates;
+            let hits_before = self.agent.target_memo_hits();
+            let misses_before = self.agent.target_memo_misses();
             let (mean_r, mean_l) = self.run_episode(env, trace.as_ref(), &mut report)?;
             if let Some(o) = &obs {
                 o.steps.add(report.steps - steps_before);
                 o.updates.add(report.updates - updates_before);
+                o.target_memo_hits
+                    .add(self.agent.target_memo_hits() - hits_before);
+                o.target_memo_misses
+                    .add(self.agent.target_memo_misses() - misses_before);
                 o.episodes.inc();
             }
             report.episode_rewards.push(mean_r);
