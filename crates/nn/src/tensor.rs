@@ -10,10 +10,14 @@
 //! `X W`, the weight gradient `X^T dY` and the input gradient `dY W^T`.
 //! The kernel reads its left operand through a row and a column stride, so
 //! `X^T` is never copied; `dY W^T` multiplies against a materialised `W^T`.
-//! It accumulates 4-row and 1-row register tiles, with 16-, 8- and
-//! 1-column edges. Each output element is still one sum over `k` in
-//! ascending order, starting from `0.0`, of unfused products, so the result
-//! is bit-identical to the plain triple loop whatever the tiling.
+//! It accumulates 4-row and 1-row register tiles, with 16- and 8-column
+//! edges and then one tile exactly as wide as the `n % 8` columns left,
+//! so those columns share one pass over `k`. That matters for a
+//! Q-network's output layer, which has one column per action: the
+//! planner thins each action space to at most 8 by default, usually
+//! fewer. Each output element is still one sum over `k` in ascending
+//! order, starting from `0.0`, of unfused products, so the result is
+//! bit-identical to the plain triple loop whatever the tiling.
 //!
 //! The body is compiled three times, and `is_x86_feature_detected!` picks
 //! the fastest the CPU runs, in the order AVX-512F, AVX2, portable. Only
@@ -460,7 +464,8 @@ fn gemm_avx512f(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
 }
 
 /// The kernel: 4-row blocks, then single rows; within each, `W`-column
-/// register tiles, then 16-, 8- and 1-column edges.
+/// register tiles, then 16- and 8-column edges, then one tile as wide as
+/// the `n % 8` columns left.
 #[inline(always)]
 fn gemm_body<const W: usize>(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
     let mut i = 0;
@@ -497,9 +502,18 @@ fn tile_row<const R: usize, const W: usize>(
         tile::<R, 8>(a, b, n, out, i0, j);
         j += 8;
     }
-    while j < n {
-        tile::<R, 1>(a, b, n, out, i0, j);
-        j += 1;
+    // The last `n % 8` columns as one tile of exactly that width, so they
+    // share one pass over `k`.
+    match n - j {
+        0 => {}
+        1 => tile::<R, 1>(a, b, n, out, i0, j),
+        2 => tile::<R, 2>(a, b, n, out, i0, j),
+        3 => tile::<R, 3>(a, b, n, out, i0, j),
+        4 => tile::<R, 4>(a, b, n, out, i0, j),
+        5 => tile::<R, 5>(a, b, n, out, i0, j),
+        6 => tile::<R, 6>(a, b, n, out, i0, j),
+        7 => tile::<R, 7>(a, b, n, out, i0, j),
+        _ => unreachable!("fewer than 8 columns remain"),
     }
 }
 
@@ -759,8 +773,9 @@ mod tests {
         ]
     }
 
-    /// `n` up to 72 runs two 32-column tiles, every 16-, 8- and 1-column
-    /// edge, and (with `m % 4 != 0`) the single-row tiles.
+    /// `n` up to 72 runs two 32-column tiles, the 16- and 8-column edges,
+    /// every tail width 1..=7, and (with `m % 4 != 0`) the single-row
+    /// tiles.
     fn shapes() -> impl Strategy<Value = (usize, usize, usize, u64)> {
         (1usize..=9, 1usize..=72, 0usize..=70, any::<u64>())
     }

@@ -146,7 +146,8 @@ impl DqnAgent {
     /// One DQN update over a minibatch (Algorithm 1 lines 11–14):
     /// targets `r + γ·max_a' Q_target(s', a')` (or `r` at terminals),
     /// masked Huber loss, Adam step, periodic target sync. Returns the
-    /// loss, or a typed error on an empty or mis-shaped minibatch.
+    /// loss, or a typed error on an empty or mis-shaped minibatch or an
+    /// action the network has no output for.
     pub fn update(&mut self, batch: &[&Experience]) -> Result<f32, RlError> {
         if batch.is_empty() {
             return Err(RlError::EmptyBatch);
@@ -166,6 +167,12 @@ impl DqnAgent {
                 return Err(RlError::StateDimMismatch {
                     expected: state_dim,
                     got,
+                });
+            }
+            if e.action >= self.num_actions {
+                return Err(RlError::ActionOutOfRange {
+                    action: e.action,
+                    num_actions: self.num_actions,
                 });
             }
             states.extend_from_slice(&e.state);
@@ -387,6 +394,14 @@ mod tests {
                 got: 3
             })
         );
+        let unknown = exp(vec![0.0; 2], 2, 0.0, vec![0.0; 2], true);
+        assert_eq!(
+            a.update(&[&unknown]),
+            Err(RlError::ActionOutOfRange {
+                action: 2,
+                num_actions: 2
+            })
+        );
         assert_eq!(a.updates(), 0, "failed updates must not advance state");
     }
 
@@ -488,6 +503,14 @@ mod tests {
             Err(RlError::StateDimMismatch {
                 expected: 3,
                 got: 2
+            })
+        );
+        let unknown = exp(vec![0.0; 3], 4, 0.0, vec![0.0; 3], false);
+        assert_eq!(
+            a.update(&[&pool[1], &pool[2], &unknown]),
+            Err(RlError::ActionOutOfRange {
+                action: 4,
+                num_actions: 4
             })
         );
         assert_eq!(a.target_memo.index.len(), memoized);

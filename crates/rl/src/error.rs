@@ -18,6 +18,13 @@ pub enum RlError {
         /// The offending experience's state length.
         got: usize,
     },
+    /// An experience's action is not one of the network's outputs.
+    ActionOutOfRange {
+        /// The offending experience's action.
+        action: usize,
+        /// The network's action count.
+        num_actions: usize,
+    },
 }
 
 impl std::fmt::Display for RlError {
@@ -30,6 +37,13 @@ impl std::fmt::Display for RlError {
                     "state dim mismatch: network expects {expected}, got {got}"
                 )
             }
+            RlError::ActionOutOfRange {
+                action,
+                num_actions,
+            } => write!(
+                f,
+                "action {action} out of range: network has {num_actions} actions"
+            ),
         }
     }
 }
@@ -49,5 +63,11 @@ mod tests {
         }
         .to_string()
         .contains("24"));
+        assert!(RlError::ActionOutOfRange {
+            action: 9,
+            num_actions: 6
+        }
+        .to_string()
+        .contains("action 9"));
     }
 }
