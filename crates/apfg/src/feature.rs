@@ -29,8 +29,7 @@ pub struct ApfgOutput {
 /// Anything that can act as the APFG: maps `(video, position, config)` to a
 /// ProxyFeature and a prediction.
 ///
-/// Implementations: [`crate::simulated::SimulatedApfg`] (benchmarks),
-/// [`crate::r3d_lite::R3dLite`] via its adapter (real pixels, examples).
+/// Implemented by [`crate::simulated::SimulatedApfg`].
 pub trait FeatureGenerator {
     /// Feature vector length this generator emits.
     fn feature_dim(&self) -> usize;

@@ -10,24 +10,18 @@
 //! binary ACTION / NO-ACTION prediction. The RL agent consumes the feature;
 //! the classifier head consumes it too.
 //!
-//! Training a full R3D-18 is GPU-gated, so this crate provides the APFG at
-//! two fidelities behind one interface ([`feature::FeatureGenerator`]):
-//!
-//! * [`r3d_lite::R3dLite`] — a real (small) 3D-CNN built on `zeus-nn` that
-//!   convolves actual rendered pixels. It proves the full pixel → feature →
-//!   classification path runs and *learns* in pure Rust; examples and tests
-//!   use it at small scale.
-//! * [`simulated::SimulatedApfg`] — a calibrated behavioural model used by
-//!   the benchmark harness. Its detection process is mechanistic, not a
-//!   lookup table: a segment is detected only if the sampling pattern
-//!   actually hits action frames (coarse sampling can *skip* short actions
-//!   entirely), per-sampled-frame discriminability falls with resolution
-//!   and with motion aliasing at coarse sampling (scaled by the class's
-//!   temporal dependence), and false positives rise at low resolution.
-//!   Per-configuration accuracies (the paper's Tables 2 and 4) then
-//!   *emerge* from profiling, exactly as the paper computes them
-//!   ("in a one-time pre-processing step ... on a held-out validation
-//!   dataset", §4.2).
+//! Training a full R3D-18 is GPU-gated and needs the real corpora, so this
+//! crate provides the APFG as [`simulated::SimulatedApfg`], a calibrated
+//! behavioural model behind the [`feature::FeatureGenerator`] interface.
+//! Its detection process is mechanistic, not a lookup table: a segment is
+//! detected only if the sampling pattern actually hits action frames
+//! (coarse sampling can *skip* short actions entirely), per-sampled-frame
+//! discriminability falls with resolution and with motion aliasing at
+//! coarse sampling (scaled by the class's temporal dependence), and false
+//! positives rise at low resolution. Per-configuration accuracies (the
+//! paper's Tables 2 and 4) then *emerge* from profiling, exactly as the
+//! paper computes them ("in a one-time pre-processing step ... on a
+//! held-out validation dataset", §4.2).
 //!
 //! The baselines' proxy models live here too: [`frame_pp::FramePpModel`]
 //! (per-frame 2D CNN) and [`segment_pp::SegmentPpFilter`] (lightweight 3D
@@ -40,7 +34,6 @@ pub mod cache;
 pub mod config;
 pub mod feature;
 pub mod frame_pp;
-pub mod r3d_lite;
 pub mod segment_pp;
 pub mod simulated;
 pub mod traits;

@@ -187,12 +187,6 @@ impl SimulatedApfg {
         }
     }
 
-    /// Override the behavioural constants.
-    pub fn with_params(mut self, params: SimParams) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Toggle the §5 model-reuse approximation (default on). Off = a
     /// per-configuration ensemble: slightly more accurate, far costlier to
     /// train (the ablation the paper discusses in §5).

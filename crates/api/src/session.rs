@@ -149,12 +149,6 @@ impl ZeusSessionBuilder {
         self
     }
 
-    /// Register an already-shared data source under `name`.
-    pub fn register_shared(mut self, name: impl AsRef<str>, source: SharedSource) -> Self {
-        self.put(name.as_ref().to_string(), SourceSpec::Ready(source));
-        self
-    }
-
     /// Register a corpus persisted to a `.zds` file, loaded (and
     /// checksum-verified) at build time.
     pub fn source_file(mut self, name: impl AsRef<str>, path: impl Into<PathBuf>) -> Self {

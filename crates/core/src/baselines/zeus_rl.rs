@@ -43,13 +43,6 @@ impl ZeusRl {
         }
     }
 
-    /// Replace the APFG (used by §6.5 cross-model and §6.6 domain-shift
-    /// studies, which pair a trained policy with a different APFG).
-    pub fn with_apfg(mut self, apfg: SimulatedApfg) -> Self {
-        self.apfg = apfg;
-        self
-    }
-
     fn step_cost(&self, c: Configuration) -> zeus_sim::SimDuration {
         // One R3D pass + classifier head + DQN head per time step.
         self.cost.r3d_invocation(c.seg_len, c.resolution)

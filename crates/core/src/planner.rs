@@ -70,10 +70,6 @@ impl From<RlError> for PlanError {
     }
 }
 
-/// Temporal-IoU threshold of the §2.1 segment criterion (IoU > 0.5),
-/// used by the secondary event-level metric.
-pub const EVENT_IOU: f64 = 0.5;
-
 /// One candidate in the RL training portfolio.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateSpec {

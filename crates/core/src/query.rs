@@ -186,19 +186,6 @@ impl QueryIr {
         self
     }
 
-    /// Route this query to a named dataset (builder-style sugar for
-    /// setting [`QueryIr::source`]).
-    pub fn on_dataset(mut self, name: impl Into<String>) -> Self {
-        self.source = Some(name.into());
-        self
-    }
-
-    /// The classic core (classes + accuracy target) that keys plans and
-    /// result caches.
-    pub fn action_query(&self) -> &ActionQuery {
-        &self.base
-    }
-
     /// True when the query carries no extended clauses (a classic §1
     /// query).
     pub fn is_classic(&self) -> bool {

@@ -360,11 +360,6 @@ impl FleetRouter {
         })
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The registered corpora as `(name, corpus, primary shard)`.
     pub fn corpora(&self) -> Vec<(String, CorpusId, usize)> {
         self.routes

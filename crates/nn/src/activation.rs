@@ -3,12 +3,9 @@
 /// Supported activation kinds for MLP hidden layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
-    /// Rectified linear unit, `max(0, x)` — used by the Q-network and the
-    /// R3D blocks (the paper's networks are ReLU throughout).
+    /// Rectified linear unit, `max(0, x)` — used by the Q-network (the
+    /// paper's networks are ReLU throughout).
     Relu,
-    /// Leaky rectified linear unit with slope 0.1 for negative inputs —
-    /// avoids dead-unit collapse in small convolutional networks.
-    LeakyRelu,
     /// Hyperbolic tangent, occasionally useful for bounded features.
     Tanh,
     /// Identity (no-op), used for output layers.
@@ -27,13 +24,6 @@ impl Activation {
                     0.0
                 }
             }
-            Activation::LeakyRelu => {
-                if v > 0.0 {
-                    v
-                } else {
-                    0.1 * v
-                }
-            }
             Activation::Tanh => v.tanh(),
             Activation::Identity => v,
         }
@@ -48,13 +38,6 @@ impl Activation {
                     1.0
                 } else {
                     0.0
-                }
-            }
-            Activation::LeakyRelu => {
-                if v > 0.0 {
-                    1.0
-                } else {
-                    0.1
                 }
             }
             Activation::Tanh => 1.0 - v.tanh() * v.tanh(),
@@ -116,17 +99,6 @@ mod tests {
             let numeric = ((x[i] + eps).tanh() - (x[i] - eps).tanh()) / (2.0 * eps);
             assert!((g[i] - numeric).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn leaky_relu_keeps_negative_gradient() {
-        let x = [-2.0f32, 3.0];
-        let y = forward(Activation::LeakyRelu, &x);
-        assert!((y[0] + 0.2).abs() < 1e-6);
-        assert_eq!(y[1], 3.0);
-        let g = backward(Activation::LeakyRelu, &x, &[1.0, 1.0]);
-        assert!((g[0] - 0.1).abs() < 1e-6);
-        assert_eq!(g[1], 1.0);
     }
 
     #[test]

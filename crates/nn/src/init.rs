@@ -17,17 +17,8 @@ pub fn randn(rng: &mut impl Rng) -> f32 {
     acc - 6.0
 }
 
-/// Xavier/Glorot uniform initialisation for a `fan_in x fan_out` weight
-/// matrix: `U(-a, a)` with `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Vec<f32> {
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    (0..fan_in * fan_out)
-        .map(|_| rng.gen_range(-a..=a))
-        .collect()
-}
-
 /// He (Kaiming) normal initialisation: `N(0, sqrt(2 / fan_in))`, preferred
-/// for ReLU networks such as the Q-network and R3dLite blocks.
+/// for ReLU networks such as the Q-network.
 pub fn he_normal(fan_in: usize, n: usize, rng: &mut impl Rng) -> Vec<f32> {
     let std = (2.0 / fan_in as f32).sqrt();
     (0..n).map(|_| randn(rng) * std).collect()
@@ -38,15 +29,6 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn xavier_within_bounds() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let w = xavier_uniform(64, 32, &mut rng);
-        let a = (6.0 / 96.0f32).sqrt();
-        assert_eq!(w.len(), 64 * 32);
-        assert!(w.iter().all(|&x| x >= -a && x <= a));
-    }
 
     #[test]
     fn he_normal_statistics() {
@@ -68,7 +50,7 @@ mod tests {
     fn deterministic_for_same_seed() {
         let mut a = ChaCha8Rng::seed_from_u64(11);
         let mut b = ChaCha8Rng::seed_from_u64(11);
-        assert_eq!(xavier_uniform(8, 8, &mut a), xavier_uniform(8, 8, &mut b));
+        assert_eq!(he_normal(8, 64, &mut a), he_normal(8, 64, &mut b));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! reproduction. The Zeus paper (SIGMOD 2022) builds on PyTorch for two
 //! models: the R3D action-recognition network that backs the Adaptive Proxy
 //! Feature Generator (APFG, §3/§5) and the 3-layer MLP Q-network of the DQN
-//! agent (§4.3/§5). This crate provides everything those models need,
-//! implemented from scratch:
+//! agent (§4.3/§5). Here the APFG is a calibrated simulation (`zeus-apfg`),
+//! so this crate provides what the Q-network needs, implemented from
+//! scratch:
 //!
 //! * [`tensor::Tensor`] — row-major `f32` n-dimensional arrays with the
 //!   small set of ops the models use (matmul, elementwise, reductions).
@@ -15,12 +16,9 @@
 //!   layers with manual backprop, composed into the Q-network. Layers read
 //!   their weights in place, activations run in place, and the buffers a
 //!   training step caches are reused from call to call.
-//! * [`conv::Conv3d`], [`conv::MaxPool3d`], [`conv::GlobalAvgPool3d`] — 3D
-//!   convolutional blocks used by the small real R3D path (`zeus-apfg`).
-//! * [`loss`] — Huber (the DQN loss of Algorithm 1), MSE, and
-//!   softmax-cross-entropy (APFG classification head).
+//! * [`loss`] — Huber (the DQN loss of Algorithm 1) and MSE.
 //! * [`optim`] — SGD with momentum and Adam.
-//! * [`init`] — Xavier/He initialisation with explicit, seedable RNGs.
+//! * [`init`] — He initialisation with explicit, seedable RNGs.
 //! * [`serialize`] — flat weight checkpointing.
 //!
 //! Determinism is a design requirement: every random operation takes an
@@ -33,7 +31,6 @@
 
 #![warn(missing_docs)]
 pub mod activation;
-pub mod conv;
 pub mod init;
 pub mod linear;
 pub mod loss;
@@ -44,7 +41,6 @@ pub mod serialize;
 pub mod tensor;
 
 pub use activation::Activation;
-pub use conv::{Conv3d, GlobalAvgPool3d, MaxPool3d};
 pub use linear::Linear;
 pub use mlp::Mlp;
 pub use param::Param;

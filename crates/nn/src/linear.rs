@@ -62,13 +62,6 @@ impl Linear {
         Self::from_params(in_dim, out_dim, w, Param::zeros(out_dim))
     }
 
-    /// Create a layer with Xavier-uniform weights (used by output heads
-    /// where activations are linear).
-    pub fn new_xavier(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
-        let w = Param::new(init::xavier_uniform(in_dim, out_dim, rng));
-        Self::from_params(in_dim, out_dim, w, Param::zeros(out_dim))
-    }
-
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.in_dim

@@ -1,8 +1,7 @@
 //! Loss functions returning `(scalar_loss, gradient_wrt_prediction)`.
 //!
 //! The DQN update in the paper (Algorithm 1, line 13) uses the Huber loss
-//! between predicted Q-values and bootstrapped targets. The APFG
-//! classification head trains with softmax cross-entropy.
+//! between predicted Q-values and bootstrapped targets.
 
 use crate::tensor::Tensor;
 
@@ -76,31 +75,6 @@ pub fn huber_selected(
     (loss / n, Tensor::from_vec(pred.shape(), grad))
 }
 
-/// Softmax cross-entropy over class logits.
-///
-/// `logits` is `[batch, classes]`, `labels` holds one class id per row.
-/// Returns mean loss and `dL/dlogits = (softmax - onehot) / batch`.
-pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-    assert_eq!(logits.ndim(), 2);
-    let (batch, classes) = (logits.shape()[0], logits.shape()[1]);
-    assert_eq!(labels.len(), batch, "one label per row");
-
-    let probs = logits.softmax_rows();
-    let n = batch as f32;
-    let mut loss = 0.0f32;
-    let mut grad = probs.data().to_vec();
-    for (row, &label) in labels.iter().enumerate() {
-        assert!(label < classes, "label {label} out of range");
-        let p = probs.at2(row, label).max(1e-12);
-        loss -= p.ln();
-        grad[row * classes + label] -= 1.0;
-    }
-    for g in &mut grad {
-        *g /= n;
-    }
-    (loss / n, Tensor::from_vec(logits.shape(), grad))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,45 +120,5 @@ mod tests {
         assert_eq!(g.at2(0, 1), 0.0);
         assert_eq!(g.at2(1, 2), 0.5);
         assert_eq!(g.at2(1, 0), 0.0);
-    }
-
-    #[test]
-    fn cross_entropy_perfect_prediction_is_near_zero() {
-        let logits = Tensor::from_vec(&[1, 2], vec![20.0, -20.0]);
-        let (l, _) = softmax_cross_entropy(&logits, &[0]);
-        assert!(l < 1e-6);
-    }
-
-    #[test]
-    fn cross_entropy_gradient_is_softmax_minus_onehot() {
-        let logits = Tensor::from_vec(&[1, 3], vec![0.0, 0.0, 0.0]);
-        let (l, g) = softmax_cross_entropy(&logits, &[1]);
-        assert!((l - (3.0f32).ln()).abs() < 1e-5);
-        let want = [1.0 / 3.0, 1.0 / 3.0 - 1.0, 1.0 / 3.0];
-        for (a, b) in g.data().iter().zip(want.iter()) {
-            assert!((a - b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn cross_entropy_numeric_gradient() {
-        let logits = Tensor::from_vec(&[2, 3], vec![0.2, -0.1, 0.4, 1.0, 0.0, -1.0]);
-        let labels = [2usize, 0usize];
-        let (_, g) = softmax_cross_entropy(&logits, &labels);
-        let eps = 1e-3f32;
-        for i in 0..logits.len() {
-            let mut up = logits.clone();
-            up.data_mut()[i] += eps;
-            let mut dn = logits.clone();
-            dn.data_mut()[i] -= eps;
-            let (lu, _) = softmax_cross_entropy(&up, &labels);
-            let (ld, _) = softmax_cross_entropy(&dn, &labels);
-            let numeric = (lu - ld) / (2.0 * eps);
-            assert!(
-                (numeric - g.data()[i]).abs() < 1e-3,
-                "logit {i}: numeric {numeric} vs analytic {}",
-                g.data()[i]
-            );
-        }
     }
 }

@@ -1,15 +1,15 @@
 //! First-order optimizers: SGD with momentum, and Adam.
 //!
 //! Zeus fine-tunes the APFG and trains the DQN with Adam (the paper cites
-//! Kingma & Ba \[18\]); SGD is kept for the small R3dLite experiments and as
-//! a simpler baseline in tests.
+//! Kingma & Ba \[18\]); only the DQN trains here. SGD is kept as a simpler
+//! baseline in tests.
 
 use crate::param::Param;
 
 /// Common optimizer interface over flat parameter lists.
 ///
-/// The parameter order must be stable across calls (it is, for `Mlp` /
-/// `Conv3d`): per-parameter state (momentum, moments) is keyed by position.
+/// The parameter order must be stable across calls (it is, for `Mlp`):
+/// per-parameter state (momentum, moments) is keyed by position.
 pub trait Optimizer {
     /// Apply one update step and leave gradients untouched (callers are
     /// expected to `zero_grad` before the next backward pass).

@@ -130,12 +130,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutably borrow the underlying data slice.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Consume the tensor and return its backing storage.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
@@ -302,39 +296,9 @@ impl Tensor {
             .collect()
     }
 
-    /// Numerically stable softmax along the last axis of a 2-D tensor.
-    pub fn softmax_rows(&self) -> Tensor {
-        assert_eq!(self.ndim(), 2);
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let row = self.row(i);
-            let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut denom = 0.0f32;
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (o, &x) in out_row.iter_mut().zip(row.iter()) {
-                let e = (x - mx).exp();
-                *o = e;
-                denom += e;
-            }
-            for o in out_row.iter_mut() {
-                *o /= denom;
-            }
-        }
-        Tensor {
-            shape: self.shape.clone(),
-            data: out,
-        }
-    }
-
     /// L2 norm of the flattened tensor.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// True when every element is finite (no NaN / infinity).
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
     }
 }
 
@@ -627,18 +591,6 @@ mod tests {
     fn argmax_first_on_ties() {
         let t = Tensor::vector(vec![1.0, 3.0, 3.0]);
         assert_eq!(t.argmax(), 1);
-    }
-
-    #[test]
-    fn softmax_rows_sums_to_one() {
-        let t = Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, 1000.0, 1000.0, 1000.0]);
-        let s = t.softmax_rows();
-        for r in 0..2 {
-            let total: f32 = s.row(r).iter().sum();
-            assert!((total - 1.0).abs() < 1e-5, "row {r} sums to {total}");
-        }
-        // Large-magnitude row must not produce NaN (stability check).
-        assert!(s.all_finite());
     }
 
     #[test]

@@ -35,30 +35,6 @@ proptest! {
     }
 
     #[test]
-    fn softmax_is_shift_invariant(row in prop::collection::vec(-20.0f32..20.0, 1..12),
-                                  shift in -50.0f32..50.0) {
-        let n = row.len();
-        let base = Tensor::from_vec(&[1, n], row.clone());
-        let shifted = Tensor::from_vec(&[1, n], row.iter().map(|x| x + shift).collect());
-        let s1 = base.softmax_rows();
-        let s2 = shifted.softmax_rows();
-        for (a, b) in s1.data().iter().zip(s2.data().iter()) {
-            prop_assert!((a - b).abs() < 1e-4, "softmax must ignore constant shifts");
-        }
-    }
-
-    #[test]
-    fn softmax_rows_are_distributions(t in tensor_strategy(4, 6)) {
-        let s = t.softmax_rows();
-        for r in 0..4 {
-            let row = s.row(r);
-            prop_assert!(row.iter().all(|&p| (0.0..=1.0).contains(&p)));
-            let total: f32 = row.iter().sum();
-            prop_assert!((total - 1.0).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn huber_bounded_by_half_mse(pred in prop::collection::vec(-5.0f32..5.0, 1..20),
                                  target in prop::collection::vec(-5.0f32..5.0, 1..20)) {
         let n = pred.len().min(target.len());
@@ -83,19 +59,6 @@ proptest! {
     }
 
     #[test]
-    fn cross_entropy_is_nonnegative(logits in prop::collection::vec(-10.0f32..10.0, 2..8),
-                                    label_pick in 0usize..8) {
-        let n = logits.len();
-        let label = label_pick % n;
-        let t = Tensor::from_vec(&[1, n], logits);
-        let (l, g) = loss::softmax_cross_entropy(&t, &[label]);
-        prop_assert!(l >= 0.0);
-        // Gradient sums to ~0 (softmax minus one-hot).
-        let sum: f32 = g.data().iter().sum();
-        prop_assert!(sum.abs() < 1e-4);
-    }
-
-    #[test]
     fn mlp_snapshot_roundtrip_is_exact(seed in 0u64..500, hidden in 1usize..32) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let net = Mlp::new(&[6, hidden, 3], Activation::Relu, &mut rng);
@@ -105,10 +68,10 @@ proptest! {
     }
 
     #[test]
-    fn relu_and_leaky_are_monotone(xs in prop::collection::vec(-10.0f32..10.0, 1..30)) {
+    fn relu_and_tanh_are_monotone(xs in prop::collection::vec(-10.0f32..10.0, 1..30)) {
         let mut sorted = xs.clone();
         sorted.sort_by(f32::total_cmp);
-        for act in [Activation::Relu, Activation::LeakyRelu, Activation::Tanh] {
+        for act in [Activation::Relu, Activation::Tanh] {
             let mut y = sorted.clone();
             act.forward_in_place(&mut y);
             for pair in y.windows(2) {

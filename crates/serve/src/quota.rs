@@ -260,12 +260,6 @@ impl FairShareGate {
         self
     }
 
-    /// Change the work-conserving high-water mark (builder-style).
-    pub fn with_high_water(mut self, high_water: f64) -> Self {
-        self.high_water = high_water.clamp(0.0, 1.0);
-        self
-    }
-
     /// The quota `tenant` is subject to.
     pub fn quota_for(&self, tenant: &TenantId) -> QuotaSpec {
         self.overrides

@@ -652,11 +652,6 @@ impl ZeusServer {
         self.shared.queue.depth() as f64 / self.config.queue_capacity as f64
     }
 
-    /// Result-cache `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.shared.cache.stats()
-    }
-
     /// Snapshot serving telemetry.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared

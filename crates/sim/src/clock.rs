@@ -36,11 +36,6 @@ impl SimDuration {
     pub fn as_secs(&self) -> f64 {
         self.0
     }
-
-    /// Duration in milliseconds.
-    pub fn as_millis(&self) -> f64 {
-        self.0 * 1e3
-    }
 }
 
 impl Add for SimDuration {

@@ -472,16 +472,6 @@ impl SyntheticDataset {
     pub fn query_classes(&self) -> &[ActionClass] {
         &self.profile.query_classes
     }
-
-    /// Convenience: generate the paper-sized corpus.
-    pub fn paper_scale(kind: DatasetKind, seed: u64) -> Self {
-        kind.generate(1.0, seed)
-    }
-
-    /// Convenience: generate a reduced corpus for fast experimentation.
-    pub fn bench_scale(kind: DatasetKind, seed: u64) -> Self {
-        kind.generate(0.12, seed)
-    }
 }
 
 #[cfg(test)]

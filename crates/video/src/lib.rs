@@ -10,17 +10,16 @@
 //! redistributable, and decoding real video is orthogonal to the system
 //! under study, so this crate provides a *procedural* substitute:
 //!
-//! * [`scene`] — a deterministic scene model (entities with trajectories)
-//!   that can rasterize any frame at any resolution, so the real 3D-CNN
-//!   path (`zeus-apfg::r3d_lite`) has actual pixels to convolve.
+//! * [`scene`] — the deterministic hash mixers behind every per-video and
+//!   per-segment draw.
 //! * [`annotation`] — per-frame oracle labels `L(n)` (the paper's Eq. 1)
 //!   derived from action intervals, plus IoU helpers.
 //! * [`datasets`] — generators parameterized to match the paper's Table 3
 //!   statistics (action percentage, mean/std/min/max action length) for
 //!   each corpus, at a configurable scale factor.
 //! * [`stats`] — recomputes Table 3 from a generated corpus.
-//! * [`segment`] — applies a `(resolution, segment length, sampling rate)`
-//!   configuration to extract model inputs, the executor's data path.
+//! * [`segment`] — the frames a `(resolution, segment length, sampling
+//!   rate)` configuration samples.
 //! * [`source`] — the pluggable data plane: the [`DataSource`] trait,
 //!   content fingerprints, and composite/filtered sources.
 //! * [`registry`] — the named [`DatasetRegistry`] behind ZQL
@@ -29,12 +28,11 @@
 //!   on-disk format.
 //!
 //! Determinism: a corpus is fully determined by `(DatasetKind, scale,
-//! seed)`; every frame of every video can be regenerated independently.
+//! seed)`.
 
 #![warn(missing_docs)]
 pub mod annotation;
 pub mod datasets;
-pub mod frame;
 pub mod registry;
 pub mod scene;
 pub mod segment;
@@ -45,9 +43,7 @@ pub mod zds;
 
 pub use annotation::{ActionClass, ActionInterval};
 pub use datasets::{ConfigFamily, DatasetKind, DatasetProfile, SyntheticDataset};
-pub use frame::Frame;
 pub use registry::DatasetRegistry;
-pub use segment::{Segment, SegmentTensor};
 pub use source::{DataError, DataSource, SharedSource};
 pub use video::{Video, VideoId, VideoStore};
 pub use zds::{decode_dataset, encode_dataset};

@@ -56,12 +56,6 @@ impl DatasetRegistry {
         Ok(())
     }
 
-    /// Register a source under its own [`DataSource::name`](crate::source::DataSource::name).
-    pub fn register_source(&mut self, source: SharedSource) -> Result<(), DataError> {
-        let name = source.name().to_string();
-        self.register(name, source)
-    }
-
     /// Resolve a name (case-insensitive) to its source.
     pub fn get(&self, name: &str) -> Option<SharedSource> {
         let name = normalize_name(name).ok()?;

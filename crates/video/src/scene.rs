@@ -1,17 +1,8 @@
-//! Procedural scene model and rasterizer.
+//! Deterministic hash mixers.
 //!
-//! Frames are rendered deterministically from `(video seed, frame index,
-//! resolution)`: a static textured background plus, inside any action
-//! interval, a moving foreground entity whose trajectory encodes the action
-//! class. The point of this substrate is not photorealism — it is that
-//! (a) any frame can be regenerated at any resolution on demand (the knob
-//! the Configuration tunes), and (b) the *motion* of the entity, not any
-//! single frame, identifies the class, preserving the paper's core premise
-//! that "none of the individual frames are sufficient to determine the
-//! action" (Figure 1).
-
-use crate::annotation::{ActionClass, ActionInterval};
-use crate::frame::Frame;
+//! Corpus generation, the video splits and the APFG models draw their
+//! per-video and per-segment randomness from these mixers, so every draw
+//! is a pure function of its seeds.
 
 /// Cheap deterministic 64-bit mixer (splitmix64 finalizer).
 #[inline]
@@ -28,172 +19,6 @@ pub fn mix2(a: u64, b: u64) -> u64 {
     mix64(a ^ mix64(b))
 }
 
-/// Normalised entity placement at one instant: centre `(x, y)` and size,
-/// all in `[0, 1]` scene coordinates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EntityPose {
-    /// Horizontal centre in `[0, 1]`.
-    pub x: f32,
-    /// Vertical centre in `[0, 1]`.
-    pub y: f32,
-    /// Half-extent of the (square) entity in scene units.
-    pub half: f32,
-    /// Base brightness of the entity in `[0, 1]`.
-    pub brightness: f32,
-}
-
-/// Trajectory of the foreground entity for a class at `progress ∈ [0, 1]`
-/// through its action interval.
-///
-/// Trajectories are chosen so that *direction of motion* (CrossRight vs
-/// CrossLeft) or *shape of motion over time* (PoleVault vs CleanAndJerk)
-/// distinguishes classes — single frames from different classes can look
-/// identical, which is exactly the frame-filter failure mode the paper
-/// studies.
-pub fn class_pose(class: ActionClass, progress: f32) -> EntityPose {
-    let p = progress.clamp(0.0, 1.0);
-    match class {
-        ActionClass::CrossRight => EntityPose {
-            x: 0.05 + 0.9 * p,
-            y: 0.6,
-            half: 0.06,
-            brightness: 0.9,
-        },
-        ActionClass::CrossLeft => EntityPose {
-            x: 0.95 - 0.9 * p,
-            y: 0.6,
-            half: 0.06,
-            brightness: 0.9,
-        },
-        ActionClass::LeftTurn => {
-            // Quarter-circle sweep from bottom-centre towards the left edge.
-            let theta = std::f32::consts::FRAC_PI_2 * p;
-            EntityPose {
-                x: 0.5 - 0.4 * theta.sin(),
-                y: 0.85 - 0.35 * (1.0 - theta.cos()),
-                half: 0.09,
-                brightness: 0.8,
-            }
-        }
-        ActionClass::PoleVault => {
-            // Run-up then parabolic arc over the bar.
-            let (x, y) = if p < 0.5 {
-                (0.1 + 0.5 * (p / 0.5) * 0.8, 0.75)
-            } else {
-                let q = (p - 0.5) / 0.5;
-                (0.5 + 0.4 * q, 0.75 - 0.55 * (1.0 - (2.0 * q - 1.0).powi(2)))
-            };
-            EntityPose {
-                x,
-                y,
-                half: 0.05,
-                brightness: 0.85,
-            }
-        }
-        ActionClass::CleanAndJerk => {
-            // Two-stage vertical lift with a pause at the clean.
-            let y = if p < 0.4 {
-                0.8 - 0.25 * (p / 0.4)
-            } else if p < 0.6 {
-                0.55
-            } else {
-                0.55 - 0.3 * ((p - 0.6) / 0.4)
-            };
-            EntityPose {
-                x: 0.5,
-                y,
-                half: 0.08,
-                brightness: 0.85,
-            }
-        }
-        ActionClass::IroningClothes => {
-            // Slow horizontal oscillation around the board.
-            let osc = (p * std::f32::consts::PI * 6.0).sin();
-            EntityPose {
-                x: 0.5 + 0.15 * osc,
-                y: 0.5,
-                half: 0.07,
-                brightness: 0.75,
-            }
-        }
-        ActionClass::TennisServe => {
-            // Fast toss and overhead strike.
-            let y = if p < 0.3 {
-                0.7 - 0.45 * (p / 0.3)
-            } else {
-                0.25 + 0.45 * ((p - 0.3) / 0.7)
-            };
-            EntityPose {
-                x: 0.35 + 0.1 * p,
-                y,
-                half: 0.05,
-                brightness: 0.95,
-            }
-        }
-    }
-}
-
-/// Render one frame of a video: textured background + (optionally) the
-/// foreground entity of the innermost action interval covering `n`.
-pub fn render_frame(
-    video_seed: u64,
-    intervals: &[ActionInterval],
-    n: usize,
-    resolution: usize,
-) -> Frame {
-    assert!(resolution > 0, "resolution must be positive");
-    let r = resolution;
-    let mut px = vec![0u8; r * r * Frame::CHANNELS];
-
-    // Background: per-video gradient + hash texture (static across frames
-    // so that only the entity moves).
-    let g_base = (mix2(video_seed, 1) % 64) as u8 + 40;
-    for y in 0..r {
-        for x in 0..r {
-            let i = (y * r + x) * Frame::CHANNELS;
-            // Coarse texture cell so the pattern survives down-sampling.
-            let cell = mix2(video_seed, ((y * 8 / r) * 8 + (x * 8 / r)) as u64);
-            let tex = (cell % 48) as u8;
-            let grad = (y * 40 / r) as u8;
-            px[i] = g_base.saturating_add(tex / 2);
-            px[i + 1] = g_base.saturating_add(grad);
-            px[i + 2] = g_base.saturating_add(tex);
-        }
-    }
-
-    // Foreground entity during an action.
-    if let Some(iv) = intervals.iter().find(|iv| iv.contains(n)) {
-        let progress = (n - iv.start) as f32 / iv.len().max(1) as f32;
-        let pose = class_pose(iv.class, progress);
-        draw_entity(&mut px, r, pose);
-    }
-
-    Frame::new(r, px)
-}
-
-fn draw_entity(px: &mut [u8], r: usize, pose: EntityPose) {
-    let cx = (pose.x * r as f32) as isize;
-    let cy = (pose.y * r as f32) as isize;
-    let half = ((pose.half * r as f32) as isize).max(1);
-    let value = (pose.brightness * 255.0) as u8;
-    for dy in -half..=half {
-        let y = cy + dy;
-        if y < 0 || y >= r as isize {
-            continue;
-        }
-        for dx in -half..=half {
-            let x = cx + dx;
-            if x < 0 || x >= r as isize {
-                continue;
-            }
-            let i = (y as usize * r + x as usize) * Frame::CHANNELS;
-            px[i] = value;
-            px[i + 1] = value;
-            px[i + 2] = value.saturating_sub(30); // slight tint
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,70 +28,5 @@ mod tests {
         assert_eq!(mix64(42), mix64(42));
         assert_ne!(mix64(42), mix64(43));
         assert_ne!(mix2(1, 2), mix2(2, 1));
-    }
-
-    #[test]
-    fn render_is_deterministic() {
-        let ivs = vec![ActionInterval::new(10, 30, ActionClass::CrossRight)];
-        let a = render_frame(7, &ivs, 15, 32);
-        let b = render_frame(7, &ivs, 15, 32);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn different_seeds_render_differently() {
-        let a = render_frame(1, &[], 0, 32);
-        let b = render_frame(2, &[], 0, 32);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn action_frames_are_brighter_than_background() {
-        let ivs = vec![ActionInterval::new(0, 100, ActionClass::CrossRight)];
-        let action = render_frame(5, &ivs, 50, 64);
-        let still = render_frame(5, &ivs, 200, 64);
-        assert!(action.mean_luminance() > still.mean_luminance());
-    }
-
-    #[test]
-    fn cross_right_moves_rightward() {
-        let early = class_pose(ActionClass::CrossRight, 0.1);
-        let late = class_pose(ActionClass::CrossRight, 0.9);
-        assert!(late.x > early.x);
-        // Mirror class moves the other way.
-        let le = class_pose(ActionClass::CrossLeft, 0.1);
-        let ll = class_pose(ActionClass::CrossLeft, 0.9);
-        assert!(ll.x < le.x);
-    }
-
-    #[test]
-    fn single_midpoint_frames_of_mirror_classes_coincide() {
-        // The frame-filter failure mode: at progress 0.5 CrossRight and
-        // CrossLeft put the entity at the same place — individual frames
-        // cannot distinguish direction.
-        let r = class_pose(ActionClass::CrossRight, 0.5);
-        let l = class_pose(ActionClass::CrossLeft, 0.5);
-        assert!((r.x - l.x).abs() < 1e-6);
-        assert!((r.y - l.y).abs() < 1e-6);
-    }
-
-    #[test]
-    fn poses_stay_in_unit_square() {
-        for class in ActionClass::ALL {
-            for i in 0..=20 {
-                let p = class_pose(class, i as f32 / 20.0);
-                assert!((0.0..=1.0).contains(&p.x), "{class} x out of range");
-                assert!((0.0..=1.0).contains(&p.y), "{class} y out of range");
-            }
-        }
-    }
-
-    #[test]
-    fn render_supports_multiple_resolutions() {
-        let ivs = vec![ActionInterval::new(0, 10, ActionClass::LeftTurn)];
-        for r in [16, 40, 150] {
-            let f = render_frame(3, &ivs, 5, r);
-            assert_eq!(f.resolution(), r);
-        }
     }
 }

@@ -1,59 +1,10 @@
-//! Segments and configuration-driven segment extraction.
+//! Configuration-driven frame sampling.
 //!
 //! A Configuration `(resolution r, segment length l, sampling rate s)`
 //! applied at frame `f` covers the video span `[f, f + l·s)` and feeds the
 //! network `l` frames sampled once every `s` frames at `r × r` pixels,
-//! forming a `3 × l × r × r` input (§3). This module implements that data
-//! path against the procedural renderer.
-
-use serde::{Deserialize, Serialize};
-
-use crate::frame::Frame;
-use crate::video::Video;
-
-/// A contiguous frame span `[start, end)` of a video.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Segment {
-    /// First frame covered (inclusive).
-    pub start: usize,
-    /// One past the last frame covered (exclusive).
-    pub end: usize,
-}
-
-impl Segment {
-    /// Construct a segment; panics unless `end > start`.
-    pub fn new(start: usize, end: usize) -> Self {
-        assert!(end > start, "segment must be non-empty: [{start}, {end})");
-        Segment { start, end }
-    }
-
-    /// The span covered by a configuration applied at `start`, clamped to
-    /// the video length. Returns `None` if `start` is already at/past the
-    /// end of the video.
-    pub fn from_config(
-        start: usize,
-        seg_len: usize,
-        sampling_rate: usize,
-        video_frames: usize,
-    ) -> Option<Segment> {
-        assert!(seg_len > 0 && sampling_rate > 0, "invalid configuration");
-        if start >= video_frames {
-            return None;
-        }
-        let end = (start + seg_len * sampling_rate).min(video_frames);
-        Some(Segment { start, end })
-    }
-
-    /// Number of video frames covered.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Segments are non-empty by construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-}
+//! forming a `3 × l × r × r` input (§3). This module computes which frames
+//! those are.
 
 /// Frame indices sampled by a configuration applied at `start`: up to
 /// `seg_len` indices spaced `sampling_rate` apart, clamped to the video.
@@ -71,98 +22,9 @@ pub fn sample_indices(
         .collect()
 }
 
-/// A materialised model input: the sampled frames of one segment.
-#[derive(Debug, Clone)]
-pub struct SegmentTensor {
-    /// The covered span in the video.
-    pub segment: Segment,
-    /// Indices of the sampled frames.
-    pub indices: Vec<usize>,
-    /// The rendered frames (all square, same resolution).
-    pub frames: Vec<Frame>,
-}
-
-impl SegmentTensor {
-    /// Extract a segment tensor from a video with a configuration.
-    /// Returns `None` when `start` is out of range.
-    pub fn extract(
-        video: &Video,
-        start: usize,
-        resolution: usize,
-        seg_len: usize,
-        sampling_rate: usize,
-    ) -> Option<SegmentTensor> {
-        let segment = Segment::from_config(start, seg_len, sampling_rate, video.num_frames)?;
-        let indices = sample_indices(start, seg_len, sampling_rate, video.num_frames);
-        let frames = indices
-            .iter()
-            .map(|&i| video.render_frame(i, resolution))
-            .collect();
-        Some(SegmentTensor {
-            segment,
-            indices,
-            frames,
-        })
-    }
-
-    /// Resolution of the frames.
-    pub fn resolution(&self) -> usize {
-        self.frames.first().map(Frame::resolution).unwrap_or(0)
-    }
-
-    /// Flatten to a channel-planar `[3, L, H, W]` f32 volume (values in
-    /// `[0, 1]`) plus its dims — the 3D-CNN input layout.
-    pub fn to_volume(&self) -> (Vec<f32>, [usize; 4]) {
-        let l = self.frames.len();
-        let r = self.resolution();
-        let plane = r * r;
-        let mut out = vec![0.0f32; 3 * l * plane];
-        for (t, frame) in self.frames.iter().enumerate() {
-            let chw = frame.to_chw_f32();
-            for c in 0..3 {
-                let dst = c * l * plane + t * plane;
-                let src = c * plane;
-                out[dst..dst + plane].copy_from_slice(&chw[src..src + plane]);
-            }
-        }
-        (out, [3, l, r, r])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotation::{ActionClass, ActionInterval};
-    use crate::video::VideoId;
-
-    fn video(frames: usize) -> Video {
-        Video {
-            id: VideoId(0),
-            num_frames: frames,
-            fps: 30.0,
-            seed: 5,
-            intervals: vec![ActionInterval::new(10, 30, ActionClass::CrossRight)],
-        }
-    }
-
-    #[test]
-    fn from_config_covers_l_times_s() {
-        let s = Segment::from_config(0, 8, 8, 1000).unwrap();
-        assert_eq!(s, Segment::new(0, 64));
-        assert_eq!(s.len(), 64);
-    }
-
-    #[test]
-    fn from_config_clamps_at_video_end() {
-        let s = Segment::from_config(90, 8, 8, 100).unwrap();
-        assert_eq!(s, Segment::new(90, 100));
-    }
-
-    #[test]
-    fn from_config_out_of_range_is_none() {
-        assert!(Segment::from_config(100, 4, 2, 100).is_none());
-        assert!(Segment::from_config(250, 4, 2, 100).is_none());
-    }
 
     #[test]
     fn sample_indices_spacing() {
@@ -177,38 +39,7 @@ mod tests {
         // (1, 64) sampled once every 8 frames and jumps to frame 65.
         // (The paper uses 1-based inclusive frame numbers; we use 0-based
         // half-open, so start 0 covers [0, 64) = frames 1..64.)
-        let s = Segment::from_config(0, 8, 8, 1000).unwrap();
-        assert_eq!(s.end, 64, "next step should start at paper frame 65");
         let idx = sample_indices(0, 8, 8, 1000);
         assert_eq!(idx.len(), 8, "8x8 frames processed as 8 samples");
-    }
-
-    #[test]
-    fn extract_renders_expected_frames() {
-        let v = video(100);
-        let st = SegmentTensor::extract(&v, 8, 32, 4, 4).unwrap();
-        assert_eq!(st.segment, Segment::new(8, 24));
-        assert_eq!(st.indices, vec![8, 12, 16, 20]);
-        assert_eq!(st.frames.len(), 4);
-        assert_eq!(st.resolution(), 32);
-    }
-
-    #[test]
-    fn extract_out_of_range_none() {
-        let v = video(10);
-        assert!(SegmentTensor::extract(&v, 10, 32, 4, 4).is_none());
-    }
-
-    #[test]
-    fn volume_layout() {
-        let v = video(100);
-        let st = SegmentTensor::extract(&v, 0, 16, 2, 1).unwrap();
-        let (vol, dims) = st.to_volume();
-        assert_eq!(dims, [3, 2, 16, 16]);
-        assert_eq!(vol.len(), 3 * 2 * 16 * 16);
-        assert!(vol.iter().all(|&x| (0.0..=1.0).contains(&x)));
-        // Channel plane for frame 0 must equal the frame's own CHW plane.
-        let f0 = st.frames[0].to_chw_f32();
-        assert_eq!(&vol[0..256], &f0[0..256]);
     }
 }

@@ -3,7 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::annotation::{binary_labels, ActionClass, ActionInterval};
-use crate::frame::Frame;
 use crate::scene;
 
 /// Identifier of a video inside a corpus.
@@ -12,10 +11,9 @@ pub struct VideoId(pub u32);
 
 /// A single annotated video.
 ///
-/// Frames are not stored: they are rendered on demand from the scene model,
-/// so a corpus of hundreds of thousands of frames costs only its
-/// annotations in memory (the same reason the paper can precompute features
-/// rather than hold raw 4-D tensors, §4.3).
+/// A video holds no pixels: the APFG models derive their outputs from its
+/// annotations and seed, so a corpus of hundreds of thousands of frames
+/// costs only its annotations in memory.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Video {
     /// Corpus-unique id.
@@ -24,7 +22,7 @@ pub struct Video {
     pub num_frames: usize,
     /// Capture rate, frames per second (BDD100K is 30 fps, §6.1).
     pub fps: f64,
-    /// Scene seed (drives rendering and any per-video noise).
+    /// Per-video seed of the APFG models' noise.
     pub seed: u64,
     /// Ground-truth action intervals.
     pub intervals: Vec<ActionInterval>,
@@ -86,12 +84,6 @@ impl Video {
             .copied()
             .filter(|iv| classes.contains(&iv.class))
             .collect()
-    }
-
-    /// Render frame `n` at `resolution` (square) pixels.
-    pub fn render_frame(&self, n: usize, resolution: usize) -> Frame {
-        assert!(n < self.num_frames, "frame {n} out of range");
-        scene::render_frame(self.seed, &self.intervals, n, resolution)
     }
 
     /// Duration in seconds.
@@ -272,18 +264,9 @@ mod tests {
     }
 
     #[test]
-    fn duration_and_render() {
+    fn duration_is_frames_over_fps() {
         let v = test_video();
         assert!((v.duration_secs() - 100.0 / 30.0).abs() < 1e-9);
-        let f = v.render_frame(15, 32);
-        assert_eq!(f.resolution(), 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn render_out_of_range_panics() {
-        let v = test_video();
-        let _ = v.render_frame(100, 32);
     }
 
     #[test]

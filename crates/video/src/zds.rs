@@ -1,9 +1,8 @@
 //! Persistent corpora: the versioned, checksummed `.zds` format.
 //!
 //! A `.zds` file holds a complete [`SyntheticDataset`] — profile plus
-//! every video's annotations (frames themselves are rendered on demand
-//! from the scene model, so the file stays small even for paper-scale
-//! corpora). Layout:
+//! every video's annotations (videos hold no pixels, so the file stays
+//! small even for paper-scale corpora). Layout:
 //!
 //! ```text
 //! magic  "ZDSC"             4 bytes

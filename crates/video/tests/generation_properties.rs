@@ -1,10 +1,9 @@
-//! Property-based tests on corpus generation and the scene model.
+//! Property-based tests on corpus generation.
 
 use proptest::prelude::*;
-use zeus_video::scene::{class_pose, render_frame};
 use zeus_video::stats::DatasetStats;
 use zeus_video::video::Split;
-use zeus_video::{ActionClass, ActionInterval, DatasetKind};
+use zeus_video::{ActionClass, DatasetKind};
 
 proptest! {
     #[test]
@@ -45,28 +44,6 @@ proptest! {
         prop_assert_eq!(train + val + test, ds.store.len());
         prop_assert!(train > 0 && val > 0 && test > 0,
             "all splits must be populated ({train}/{val}/{test})");
-    }
-
-    #[test]
-    fn rendering_is_resolution_consistent(seed in 0u64..20, frame in 0usize..100,
-                                          res in prop::sample::select(vec![16usize, 40, 80])) {
-        let ivs = vec![ActionInterval::new(20, 80, ActionClass::CrossRight)];
-        let f = render_frame(seed, &ivs, frame, res);
-        prop_assert_eq!(f.resolution(), res);
-        prop_assert_eq!(f.pixels().len(), res * res * 3);
-        // Pixels are real content, not all-black.
-        prop_assert!(f.mean_luminance() > 0.05);
-    }
-
-    #[test]
-    fn poses_are_continuous(class in prop::sample::select(ActionClass::ALL.to_vec()),
-                            step in 0usize..99) {
-        // No teleporting: adjacent progress points stay close (continuity
-        // of the trajectory the 3D-CNN must learn).
-        let p1 = class_pose(class, step as f32 / 100.0);
-        let p2 = class_pose(class, (step + 1) as f32 / 100.0);
-        let d = ((p1.x - p2.x).powi(2) + (p1.y - p2.y).powi(2)).sqrt();
-        prop_assert!(d < 0.12, "{class} jumped {d} between adjacent steps");
     }
 
     #[test]

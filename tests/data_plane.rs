@@ -293,3 +293,26 @@ fn composite_and_filtered_views_are_queryable() {
         bdd.store.len() + kitti.store.len()
     );
 }
+
+/// The five built-in corpora keep their content fingerprints across
+/// commits. Persisted `.zds` files and plan catalogs are keyed by these
+/// values, so a generator change that moves one orphans them. The
+/// (scale, seed) is CI's dataset smoke step's.
+#[test]
+fn builtin_corpora_fingerprints_are_pinned() {
+    let pinned = [
+        (DatasetKind::Bdd100k, 0xd799_2aad_0493_9629_u64),
+        (DatasetKind::Thumos14, 0x085d_5cce_f672_d5d3),
+        (DatasetKind::ActivityNet, 0x9b3d_0259_4af9_1a9a),
+        (DatasetKind::Cityscapes, 0x5b48_28ab_408f_653a),
+        (DatasetKind::Kitti, 0xc2ba_5f51_e448_0661),
+    ];
+    assert_eq!(pinned.map(|(kind, _)| kind), DatasetKind::ALL);
+    for (kind, fingerprint) in pinned {
+        assert_eq!(
+            kind.generate(0.05, 2022).fingerprint(),
+            fingerprint,
+            "{kind:?}'s fingerprint moved"
+        );
+    }
+}

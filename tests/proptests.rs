@@ -6,7 +6,7 @@ use zeus::core::metrics::{evaluate_events, evaluate_frames, EvalProtocol};
 use zeus::core::query::{parse_zql, ActionQuery, OrderBy, QueryIr};
 use zeus::sim::{CostModel, SimClock, SimDuration};
 use zeus::video::annotation::{interval_iou, runs_from_labels, smooth_labels};
-use zeus::video::segment::{sample_indices, Segment};
+use zeus::video::segment::sample_indices;
 use zeus::video::source::DataSource;
 use zeus::video::zds::{decode_dataset, encode_dataset};
 use zeus::video::{ActionClass, DatasetKind};
@@ -178,20 +178,6 @@ proptest! {
     }
 
     // ---------- segments / configurations ----------
-
-    #[test]
-    fn segment_spans_are_clamped(start in 0usize..1000, l in 1usize..65,
-                                 s in 1usize..9, frames in 1usize..1000) {
-        match Segment::from_config(start, l, s, frames) {
-            Some(seg) => {
-                prop_assert!(seg.start == start);
-                prop_assert!(seg.end <= frames);
-                prop_assert!(seg.len() <= l * s);
-                prop_assert!(start < frames);
-            }
-            None => prop_assert!(start >= frames),
-        }
-    }
 
     #[test]
     fn sampled_indices_are_strictly_increasing(start in 0usize..500, l in 1usize..65,
