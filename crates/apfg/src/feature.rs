@@ -9,9 +9,9 @@ use crate::config::Configuration;
 /// The paper's R3D emits 512-d embeddings; the information the RL agent
 /// actually exploits is low-dimensional (segment evidence, boundary
 /// signals, configuration identity), so the simulated APFG emits a compact
-/// 16-d vector: 4 evidence channels, 1 prediction channel, 4 configuration
-/// channels, and 7 distractor/noise channels that stand in for the
-/// uninformative directions of a real embedding.
+/// 16-d vector: 4 evidence channels, the prediction and its confidence, 4
+/// configuration channels, and 6 distractor/noise channels that stand in
+/// for the uninformative directions of a real embedding.
 pub const FEATURE_DIM: usize = 16;
 
 /// Output of one APFG invocation over a segment.

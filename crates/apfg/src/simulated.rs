@@ -29,13 +29,28 @@
 //!
 //! Everything is deterministic given `(apfg seed, video seed, start,
 //! config)`.
+//!
+//! ## One classification, two entry points
+//!
+//! Each invocation seeds its own ChaCha8 stream from those four values and
+//! draws from it in a fixed order. The classification step draws first:
+//! whether the detector fires, then (only for a false positive) its
+//! confidence, then (only for a span straddling a visible action
+//! boundary) whether the prediction flips. The feature synthesis draws
+//! after it: one normal for each of the four evidence channels, six for
+//! the distractor channels, and four more under feature skew. So
+//! [`SimulatedApfg::predict`], which runs the classification step alone,
+//! returns exactly the `prediction` of [`FeatureGenerator::process`] at a
+//! fraction of the cost. The executors that read only the prediction
+//! (Zeus-Sliding, Segment-PP, Zeus-Heuristic, and so the planner's
+//! profiling) call `predict`.
 
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use zeus_video::scene::mix2;
-use zeus_video::{ActionClass, DatasetKind, Video};
+use zeus_video::{ActionClass, ActionInterval, DatasetKind, Video};
 
 use crate::config::Configuration;
 use crate::feature::{ApfgOutput, FeatureGenerator, FEATURE_DIM};
@@ -102,26 +117,29 @@ pub struct SimParams {
     pub precursor_lookahead: f64,
 }
 
+/// The calibrated constants every [`SimulatedApfg`] runs with.
+const PARAMS: SimParams = SimParams {
+    q_base: 0.80,
+    res_exponent: 0.75,
+    alias_strength: 0.40,
+    reuse_penalty: 0.08,
+    fp_base: 0.004,
+    fp_res: 0.014,
+    fp_difficulty: 1.0,
+    hard_instance_rate: 0.85,
+    evidence_cap: 6,
+    boundary_flip: 0.22,
+    noise_base: 0.05,
+    noise_res: 0.18,
+    noise_samp: 0.08,
+    domain_q: 1.0,
+    domain_fp: 3.0,
+    precursor_lookahead: 4.0,
+};
+
 impl Default for SimParams {
     fn default() -> Self {
-        SimParams {
-            q_base: 0.80,
-            res_exponent: 0.75,
-            alias_strength: 0.40,
-            reuse_penalty: 0.08,
-            fp_base: 0.004,
-            fp_res: 0.014,
-            fp_difficulty: 1.0,
-            hard_instance_rate: 0.85,
-            evidence_cap: 6,
-            boundary_flip: 0.22,
-            noise_base: 0.05,
-            noise_res: 0.18,
-            noise_samp: 0.08,
-            domain_q: 1.0,
-            domain_fp: 3.0,
-            precursor_lookahead: 4.0,
-        }
+        PARAMS
     }
 }
 
@@ -147,7 +165,6 @@ pub fn domain_shift(from: DatasetKind, to: DatasetKind, classes: &[ActionClass])
 pub struct SimulatedApfg {
     classes: Vec<ActionClass>,
     traits: QueryTraits,
-    params: SimParams,
     max_resolution: usize,
     max_seg_len: usize,
     max_sampling: usize,
@@ -176,7 +193,6 @@ impl SimulatedApfg {
         SimulatedApfg {
             classes,
             traits,
-            params: SimParams::default(),
             max_resolution,
             max_seg_len,
             max_sampling,
@@ -228,12 +244,12 @@ impl SimulatedApfg {
 
     fn res_factor(&self, resolution: usize) -> f64 {
         let r = (resolution as f64 / self.max_resolution as f64).min(1.0);
-        r.powf(self.params.res_exponent)
+        r.powf(PARAMS.res_exponent)
     }
 
     /// Per-sampled-action-frame discriminability under `config`.
     pub fn discriminability(&self, config: Configuration) -> f64 {
-        let p = &self.params;
+        let p = &PARAMS;
         let f_res = self.res_factor(config.resolution);
         let alias = 1.0
             - p.alias_strength
@@ -253,7 +269,7 @@ impl SimulatedApfg {
 
     /// Per-invocation false-positive probability under `config`.
     pub fn false_positive_rate(&self, config: Configuration) -> f64 {
-        let p = &self.params;
+        let p = &PARAMS;
         let f_res = self.res_factor(config.resolution);
         let fp = (p.fp_base + p.fp_res * (1.0 - f_res))
             * (1.0 + p.fp_difficulty * (1.0 - self.traits.max_accuracy))
@@ -263,7 +279,7 @@ impl SimulatedApfg {
 
     /// Std of the evidence-channel noise under `config`.
     pub fn feature_noise(&self, config: Configuration) -> f64 {
-        let p = &self.params;
+        let p = &PARAMS;
         let f_res = self.res_factor(config.resolution);
         p.noise_base
             + p.noise_res * (1.0 - f_res)
@@ -273,18 +289,21 @@ impl SimulatedApfg {
     /// Whether an action instance is intrinsically undetectable for this
     /// model (deterministic per (apfg seed, video, interval)).
     pub fn is_hard_instance(&self, video: &Video, interval_start: usize) -> bool {
-        let p_hard =
-            (self.params.hard_instance_rate * (1.0 - self.traits.max_accuracy)).clamp(0.0, 1.0);
+        let p_hard = (PARAMS.hard_instance_rate * (1.0 - self.traits.max_accuracy)).clamp(0.0, 1.0);
         let h = mix2(self.seed ^ 0x4A8D, mix2(video.seed, interval_start as u64));
         (h as f64 / u64::MAX as f64) < p_hard
     }
 
-    /// Target-class intervals minus the intrinsically hard ones.
-    fn visible_intervals(&self, video: &Video) -> Vec<zeus_video::ActionInterval> {
+    /// Target-class intervals minus the intrinsically hard ones, in one
+    /// pass over the video's intervals.
+    fn visible_intervals(&self, video: &Video) -> Vec<ActionInterval> {
         video
-            .intervals_of(&self.classes)
-            .into_iter()
-            .filter(|iv| !self.is_hard_instance(video, iv.start))
+            .intervals
+            .iter()
+            .filter(|iv| {
+                self.classes.contains(&iv.class) && !self.is_hard_instance(video, iv.start)
+            })
+            .copied()
             .collect()
     }
 
@@ -296,43 +315,30 @@ impl SimulatedApfg {
         let s = mix2(self.seed, mix2(video.seed, mix2(start as u64, ch)));
         ChaCha8Rng::seed_from_u64(s)
     }
-}
 
-/// Standard normal sample via Box–Muller.
-fn normal(rng: &mut impl Rng) -> f64 {
-    let u1: f64 = rng.gen_range(1e-12..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-impl FeatureGenerator for SimulatedApfg {
-    fn feature_dim(&self) -> usize {
-        FEATURE_DIM
-    }
-
-    fn process(&self, video: &Video, start: usize, config: Configuration) -> ApfgOutput {
+    /// The classification step of one invocation: seed the invocation's
+    /// RNG, count the sampled evidence, draw whether the detector fires
+    /// and apply the boundary flip. Its draws are the first on the RNG,
+    /// so [`SimulatedApfg::process`]'s feature synthesis continues from
+    /// the returned state.
+    fn classify(&self, video: &Video, start: usize, config: Configuration) -> Classified {
         assert!(start < video.num_frames, "start {start} out of range");
         let mut rng = self.rng_for(video, start, config);
-
         let span_end = (start + config.frames_covered()).min(video.num_frames);
-        let span_len = span_end - start;
-        let indices = zeus_video::segment::sample_indices(
-            start,
-            config.seg_len,
-            config.sampling_rate,
-            video.num_frames,
-        );
 
         // Evidence: sampled frames that are action frames of a *visible*
         // (not intrinsically hard) instance.
         let visible = self.visible_intervals(video);
-        let evidence = indices
-            .iter()
-            .filter(|&&i| visible.iter().any(|iv| iv.contains(i)))
-            .count()
-            .min(self.params.evidence_cap);
+        let evidence = zeus_video::segment::sample_indices(
+            start,
+            config.seg_len,
+            config.sampling_rate,
+            video.num_frames,
+        )
+        .filter(|&i| visible.iter().any(|iv| iv.contains(i)))
+        .count()
+        .min(PARAMS.evidence_cap);
 
-        // --- Classification ---
         let (mut prediction, confidence) = if evidence == 0 {
             // Nothing sampled shows the action (possibly because the
             // stride skipped it entirely): only a false positive can fire.
@@ -358,9 +364,58 @@ impl FeatureGenerator for SimulatedApfg {
         let straddles_boundary = visible.iter().any(|iv| {
             (iv.start > start && iv.start < span_end) || (iv.end > start && iv.end < span_end)
         });
-        if straddles_boundary && rng.gen::<f64>() < self.params.boundary_flip {
+        if straddles_boundary && rng.gen::<f64>() < PARAMS.boundary_flip {
             prediction = !prediction;
         }
+        Classified {
+            rng,
+            visible,
+            span_end,
+            prediction,
+            confidence,
+        }
+    }
+
+    /// The ACTION / NO-ACTION prediction of one invocation: exactly
+    /// `self.process(video, start, config).prediction`, without
+    /// synthesising the ProxyFeature (see the module docs for why the two
+    /// agree). For the executors that read only the prediction.
+    pub fn predict(&self, video: &Video, start: usize, config: Configuration) -> bool {
+        self.classify(video, start, config).prediction
+    }
+}
+
+/// What [`SimulatedApfg::classify`] decided, with the RNG and intervals
+/// the feature synthesis continues from.
+struct Classified {
+    rng: ChaCha8Rng,
+    visible: Vec<ActionInterval>,
+    span_end: usize,
+    prediction: bool,
+    confidence: f64,
+}
+
+/// Standard normal sample via Box–Muller.
+fn normal(rng: &mut impl Rng) -> f64 {
+    let u1: f64 = rng.gen_range(1e-12..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+impl FeatureGenerator for SimulatedApfg {
+    fn feature_dim(&self) -> usize {
+        FEATURE_DIM
+    }
+
+    fn process(&self, video: &Video, start: usize, config: Configuration) -> ApfgOutput {
+        let Classified {
+            mut rng,
+            visible,
+            span_end,
+            prediction,
+            confidence,
+        } = self.classify(video, start, config);
+        let span_len = span_end - start;
 
         // --- ProxyFeature synthesis ---
         let sigma = self.feature_noise(config);
@@ -381,7 +436,7 @@ impl FeatureGenerator for SimulatedApfg {
         // Precursor: imminence of the next action start after the span,
         // within `precursor_lookahead · max_span` frames (absolute horizon).
         let max_span = (self.max_seg_len * self.max_sampling) as f64;
-        let lookahead = (max_span * self.params.precursor_lookahead) as usize;
+        let lookahead = (max_span * PARAMS.precursor_lookahead) as usize;
         let next_start = visible
             .iter()
             .map(|iv| iv.start)

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use zeus_apfg::{Configuration, FeatureGenerator, SimulatedApfg, FEATURE_DIM};
-use zeus_video::{ActionClass, ActionInterval, Video, VideoId};
+use zeus_video::datasets::ConfigFamily;
+use zeus_video::{ActionClass, ActionInterval, DatasetKind, Video, VideoId};
 
 fn any_class() -> impl Strategy<Value = ActionClass> {
     prop::sample::select(ActionClass::ALL.to_vec())
@@ -16,6 +17,29 @@ fn bdd_config() -> impl Strategy<Value = Configuration> {
         prop::sample::select(vec![1usize, 2, 4, 8]),
     )
         .prop_map(|(r, l, s)| Configuration::new(r, l, s))
+}
+
+/// The knob values of a family's configuration space (Table 4), as
+/// `zeus-core`'s `ConfigSpace::for_family` lists them.
+fn family_knobs(family: ConfigFamily) -> [Vec<usize>; 3] {
+    match family {
+        ConfigFamily::Driving => [vec![150, 200, 250, 300], vec![2, 4, 6, 8], vec![1, 2, 4, 8]],
+        ConfigFamily::Untrimmed => [vec![40, 80, 160], vec![32, 48, 64], vec![2, 4, 8]],
+    }
+}
+
+/// A built-in corpus and its generation scale: Thumos14 at scale 0.6,
+/// whose busiest videos carry about 20 action intervals each, the others
+/// at 0.05.
+fn any_corpus() -> impl Strategy<Value = (DatasetKind, f64)> {
+    prop::sample::select(DatasetKind::ALL.to_vec()).prop_map(|kind| {
+        let scale = if kind == DatasetKind::Thumos14 {
+            0.6
+        } else {
+            0.05
+        };
+        (kind, scale)
+    })
 }
 
 fn video_with(class: ActionClass, start: usize, len: usize, seed: u64) -> Video {
@@ -37,6 +61,57 @@ proptest! {
         let a = apfg.process(&v, pos, config);
         let b = apfg.process(&v, pos, config);
         prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn predict_is_the_prediction_of_process(
+        (kind, scale) in any_corpus(),
+        (corpus_seed, video, apfg_seed, two_classes) in
+            (0u64..3, any::<usize>(), any::<u64>(), any::<bool>()),
+        (near_edge, edge, offset, anywhere) in
+            (any::<bool>(), any::<usize>(), -64i64..64, any::<usize>()),
+        knobs in (any::<usize>(), any::<usize>(), any::<usize>()),
+        (skew, shift) in
+            ((any::<bool>(), 0.0f64..1.0), (any::<bool>(), 0.0f64..1.0)),
+    ) {
+        let dataset = kind.generate(scale, corpus_seed);
+        let videos = dataset.store.videos();
+        let video = &videos[video % videos.len()];
+        // Half the starts fall within 64 frames of an interval's start or
+        // end, where spans straddle a boundary; the rest anywhere.
+        let edges: Vec<usize> = video.intervals.iter().flat_map(|iv| [iv.start, iv.end]).collect();
+        let start = if near_edge && !edges.is_empty() {
+            let at = edges[edge % edges.len()] as i64 + offset;
+            at.clamp(0, video.num_frames as i64 - 1) as usize
+        } else {
+            anywhere % video.num_frames
+        };
+        let [res, len, rate] = family_knobs(dataset.family());
+        let config = Configuration::new(
+            res[knobs.0 % res.len()],
+            len[knobs.1 % len.len()],
+            rate[knobs.2 % rate.len()],
+        );
+        let [first, second] = kind.query_classes();
+        let classes = if two_classes { vec![first, second] } else { vec![first] };
+        let mut apfg = SimulatedApfg::new(
+            classes,
+            res[res.len() - 1],
+            len[len.len() - 1],
+            rate[rate.len() - 1],
+            apfg_seed,
+        );
+        if skew.0 {
+            apfg = apfg.with_feature_skew(skew.1);
+        }
+        if shift.0 {
+            apfg = apfg.with_domain_shift(shift.1);
+        }
+        prop_assert_eq!(
+            apfg.predict(video, start, config),
+            apfg.process(video, start, config).prediction,
+            "{:?} video {:?} start {} {:?}", kind, video.id, start, config
+        );
     }
 
     #[test]

@@ -889,7 +889,8 @@ pub struct QueryResponse {
     /// applied).
     pub answer: Vec<SegmentHit>,
     /// Per-stage timing report, present when the query was compiled
-    /// from `EXPLAIN ANALYZE <zql>` (or [`QueryIr::explained`]).
+    /// from `EXPLAIN ANALYZE <zql>` (or its IR sets
+    /// [`QueryIr::explain`]).
     pub explain: Option<ExplainReport>,
 }
 

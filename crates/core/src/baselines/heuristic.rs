@@ -7,7 +7,7 @@
 //! NO-ACTION, and (3) the fastest configuration when the APFG returns a
 //! NO-ACTION prediction across ten consecutive time steps."
 
-use zeus_apfg::{Configuration, FeatureGenerator, SimulatedApfg};
+use zeus_apfg::{Configuration, SimulatedApfg};
 use zeus_sim::{CostModel, SimClock};
 use zeus_video::Video;
 
@@ -47,11 +47,6 @@ impl ZeusHeuristic {
         }
     }
 
-    /// The (fast, mid, slow) subset.
-    pub fn subset(&self) -> (Configuration, Configuration, Configuration) {
-        (self.fast, self.mid, self.slow)
-    }
-
     fn step_cost(&self, c: Configuration) -> zeus_sim::SimDuration {
         self.cost.r3d_invocation(c.seg_len, c.resolution) + self.cost.mlp_head()
     }
@@ -78,15 +73,15 @@ impl QueryEngine for ZeusHeuristic {
             let end = (start + current.frames_covered()).min(video.num_frames);
             clock.advance(self.step_cost(current));
             hist.record(current, (end - start) as u64);
-            let out = self.apfg.process(video, start, current);
-            if out.prediction {
+            let prediction = self.apfg.predict(video, start, current);
+            if prediction {
                 for l in &mut labels[start..end] {
                     *l = true;
                 }
             }
 
             // Hard-coded rules (§6.1).
-            if out.prediction {
+            if prediction {
                 current = self.slow; // rule 1
                 consecutive_no_action = 0;
             } else {
@@ -98,7 +93,7 @@ impl QueryEngine for ZeusHeuristic {
                     current = self.fast; // rule 3
                 }
             }
-            prev_prediction = out.prediction;
+            prev_prediction = prediction;
             start = end;
         }
         labels

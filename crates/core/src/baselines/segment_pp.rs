@@ -6,7 +6,7 @@
 //! to generate the final query output."
 
 use zeus_apfg::segment_pp::SegmentPpFilter;
-use zeus_apfg::{Configuration, FeatureGenerator, SimulatedApfg};
+use zeus_apfg::{Configuration, SimulatedApfg};
 use zeus_sim::{CostModel, SimClock};
 use zeus_video::Video;
 
@@ -74,8 +74,7 @@ impl QueryEngine for SegmentPp {
             if self.filter.passes(video, start, chunk) {
                 clock.advance(heavy_cost);
                 hist.record(self.heavy_config, (end - start) as u64);
-                let out = self.apfg.process(video, start, self.heavy_config);
-                if out.prediction {
+                if self.apfg.predict(video, start, self.heavy_config) {
                     for l in &mut labels[start..end] {
                         *l = true;
                     }

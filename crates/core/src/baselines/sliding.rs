@@ -6,7 +6,7 @@
 //! dataset. It chooses the fastest configuration that meets the target
 //! accuracy."
 
-use zeus_apfg::{Configuration, FeatureGenerator, SimulatedApfg};
+use zeus_apfg::{Configuration, SimulatedApfg};
 use zeus_sim::{CostModel, SimClock};
 use zeus_video::Video;
 
@@ -56,8 +56,7 @@ impl QueryEngine for ZeusSliding {
             let end = (start + stride).min(video.num_frames);
             clock.advance(step_cost);
             hist.record(self.config, (end - start) as u64);
-            let out = self.apfg.process(video, start, self.config);
-            if out.prediction {
+            if self.apfg.predict(video, start, self.config) {
                 for l in &mut labels[start..end] {
                     *l = true;
                 }

@@ -7,7 +7,7 @@
 //! configuration (§3).
 
 use zeus_apfg::{Configuration, FeatureGenerator, SimulatedApfg};
-use zeus_rl::agent::GreedyPolicy;
+use zeus_rl::agent::{GreedyPolicy, RowScratch};
 use zeus_sim::{CostModel, SimClock};
 use zeus_video::Video;
 
@@ -65,6 +65,7 @@ impl QueryEngine for ZeusRl {
         let mut labels = vec![false; video.num_frames];
         let mut current = self.init_config;
         let mut start = 0usize;
+        let mut scratch = RowScratch::default();
 
         while start < video.num_frames {
             let end = (start + current.frames_covered()).min(video.num_frames);
@@ -77,7 +78,7 @@ impl QueryEngine for ZeusRl {
                 }
             }
             // The agent picks the next configuration from the feature.
-            let action = self.policy.act(&out.feature);
+            let action = self.policy.act(&out.feature, &mut scratch);
             current = self.space.configs()[action];
             start = end;
         }

@@ -358,7 +358,11 @@ mod tests {
         assert_eq!(stored.protocol, plan.protocol);
         // The restored policy acts identically.
         let s = vec![0.25f32; zeus_apfg::FEATURE_DIM];
-        assert_eq!(stored.policy.act(&s), plan.policy.act(&s));
+        let mut scratch = zeus_rl::agent::RowScratch::default();
+        assert_eq!(
+            stored.policy.act(&s, &mut scratch),
+            plan.policy.act(&s, &mut scratch)
+        );
     }
 
     #[test]

@@ -910,7 +910,10 @@ mod tests {
         assert!(plan.costs.apfg_training_secs > 0.0);
         assert!(plan.costs.rl_training_secs > 0.0);
         // The trained policy must be usable.
-        let a = plan.policy.act(&[0.0; zeus_apfg::FEATURE_DIM]);
+        let state = [0.0; zeus_apfg::FEATURE_DIM];
+        let a = plan
+            .policy
+            .act(&state, &mut zeus_rl::agent::RowScratch::default());
         assert!(a < plan.space.len());
     }
 

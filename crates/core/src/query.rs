@@ -179,13 +179,6 @@ impl QueryIr {
         }
     }
 
-    /// Request per-stage timing (builder-style sugar for setting
-    /// [`QueryIr::explain`]).
-    pub fn explained(mut self) -> Self {
-        self.explain = true;
-        self
-    }
-
     /// True when the query carries no extended clauses (a classic §1
     /// query).
     pub fn is_classic(&self) -> bool {

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 use zeus_apfg::Configuration;
 use zeus_sim::SimClock;
-use zeus_video::annotation::{runs_from_labels, smooth_labels};
+use zeus_video::annotation::runs_from_labels;
 use zeus_video::{ActionClass, Video, VideoId};
 
 use crate::metrics::{evaluate_events, evaluate_frames, EvalProtocol, EvalReport};
@@ -115,22 +115,6 @@ impl ExecutionResult {
             report.merge(&evaluate_frames(protocol, &gt, pred));
         }
         report
-    }
-
-    /// Apply the standard temporal-localization post-processing to the
-    /// predicted labels: close gaps of at most `max_gap`, drop runs
-    /// shorter than `min_run`. Applied uniformly to every engine before
-    /// event-level evaluation.
-    pub fn smoothed(&self, max_gap: usize, min_run: usize) -> ExecutionResult {
-        ExecutionResult {
-            labels: self
-                .labels
-                .iter()
-                .map(|(id, l)| (*id, smooth_labels(l, max_gap, min_run)))
-                .collect(),
-            clock: self.clock.clone(),
-            histogram: self.histogram.clone(),
-        }
     }
 
     /// Evaluate at event level: output segments matched to ground-truth

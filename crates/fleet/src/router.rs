@@ -274,8 +274,7 @@ impl FleetRouter {
                 requested: default_source.to_string(),
             })?;
 
-        let mut serve = config.serve.clone();
-        serve.quota = None;
+        let serve = config.serve.clone();
         if serve.cache_capacity == 0 {
             return Err(FleetError::Serve(ServeError::InvalidConfig(
                 "cache capacity must be positive".into(),

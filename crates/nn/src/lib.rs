@@ -42,6 +42,6 @@ pub mod tensor;
 
 pub use activation::Activation;
 pub use linear::Linear;
-pub use mlp::Mlp;
+pub use mlp::{Mlp, RowScratch};
 pub use param::Param;
 pub use tensor::Tensor;

@@ -28,6 +28,15 @@ pub struct Mlp {
     deltas: Vec<Vec<f32>>,
 }
 
+/// Caller-owned buffers for [`Mlp::forward_row`]: the two activation rows
+/// it alternates between. They grow to the widest layer they meet and are
+/// then reused, so one scratch serves networks of any shape.
+#[derive(Debug, Clone, Default)]
+pub struct RowScratch {
+    h: Vec<f32>,
+    z: Vec<f32>,
+}
+
 /// Like [`Linear`]'s, a clone copies the parameters only: a policy cloned
 /// from a trained network carries none of its training buffers.
 impl Clone for Mlp {
@@ -106,16 +115,33 @@ impl Mlp {
     /// Inference forward pass without caching (usable through `&self`).
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
         let rows = self.check_input(x);
-        let last = self.layers.len() - 1;
         let (mut h, mut z) = (Vec::new(), Vec::new());
-        for (i, layer) in self.layers.iter().enumerate() {
-            layer.affine(if i == 0 { x.data() } else { &h }, rows, &mut z);
-            if i < last {
-                self.hidden_activation.forward_in_place(&mut z);
-            }
-            std::mem::swap(&mut h, &mut z);
-        }
+        self.infer_into(x.data(), rows, &mut h, &mut z);
         Tensor::from_vec(&[rows, self.out_dim()], h)
+    }
+
+    /// Inference forward pass of one input row into `scratch`, returning
+    /// the output row. Bit-identical to [`Mlp::forward_inference`] on a
+    /// one-row batch, without allocating once `scratch` has grown to the
+    /// network's widest layer.
+    pub fn forward_row<'s>(&self, x: &[f32], scratch: &'s mut RowScratch) -> &'s [f32] {
+        assert_eq!(x.len(), self.in_dim(), "input width != in_dim");
+        let RowScratch { h, z } = scratch;
+        self.infer_into(x, 1, h, z);
+        h
+    }
+
+    /// The inference forward over `rows` rows of `x`, leaving the output
+    /// in `h`; `h` and `z` alternate as each layer's input and output.
+    fn infer_into(&self, x: &[f32], rows: usize, h: &mut Vec<f32>, z: &mut Vec<f32>) {
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate() {
+            layer.affine(if i == 0 { x } else { h }, rows, z);
+            if i < last {
+                self.hidden_activation.forward_in_place(z);
+            }
+            std::mem::swap(h, z);
+        }
     }
 
     /// Backward pass from an output gradient; accumulates parameter
@@ -259,6 +285,21 @@ mod tests {
         let a = net.forward(&x);
         let b = net.forward_inference(&x);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn forward_row_matches_a_one_row_inference_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let wide = Mlp::new(&[5, 70, 64, 7], Activation::Relu, &mut rng);
+        let narrow = Mlp::new(&[3, 4, 2], Activation::Relu, &mut rng);
+        let mut scratch = RowScratch::default();
+        for (net, step) in [(&wide, 0.37f32), (&narrow, -0.61), (&wide, 0.11)] {
+            let x: Vec<f32> = (0..net.in_dim()).map(|i| step * i as f32 - 0.5).collect();
+            let want = net.forward_inference(&Tensor::from_vec(&[1, x.len()], x.clone()));
+            let got = net.forward_row(&x, &mut scratch);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want.data()));
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Row-major `f32` tensors and the crate's one GEMM kernel.
 //!
 //! This is deliberately a small tensor type: Zeus only needs dense 1-D/2-D
-//! algebra for the Q-network and 5-D indexing for video segments flowing
-//! through the small real 3D-CNN. We favour clarity and determinism over
+//! algebra for the Q-network. We favour clarity and determinism over
 //! generality.
 //!
 //! Every dense product in the crate runs through one crate-private kernel,
@@ -10,22 +9,34 @@
 //! `X W`, the weight gradient `X^T dY` and the input gradient `dY W^T`.
 //! The kernel reads its left operand through a row and a column stride, so
 //! `X^T` is never copied; `dY W^T` multiplies against a materialised `W^T`.
-//! It accumulates 4-row and 1-row register tiles, with 16- and 8-column
-//! edges and then one tile exactly as wide as the `n % 8` columns left,
-//! so those columns share one pass over `k`. That matters for a
-//! Q-network's output layer, which has one column per action: the
-//! planner thins each action space to at most 8 by default, usually
-//! fewer. Each output element is still one sum over `k` in ascending
-//! order, starting from `0.0`, of unfused products, so the result is
-//! bit-identical to the plain triple loop whatever the tiling.
+//! It accumulates 4-row register tiles, then tiles of the single rows
+//! left over, with 32-, 16- and 8-column edges and then one tile exactly
+//! as wide as the `n % 8` columns left, so those columns share one pass
+//! over `k`. That matters for a Q-network's output layer, which has one
+//! column per action: the planner thins each action space to at most 8
+//! by default, usually fewer. Each output element is still one sum over
+//! `k` in ascending order, starting from `0.0`, of unfused products, so
+//! the result is bit-identical to the plain triple loop whatever the
+//! tiling.
 //!
 //! The body is compiled three times, and `is_x86_feature_detected!` picks
-//! the fastest the CPU runs, in the order AVX-512F, AVX2, portable. Only
-//! the AVX-512F body adds 32-column tiles: its 32 zmm registers hold a
-//! 4 x 32 tile's 8 accumulators, where in ymm registers the tile would take
-//! all 16. AVX-512F makes FMA available, but Rust never emits a multiply
-//! or add that LLVM may contract, so no product is fused and all three
-//! bodies give the same bits.
+//! the fastest the CPU runs, in the order AVX-512F, AVX2, portable. Their
+//! full tile widths, in columns:
+//!
+//! | Body | 4-row tile | 1-row tile |
+//! |---|---|---|
+//! | AVX-512F | 32 | 64 |
+//! | AVX2 | 16 | 64 |
+//! | portable | 16 | 32 |
+//!
+//! A 4 x 32 tile's 8 accumulators fit AVX-512F's 32 zmm registers easily,
+//! where in ymm registers they would take all 16. A single row's
+//! accumulators take a quarter of the registers, so its tile is wider:
+//! the one-row products of the executor's policy forward, and a 64-wide
+//! hidden layer in particular, run as one set of independent sums instead
+//! of tiles in sequence. AVX-512F makes FMA available, but Rust never
+//! emits a multiply or add that LLVM may contract, so no product is fused
+//! and all three bodies give the same bits.
 //!
 //! Because every output row depends only on its own input row, a row's
 //! value does not depend on the size or makeup of the batch it is computed
@@ -252,35 +263,13 @@ impl Tensor {
 
     /// Index of the maximum element of a 1-D tensor (first on ties).
     pub fn argmax(&self) -> usize {
-        assert!(!self.data.is_empty(), "argmax of empty tensor");
-        let mut best = 0;
-        let mut best_v = self.data[0];
-        for (i, &v) in self.data.iter().enumerate().skip(1) {
-            if v > best_v {
-                best = i;
-                best_v = v;
-            }
-        }
-        best
+        argmax(&self.data)
     }
 
     /// Per-row argmax of a 2-D tensor.
     pub fn argmax_rows(&self) -> Vec<usize> {
         assert_eq!(self.ndim(), 2);
-        (0..self.shape[0])
-            .map(|r| {
-                let row = self.row(r);
-                let mut best = 0;
-                let mut best_v = row[0];
-                for (i, &v) in row.iter().enumerate().skip(1) {
-                    if v > best_v {
-                        best = i;
-                        best_v = v;
-                    }
-                }
-                best
-            })
-            .collect()
+        (0..self.shape[0]).map(|r| argmax(self.row(r))).collect()
     }
 
     /// Per-row max of a 2-D tensor.
@@ -300,6 +289,21 @@ impl Tensor {
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
+}
+
+/// Index of the maximum of `values`, the first one on ties. Panics on an
+/// empty slice.
+pub fn argmax(values: &[f32]) -> usize {
+    assert!(!values.is_empty(), "argmax of an empty slice");
+    let mut best = 0;
+    let mut best_v = values[0];
+    for (i, &v) in values.iter().enumerate().skip(1) {
+        if v > best_v {
+            best = i;
+            best_v = v;
+        }
+    }
+    best
 }
 
 /// Write the transpose of the row-major `rows x cols` matrix `src` into
@@ -374,12 +378,15 @@ pub(crate) fn gemm(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
 /// same bits and differ in speed and in the CPU features they need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Body {
-    /// The build's baseline target features, 16-column tiles.
+    /// The build's baseline target features: 16-column tiles of four
+    /// rows, 32-column tiles of one row.
     Portable,
-    /// AVX2, 16-column tiles: a 32-column tile of four rows would need
-    /// all 16 ymm registers for its accumulators.
+    /// AVX2: 16-column tiles of four rows, since a 32-column one would
+    /// need all 16 ymm registers for its accumulators; 64-column tiles of
+    /// one row, in 8 of them.
     Avx2,
-    /// AVX-512F, 32-column tiles, which 32 zmm registers hold easily.
+    /// AVX-512F: 32-column tiles of four rows and 64-column tiles of one
+    /// row, which 32 zmm registers hold easily.
     Avx512f,
 }
 
@@ -406,7 +413,7 @@ fn gemm_on(body: Body, a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) -> 
             return Body::Avx2;
         }
     }
-    gemm_body::<16>(a, b, n, out);
+    gemm_body::<16, 32>(a, b, n, out);
     Body::Portable
 }
 
@@ -415,30 +422,41 @@ fn gemm_on(body: Body, a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) -> 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn gemm_avx2(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
-    gemm_body::<16>(a, b, n, out);
+    gemm_body::<16, 64>(a, b, n, out);
 }
 
-/// [`gemm_body`] compiled with AVX-512F enabled, with 32-column tiles.
-/// Calling it is sound only on a CPU with AVX-512F, which [`gemm_on`]
-/// checks.
+/// [`gemm_body`] compiled with AVX-512F enabled, with 32-column tiles of
+/// four rows. Calling it is sound only on a CPU with AVX-512F, which
+/// [`gemm_on`] checks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn gemm_avx512f(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
-    gemm_body::<32>(a, b, n, out);
+    gemm_body::<32, 64>(a, b, n, out);
 }
 
-/// The kernel: 4-row blocks, then single rows; within each, `W`-column
-/// register tiles, then 16- and 8-column edges, then one tile as wide as
-/// the `n % 8` columns left.
+/// The kernel: 4-row blocks tiled `W` columns wide, then the rows left
+/// over one at a time, tiled `W1` columns wide. Within each, the
+/// full-width tiles are followed by 32-, 16- and 8-column edges, then one
+/// tile as wide as the `n % 8` columns left.
+///
+/// A single row's tile is twice as wide or more because its accumulators
+/// take a quarter of the registers: with `W1 = 64`, a 64-wide hidden
+/// layer's one-row forward is one set of independent sums over `k`
+/// instead of two tiles in sequence.
 #[inline(always)]
-fn gemm_body<const W: usize>(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
+fn gemm_body<const W: usize, const W1: usize>(
+    a: Strided<'_>,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     let mut i = 0;
     while i + 4 <= a.rows {
         tile_row::<4, W>(a, b, n, out, i);
         i += 4;
     }
     while i < a.rows {
-        tile_row::<1, W>(a, b, n, out, i);
+        tile_row::<1, W1>(a, b, n, out, i);
         i += 1;
     }
 }
@@ -457,7 +475,12 @@ fn tile_row<const R: usize, const W: usize>(
         tile::<R, W>(a, b, n, out, i0, j);
         j += W;
     }
-    // With `W = 16` the first loop has already covered these columns.
+    // Fewer than `W` columns are left, so an edge at least `W` wide never
+    // runs: with `W = 16` the first loop has covered both of these.
+    while j + 32 <= n {
+        tile::<R, 32>(a, b, n, out, i0, j);
+        j += 32;
+    }
     while j + 16 <= n {
         tile::<R, 16>(a, b, n, out, i0, j);
         j += 16;
@@ -727,7 +750,8 @@ mod tests {
 
     /// `n` up to 72 runs two 32-column tiles, the 16- and 8-column edges,
     /// every tail width 1..=7, and (with `m % 4 != 0`) the single-row
-    /// tiles.
+    /// tiles: one 64 columns wide then the edges and tail, or (portable)
+    /// two 32 columns wide.
     fn shapes() -> impl Strategy<Value = (usize, usize, usize, u64)> {
         (1usize..=9, 1usize..=72, 0usize..=70, any::<u64>())
     }

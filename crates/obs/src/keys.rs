@@ -22,8 +22,6 @@ pub const SERVE_ADMITTED: &str = "serve.admitted";
 pub const SERVE_ADMIT_SHED: &str = "serve.admit.shed";
 /// Queries refused because no plan is installed for the core.
 pub const SERVE_ADMIT_NO_PLAN: &str = "serve.admit.no_plan";
-/// Queries shed by the fair-share quota gate.
-pub const SERVE_ADMIT_QUOTA_SHED: &str = "serve.admit.quota_shed";
 /// Queries completed end to end.
 pub const SERVE_COMPLETED: &str = "serve.completed";
 /// Duplicate in-flight submissions coalesced onto one execution.
@@ -98,7 +96,6 @@ pub fn all() -> &'static [&'static str] {
         SERVE_ADMITTED,
         SERVE_ADMIT_SHED,
         SERVE_ADMIT_NO_PLAN,
-        SERVE_ADMIT_QUOTA_SHED,
         SERVE_COMPLETED,
         SERVE_COALESCED,
         SERVE_FRAMES,

@@ -7,7 +7,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use zeus_nn::loss;
 use zeus_nn::optim::{clip_grad_norm, Adam, Optimizer};
+use zeus_nn::tensor::argmax;
 use zeus_nn::{Activation, Mlp, Tensor};
+
+/// The caller-owned buffers of [`GreedyPolicy::act`].
+pub use zeus_nn::RowScratch;
 
 use crate::error::RlError;
 use crate::replay::Experience;
@@ -62,6 +66,9 @@ pub struct DqnAgent {
     num_actions: usize,
     updates: usize,
     rng: ChaCha8Rng,
+    /// The online network's activations for `select_action`'s greedy
+    /// forward, reused from step to step.
+    row_scratch: RowScratch,
 }
 
 impl std::fmt::Debug for DqnAgent {
@@ -96,6 +103,7 @@ impl DqnAgent {
             num_actions,
             updates: 0,
             rng,
+            row_scratch: RowScratch::default(),
         }
     }
 
@@ -130,16 +138,17 @@ impl DqnAgent {
 
     /// Greedy action: `argmax(φ(state))` (Algorithm 1 line 6).
     pub fn greedy_action(&self, state: &[f32]) -> usize {
-        let q = self.q_values(state);
-        Tensor::vector(q).argmax()
+        argmax(&self.q_values(state))
     }
 
-    /// ε-greedy action selection.
+    /// ε-greedy action selection. The greedy branch runs the online
+    /// network's one-row forward in the agent's own scratch, so a training
+    /// step allocates nothing for it.
     pub fn select_action(&mut self, state: &[f32], epsilon: f64) -> usize {
         if self.rng.gen::<f64>() < epsilon {
             self.rng.gen_range(0..self.num_actions)
         } else {
-            self.greedy_action(state)
+            argmax(self.q.forward_row(state, &mut self.row_scratch))
         }
     }
 
@@ -325,10 +334,12 @@ pub struct GreedyPolicy {
 }
 
 impl GreedyPolicy {
-    /// The greedy action for a state.
-    pub fn act(&self, state: &[f32]) -> usize {
-        let x = Tensor::from_vec(&[1, state.len()], state.to_vec());
-        self.net.forward_inference(&x).argmax()
+    /// The greedy action for a state: the first action of highest
+    /// Q-value. The forward pass runs in `scratch`, which the caller keeps
+    /// across steps (an executor holds one per video) so that a step
+    /// allocates nothing; any scratch works with any policy.
+    pub fn act(&self, state: &[f32], scratch: &mut RowScratch) -> usize {
+        argmax(self.net.forward_row(state, scratch))
     }
 
     /// Width of the state vector the policy reads.
@@ -683,7 +694,8 @@ mod tests {
         let q = GreedyPolicy::from_bytes(&bytes).unwrap();
         for i in 0..5 {
             let s = [0.1 * i as f32, -0.3, 0.9, 0.2];
-            assert_eq!(p.act(&s), q.act(&s));
+            let mut scratch = RowScratch::default();
+            assert_eq!(p.act(&s, &mut scratch), q.act(&s, &mut scratch));
             assert_eq!(p.q_values(&s), q.q_values(&s));
         }
         assert!(GreedyPolicy::from_bytes(&bytes[..4]).is_err());
@@ -712,7 +724,55 @@ mod tests {
         let p = a.policy();
         for i in 0..5 {
             let s = [i as f32 * 0.3, -0.2, 0.7];
-            assert_eq!(p.act(&s), a.greedy_action(&s));
+            assert_eq!(p.act(&s, &mut RowScratch::default()), a.greedy_action(&s));
         }
+    }
+
+    /// The argmax of `q` with ties going to the first index, written out
+    /// independently of `zeus_nn`'s.
+    fn first_max(q: &[f32]) -> usize {
+        let best = q.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        q.iter().position(|&v| v == best).unwrap()
+    }
+
+    #[test]
+    fn act_with_one_scratch_across_two_widths_is_the_argmax() {
+        // A property over seeded random cases (the crate has no proptest
+        // dependency): pairs of policies of different input, hidden and
+        // output widths take turns on one scratch buffer.
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let mut random_policy = |dim: usize| {
+            let cfg = DqnConfig {
+                hidden: vec![rng.gen_range(1..=70), rng.gen_range(1..=70)],
+                ..DqnConfig::default()
+            };
+            DqnAgent::new(dim, rng.gen_range(1..=9), cfg, rng.gen()).policy()
+        };
+        let pairs: Vec<[GreedyPolicy; 2]> = (0..24)
+            .map(|_| [random_policy(6), random_policy(3)])
+            .collect();
+        let mut scratch = RowScratch::default();
+        for (case, pair) in pairs.iter().enumerate() {
+            for step in 0..10 {
+                let policy = &pair[(case + step) % 2];
+                let state: Vec<f32> = (0..policy.state_dim())
+                    .map(|_| rng.gen_range(-2.0f32..2.0))
+                    .collect();
+                assert_eq!(
+                    policy.act(&state, &mut scratch),
+                    first_max(&policy.q_values(&state)),
+                    "case {case}, step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn act_breaks_ties_to_the_first_index() {
+        // All-zero weights: every Q-value is 0.0, so action 0 wins.
+        let a = DqnAgent::new(2, 5, DqnConfig::default(), 3);
+        let zeros: Vec<Vec<f32>> = a.snapshot().iter().map(|b| vec![0.0; b.len()]).collect();
+        let p = GreedyPolicy::from_bytes(&zeus_nn::serialize::encode(&zeros)).unwrap();
+        assert_eq!(p.act(&[0.3, -0.7], &mut RowScratch::default()), 0);
     }
 }

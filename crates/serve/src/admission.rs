@@ -43,13 +43,6 @@ pub enum AdmitError {
         /// The dataset this server serves.
         serving: String,
     },
-    /// The submitting tenant is over its admission quota and the
-    /// fair-share gate shed the request (see
-    /// [`FairShareGate`](crate::quota::FairShareGate)).
-    QuotaExceeded {
-        /// The over-quota tenant.
-        tenant: crate::quota::TenantId,
-    },
 }
 
 impl std::fmt::Display for AdmitError {
@@ -67,12 +60,6 @@ impl std::fmt::Display for AdmitError {
                 f,
                 "query targets dataset '{requested}' but this server serves '{serving}'"
             ),
-            AdmitError::QuotaExceeded { tenant } => {
-                write!(
-                    f,
-                    "tenant '{tenant}' is over its admission quota; request shed"
-                )
-            }
         }
     }
 }

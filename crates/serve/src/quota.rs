@@ -13,7 +13,7 @@
 //!   it is shed immediately. In work-conserving mode it is still
 //!   admitted while the shard is idle — unused capacity is never wasted
 //!   — but as pressure rises the gate sheds the *most*-over-quota
-//!   tenants first: the shed threshold is `high_water / overage`, a
+//!   tenants first: the shed threshold is `HIGH_WATER / overage`, a
 //!   monotonically decreasing function of how deep past its quota the
 //!   tenant is running.
 //!
@@ -194,6 +194,10 @@ struct TenantState {
 /// token-bucket arithmetic requires anyway).
 const STRIPES: usize = 16;
 
+/// Queue-pressure level (`depth / capacity`) at which a tenant just
+/// barely over quota starts being shed in work-conserving mode.
+const HIGH_WATER: f64 = 0.75;
+
 /// The fair-share admission gate: one token bucket per tenant plus the
 /// shed policy.
 ///
@@ -205,9 +209,6 @@ const STRIPES: usize = 16;
 pub struct FairShareGate {
     default_quota: QuotaSpec,
     overrides: HashMap<TenantId, QuotaSpec>,
-    /// Queue-pressure level (`depth / capacity`) at which a tenant just
-    /// barely over quota starts being shed in work-conserving mode.
-    high_water: f64,
     work_conserving: bool,
     epoch: Instant,
     stripes: Vec<Mutex<HashMap<TenantId, TenantState>>>,
@@ -218,7 +219,6 @@ impl fmt::Debug for FairShareGate {
         f.debug_struct("FairShareGate")
             .field("default_quota", &self.default_quota)
             .field("overrides", &self.overrides.len())
-            .field("high_water", &self.high_water)
             .field("work_conserving", &self.work_conserving)
             .finish()
     }
@@ -231,7 +231,7 @@ impl FairShareGate {
     }
 
     /// A work-conserving gate: over-quota requests ride spare capacity
-    /// until pressure crosses `high_water / overage`.
+    /// until pressure crosses `0.75 / overage`.
     pub fn work_conserving(default_quota: QuotaSpec) -> Self {
         Self::new(default_quota, true)
     }
@@ -240,7 +240,6 @@ impl FairShareGate {
         FairShareGate {
             default_quota,
             overrides: HashMap::new(),
-            high_water: 0.75,
             work_conserving,
             epoch: Instant::now(),
             stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
@@ -296,7 +295,7 @@ impl FairShareGate {
         let shed = if self.work_conserving {
             // Most-over-quota tenants shed first: deeper debt lowers the
             // pressure threshold at which this tenant is turned away.
-            pressure >= self.high_water / overage
+            pressure >= HIGH_WATER / overage
         } else {
             true
         };

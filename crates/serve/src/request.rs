@@ -14,7 +14,7 @@ use zeus_core::result::QueryResult;
 use zeus_core::ExecutorKind;
 use zeus_video::VideoId;
 
-use crate::refine::{answer_from_labels, QueryRefiner, SegmentHit};
+use crate::refine::{QueryRefiner, SegmentHit};
 
 /// Server-assigned query identifier (monotonic per server).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -106,21 +106,12 @@ pub struct QueryOutcome {
     /// extended-ZQL refinement (`WINDOW`/`AND NOT`/`ORDER BY`/`LIMIT`).
     /// Populated at delivery for `submit_ir` submissions (a classic IR
     /// gets every predicted run in canonical order); left empty for
-    /// plain `submit` outcomes, whose callers read `labels`/`result` —
-    /// use [`QueryOutcome::answer_set`] to derive it on demand.
+    /// plain `submit` outcomes, whose callers read `labels`/`result`.
     pub answer: Vec<SegmentHit>,
     /// Whether the outcome was answered from the result cache.
     pub from_cache: bool,
     /// Wall-clock latency from submission to completion.
     pub latency: Duration,
-}
-
-impl QueryOutcome {
-    /// The canonical (unrefined) answer set, derived from `labels` —
-    /// what `answer` holds for a classic `submit_ir` submission.
-    pub fn answer_set(&self) -> Vec<SegmentHit> {
-        answer_from_labels(&self.labels)
-    }
 }
 
 /// Receiving half of a query's typed response channel.
@@ -186,8 +177,7 @@ impl ResponseStream {
             },
             // The answer set is computed at delivery, and only for IR
             // submissions (plain `submit` callers read labels/result and
-            // should not pay a corpus-sized scan they never use — they
-            // can call [`QueryOutcome::answer_set`] on demand).
+            // should not pay a corpus-sized scan they never use).
             ResponseEvent::Done(mut outcome) => {
                 if let Some(refiner) = &self.refiner {
                     outcome.answer = refiner.answer(&outcome.labels);

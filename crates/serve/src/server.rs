@@ -33,7 +33,6 @@ use crate::cache::{CacheKey, CachedExecution, CorpusId, ResultCache};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::plans::PlanStore;
 use crate::pool::{worker_loop, ActiveQuery, PoolShared, Subscriber};
-use crate::quota::{Decision, FairShareGate, TenantId};
 use crate::refine::{compute_exclude_spans, ExcludeSpans, QueryRefiner};
 use crate::request::{Priority, QueryId, QueryOutcome, ResponseEvent, ResponseStream};
 
@@ -79,12 +78,6 @@ pub struct ServeConfig {
     /// engines ([`ExecutorKind::ZeusRl`], [`ExecutorKind::ZeusSliding`])
     /// are servable.
     pub executor: ExecutorKind,
-    /// Optional per-tenant admission gate. When set, tenant-attributed
-    /// submissions ([`ZeusServer::submit_ir_as`]) are quota-checked
-    /// before touching the cache or queue; unattributed submissions
-    /// bypass it. A fleet router usually gates at the router instead and
-    /// leaves this `None` to avoid double charging.
-    pub quota: Option<Arc<FairShareGate>>,
 }
 
 impl Default for ServeConfig {
@@ -95,7 +88,6 @@ impl Default for ServeConfig {
             cache_capacity: 128,
             device: DeviceProfile::default(),
             executor: ExecutorKind::ZeusRl,
-            quota: None,
         }
     }
 }
@@ -309,30 +301,6 @@ impl ZeusServer {
         priority: Option<Priority>,
     ) -> Result<ResponseStream, AdmitError> {
         self.submit_ir_staged(ir, priority, None, None)
-    }
-
-    /// [`ZeusServer::submit_ir`] attributed to a tenant. When the server
-    /// carries a [`FairShareGate`] (see [`ServeConfig::quota`]), the
-    /// request is quota-checked first — an over-quota tenant is shed
-    /// with [`AdmitError::QuotaExceeded`] before the submission touches
-    /// the cache, plan store, or admission queue. The gate's structural
-    /// invariant means an in-quota tenant is never shed here; only the
-    /// bounded queue itself can still reject it.
-    pub fn submit_ir_as(
-        &self,
-        ir: &QueryIr,
-        tenant: &TenantId,
-        priority: Option<Priority>,
-    ) -> Result<ResponseStream, AdmitError> {
-        if let Some(gate) = &self.config.quota {
-            if let Decision::Shed { .. } = gate.admit(tenant, self.pressure()) {
-                self.obs.metrics.counter(keys::SERVE_ADMIT_QUOTA_SHED).inc();
-                return Err(AdmitError::QuotaExceeded {
-                    tenant: tenant.clone(),
-                });
-            }
-        }
-        self.submit_ir(ir, priority)
     }
 
     fn submit_ir_staged(
@@ -646,8 +614,8 @@ impl ZeusServer {
         self.shared.queue.depth()
     }
 
-    /// Queue fill fraction in `[0, 1]` — the pressure signal the quota
-    /// gate and the fleet router's shed policy consume.
+    /// Queue fill fraction in `[0, 1]` — the pressure signal the fleet
+    /// router's quota gate consumes.
     pub fn pressure(&self) -> f64 {
         self.shared.queue.depth() as f64 / self.config.queue_capacity as f64
     }

@@ -182,7 +182,7 @@ proptest! {
     #[test]
     fn sampled_indices_are_strictly_increasing(start in 0usize..500, l in 1usize..65,
                                                s in 1usize..9, frames in 1usize..2000) {
-        let idx = sample_indices(start, l, s, frames);
+        let idx: Vec<usize> = sample_indices(start, l, s, frames).collect();
         prop_assert!(idx.len() <= l);
         for pair in idx.windows(2) {
             prop_assert_eq!(pair[1] - pair[0], s);
