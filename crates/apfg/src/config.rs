@@ -1,14 +1,12 @@
 //! The Configuration tuple: the three input knobs of §1/§3.
 
-use serde::{Deserialize, Serialize};
-
 /// A concrete setting of the three input knobs (§3):
 /// `(Resolution, Segment Length, Sampling Rate)`.
 ///
 /// Applied at frame `f`, a configuration covers video span `[f, f + l·s)`
 /// and feeds the APFG `l` frames sampled once every `s` frames at
 /// `r × r` pixels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Configuration {
     /// Frame side length in pixels (square frames, §3).
     pub resolution: usize,

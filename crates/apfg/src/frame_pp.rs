@@ -130,9 +130,10 @@ impl FramePpModel {
             }
         }
         // Boundary ambiguity band around target-class intervals.
-        let near_boundary = video.intervals_of(&self.classes).iter().any(|iv| {
-            (n + BOUNDARY_BAND >= iv.start && n < iv.start)
-                || (n >= iv.end && n < iv.end + BOUNDARY_BAND)
+        let near_boundary = video.intervals.iter().any(|iv| {
+            self.classes.contains(&iv.class)
+                && ((n + BOUNDARY_BAND >= iv.start && n < iv.start)
+                    || (n >= iv.end && n < iv.end + BOUNDARY_BAND))
         });
         if near_boundary {
             return self.boundary_fp_rate();

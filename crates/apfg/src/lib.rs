@@ -30,7 +30,6 @@
 //! capture scene complexity (§6.2).
 
 #![warn(missing_docs)]
-pub mod cache;
 pub mod config;
 pub mod feature;
 pub mod frame_pp;
@@ -38,7 +37,6 @@ pub mod segment_pp;
 pub mod simulated;
 pub mod traits;
 
-pub use cache::FeatureCache;
 pub use config::Configuration;
 pub use feature::{ApfgOutput, FeatureGenerator, FEATURE_DIM};
 pub use simulated::{SimParams, SimulatedApfg};

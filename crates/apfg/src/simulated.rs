@@ -48,7 +48,6 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use zeus_video::scene::mix2;
 use zeus_video::{ActionClass, ActionInterval, DatasetKind, Video};
 
@@ -60,7 +59,7 @@ use crate::traits::{union_traits, QueryTraits};
 /// that profiling the BDD100K configuration space reproduces the paper's
 /// Table 2 F1 column and Table 4 max-accuracy column (see
 /// `zeus-core::planner` tests).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimParams {
     /// Per-sampled-action-frame detection probability at the best
     /// configuration for a perfectly detectable class.

@@ -17,11 +17,10 @@
 //!   lightweight filters in Segment-PP are highly inaccurate (F1 as low
 //!   as 0.2)" on hard classes, while "easier LeftTurn" does fine (§6.2).
 
-use serde::{Deserialize, Serialize};
 use zeus_video::ActionClass;
 
 /// Difficulty profile of a query (one class or a union of classes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryTraits {
     /// Ceiling F1 achievable by the best configuration (Table 4).
     pub max_accuracy: f64,

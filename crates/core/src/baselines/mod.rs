@@ -20,14 +20,13 @@ pub use segment_pp::SegmentPp;
 pub use sliding::ZeusSliding;
 pub use zeus_rl::ZeusRl;
 
-use serde::{Deserialize, Serialize};
 use zeus_sim::SimClock;
 use zeus_video::Video;
 
 use crate::result::{ConfigHistogram, ExecutionResult};
 
 /// Which technique an engine implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutorKind {
     /// Frame-level probabilistic predicates.
     FramePp,

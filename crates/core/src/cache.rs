@@ -6,17 +6,15 @@
 //! precomputed features during training" (§5). Zeus fills the cache
 //! on-line rather than ahead of time: one cache is shared by every
 //! candidate's rollout during planning, across training episodes and
-//! across the training engine's worker threads, hence the
-//! `parking_lot::RwLock`.
+//! across the training engine's worker threads, hence the `RwLock`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 
-use parking_lot::RwLock;
+use zeus_apfg::{ApfgOutput, Configuration, FeatureGenerator};
+use zeus_obs::sync::{read_recover, write_recover};
 use zeus_video::{Video, VideoId};
-
-use crate::config::Configuration;
-use crate::feature::{ApfgOutput, FeatureGenerator};
 
 type Key = (VideoId, usize, Configuration);
 
@@ -36,12 +34,12 @@ impl FeatureCache {
 
     /// Number of cached invocations.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        read_recover(&self.map).len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+        read_recover(&self.map).is_empty()
     }
 
     /// Lookups served from the cache since construction.
@@ -63,13 +61,13 @@ impl FeatureCache {
         config: Configuration,
     ) -> ApfgOutput {
         let key = (video.id, start, config);
-        if let Some(hit) = self.map.read().get(&key) {
+        if let Some(hit) = read_recover(&self.map).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let out = generator.process(video, start, config);
-        self.map.write().insert(key, out.clone());
+        write_recover(&self.map).insert(key, out.clone());
         out
     }
 }
@@ -78,7 +76,6 @@ impl FeatureCache {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use zeus_video::VideoId;
 
     struct Counting {
         calls: AtomicUsize,

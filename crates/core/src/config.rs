@@ -1,6 +1,5 @@
 //! Configuration spaces (Table 4) and fastness normalisation (§4.4).
 
-use serde::{Deserialize, Serialize};
 use zeus_apfg::Configuration;
 use zeus_sim::CostModel;
 use zeus_video::{ConfigFamily, DatasetKind};
@@ -8,7 +7,7 @@ use zeus_video::{ConfigFamily, DatasetKind};
 /// Knob-disabling mask for the §6.4 ablation ("we disable each knob (fix
 /// the value) one at a time"). A fixed knob keeps only configurations
 /// with that value.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KnobMask {
     /// Pin the resolution knob to this value.
     pub fix_resolution: Option<usize>,
@@ -34,7 +33,7 @@ impl KnobMask {
 
 /// The set of candidate configurations for a dataset, with knob maxima and
 /// normalised fastness values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConfigSpace {
     configs: Vec<Configuration>,
     resolutions: Vec<usize>,

@@ -19,10 +19,11 @@ use std::sync::Arc;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use zeus_apfg::{ApfgOutput, Configuration, FeatureCache, FeatureGenerator};
+use zeus_apfg::{ApfgOutput, Configuration, FeatureGenerator};
 use zeus_rl::{Environment, Transition};
 use zeus_video::{ActionClass, Video};
 
+use crate::cache::FeatureCache;
 use crate::config::ConfigSpace;
 
 /// Typed construction failures of the traversal environment — everything

@@ -16,12 +16,15 @@
 //! * [`result`] — execution results, configuration histograms
 //!   (Figures 12b/14), and evaluated query results.
 //! * [`parallel`] — the inter-video parallel executor extension sketched
-//!   in §6.4.
+//!   in §6.4, and [`parallel::run_jobs`], the one fork-join.
 //! * [`training`] — the training plane: the candidate portfolio trained
-//!   across device-pool workers, one rollout per candidate.
+//!   across [`parallel::run_jobs`] workers, one rollout per candidate.
+//! * [`cache`] — the APFG feature cache the candidates' rollouts share
+//!   (§5's pre-processing).
 
 #![warn(missing_docs)]
 pub mod baselines;
+pub mod cache;
 pub mod catalog;
 pub mod config;
 pub mod env;
@@ -33,6 +36,7 @@ pub mod result;
 pub mod training;
 
 pub use baselines::{ExecutorKind, QueryEngine};
+pub use cache::FeatureCache;
 pub use catalog::{PlanCatalog, StoredPlan};
 pub use config::{ConfigSpace, KnobMask};
 pub use metrics::{EvalProtocol, EvalReport};
@@ -41,6 +45,4 @@ pub use planner::{
 };
 pub use query::{parse_zql, ActionQuery, OrderBy, ParseError, QueryIr};
 pub use result::{ConfigHistogram, ExecutionResult, QueryResult};
-pub use training::{
-    CandidateJob, CandidateOutcome, PortfolioOutcome, TrainingEngine, TrainingOptions,
-};
+pub use training::{CandidateJob, CandidateOutcome, TrainingEngine, TrainingOptions};

@@ -8,11 +8,10 @@
 //! truth or predicted) is positive when more than half its frames are
 //! positive.
 
-use serde::{Deserialize, Serialize};
 use zeus_video::{ConfigFamily, DatasetKind};
 
 /// The evaluation protocol: window length K.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalProtocol {
     /// Window length K in frames.
     pub window: usize,
@@ -57,7 +56,7 @@ impl EvalProtocol {
 }
 
 /// Confusion counts plus derived precision/recall/F1.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EvalReport {
     /// True-positive windows.
     pub tp: u64,

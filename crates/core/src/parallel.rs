@@ -1,150 +1,63 @@
-//! Inter-video parallel execution — the §6.4 extension.
+//! Inter-video parallel execution — the §6.4 extension — and the one
+//! fork-join the workspace's parallel paths run through.
 //!
 //! "It is possible to extend Zeus-RL to support inter-video parallelism.
 //! Here, batching inputs across videos would allow better GPU utilization."
-//! This module executes a video set across a [`DevicePool`] of simulated
-//! devices (each with its own clock) using real threads via `crossbeam`,
-//! and reports the *makespan* (the slowest device's elapsed time) — the
-//! quantity that determines wall-clock speedup from adding devices.
+//! [`execute_parallel`] runs a video set across simulated devices, each a
+//! [`SimClock`] of its own, and reports the *makespan* (the slowest
+//! device's elapsed time) — the quantity that determines wall-clock
+//! speedup from adding devices.
 //!
-//! [`DevicePool`] is the shared hardware abstraction: the one-shot
-//! fork-join here creates a fresh pool per call, while the `zeus-serve`
-//! worker pool owns one long-lived pool whose device clocks accumulate
-//! busy-time across queries.
+//! [`run_jobs`] is the fork-join: scoped threads claim jobs from one
+//! atomic cursor and results come back in job order. The training
+//! engine's candidate portfolio and the serving plane's closed-loop
+//! clients run on it too.
 
-use crossbeam::thread;
-use zeus_sim::{DeviceProfile, SimClock, SimDevice};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use zeus_sim::SimClock;
 use zeus_video::Video;
 
 use crate::baselines::QueryEngine;
 use crate::result::{ConfigHistogram, ExecutionResult};
 
-/// A pool of simulated devices, the schedulable hardware of both the
-/// §6.4 fork-join executor and the `zeus-serve` worker pool.
-#[derive(Debug, Clone)]
-pub struct DevicePool {
-    devices: Vec<SimDevice>,
-}
-
-impl DevicePool {
-    /// A pool of `n` identical devices.
-    pub fn homogeneous(n: usize, profile: DeviceProfile) -> Self {
-        assert!(n > 0, "need at least one worker");
-        DevicePool {
-            devices: (0..n)
-                .map(|id| SimDevice::new(id, profile.clone()))
-                .collect(),
+/// Run `f(0), f(1), …, f(jobs - 1)` on up to `threads` scoped threads and
+/// return the results in job order.
+///
+/// Each thread claims the next unclaimed job from one atomic cursor, so a
+/// slow job never holds up the rest. A job that panics does not stop the
+/// others; once every thread has finished, its panic is re-raised on the
+/// caller with its own payload.
+pub fn run_jobs<R, F>(threads: usize, jobs: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut mine = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                return mine;
+            }
+            mine.push((i, f(i)));
         }
-    }
-
-    /// Number of devices.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// True when the pool has no devices (never for a constructed pool).
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// The devices, in id order.
-    pub fn devices(&self) -> &[SimDevice] {
-        &self.devices
-    }
-
-    /// Mutable access to the devices, in id order (each training-engine
-    /// worker thread owns one device and charges its simulated time).
-    pub fn devices_mut(&mut self) -> &mut [SimDevice] {
-        &mut self.devices
-    }
-
-    /// Consume the pool, yielding its devices (the serve worker pool hands
-    /// one device to each worker thread).
-    pub fn into_devices(self) -> Vec<SimDevice> {
-        self.devices
-    }
-
-    /// Per-device accumulated busy seconds.
-    pub fn busy_secs(&self) -> Vec<f64> {
-        self.devices.iter().map(SimDevice::busy_secs).collect()
-    }
-
-    /// Fork-join execute `videos` across the pool: device `i` runs videos
-    /// `i, i + n, i + 2n, ...` on its own clock; results merge
-    /// deterministically by video id. Device clocks accumulate (call on a
-    /// fresh pool for a standalone measurement).
-    pub fn fork_join<E>(&mut self, engine: &E, videos: &[&Video]) -> ParallelResult
-    where
-        E: QueryEngine + Sync,
-    {
-        let workers = self.devices.len();
-        let shares: Vec<Vec<&Video>> = (0..workers)
-            .map(|w| {
-                videos
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % workers == w)
-                    .map(|(_, v)| *v)
-                    .collect()
-            })
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads.max(1).min(jobs))
+            .map(|_| s.spawn(claim))
             .collect();
-
-        let outcomes: Vec<(ExecutionResult, f64)> = thread::scope(|s| {
-            let handles: Vec<_> = self
-                .devices
-                .iter_mut()
-                .zip(&shares)
-                .map(|(device, share)| {
-                    s.spawn(move |_| {
-                        let before = device.busy_secs();
-                        let mut clock = SimClock::new();
-                        let mut hist = ConfigHistogram::new();
-                        let mut labels = Vec::with_capacity(share.len());
-                        for v in share {
-                            let l = engine.execute_video(v, &mut clock, &mut hist);
-                            labels.push((v.id, l));
-                        }
-                        device.clock_mut().merge(&clock);
-                        let secs = device.busy_secs() - before;
-                        (
-                            ExecutionResult {
-                                labels,
-                                clock,
-                                histogram: hist,
-                            },
-                            secs,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
-        .expect("thread scope failed");
-
-        let mut merged_labels = Vec::new();
-        let mut merged_clock = SimClock::new();
-        let mut merged_hist = ConfigHistogram::new();
-        let mut worker_secs = Vec::with_capacity(outcomes.len());
-        for (result, secs) in outcomes {
-            merged_labels.extend(result.labels);
-            merged_clock.merge(&result.clock);
-            merged_hist.merge(&result.histogram);
-            worker_secs.push(secs);
-        }
-        merged_labels.sort_by_key(|(id, _)| *id);
-
-        ParallelResult {
-            merged: ExecutionResult {
-                labels: merged_labels,
-                clock: merged_clock,
-                histogram: merged_hist,
-            },
-            worker_secs,
-        }
-    }
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Result of a parallel run: the merged predictions plus per-worker
@@ -187,20 +100,46 @@ impl ParallelResult {
     }
 }
 
-/// Execute `videos` with `engine` across `workers` fresh simulated
-/// devices.
+/// Execute `videos` with `engine` across `workers` simulated devices.
 ///
 /// Videos are assigned round-robin (longest-first would be better for
-/// balance; round-robin matches a streaming arrival order). Each worker
-/// thread runs its share with an independent clock; results merge
-/// deterministically by video id. This is a convenience wrapper around
-/// [`DevicePool::fork_join`] on a throwaway pool.
+/// balance; round-robin matches a streaming arrival order): device `i`
+/// runs videos `i, i + workers, i + 2 * workers, …` on its own clock, as
+/// one [`run_jobs`] job. Device results merge in device order and labels
+/// sort by video id, so the result does not depend on thread scheduling.
 pub fn execute_parallel<E>(engine: &E, videos: &[&Video], workers: usize) -> ParallelResult
 where
     E: QueryEngine + Sync,
 {
     assert!(workers > 0, "need at least one worker");
-    DevicePool::homogeneous(workers, DeviceProfile::default()).fork_join(engine, videos)
+    let shares = run_jobs(workers, workers, |device| {
+        let mut clock = SimClock::new();
+        let mut histogram = ConfigHistogram::new();
+        let labels = videos
+            .iter()
+            .skip(device)
+            .step_by(workers)
+            .map(|v| (v.id, engine.execute_video(v, &mut clock, &mut histogram)))
+            .collect();
+        ExecutionResult {
+            labels,
+            clock,
+            histogram,
+        }
+    });
+
+    let worker_secs = shares.iter().map(|s| s.clock.elapsed_secs()).collect();
+    let mut merged = ExecutionResult::default();
+    for share in shares {
+        merged.labels.extend(share.labels);
+        merged.clock.merge(&share.clock);
+        merged.histogram.merge(&share.histogram);
+    }
+    merged.labels.sort_by_key(|(id, _)| *id);
+    ParallelResult {
+        merged,
+        worker_secs,
+    }
 }
 
 #[cfg(test)]
@@ -256,20 +195,24 @@ mod tests {
     }
 
     #[test]
-    fn pool_devices_accumulate_across_fork_joins() {
-        let ds = DatasetKind::Bdd100k.generate(0.04, 5);
-        let videos = ds.store.split(zeus_video::video::Split::Test);
-        let e = engine();
-        let mut pool = DevicePool::homogeneous(3, zeus_sim::DeviceProfile::default());
-        assert_eq!(pool.len(), 3);
-        let first = pool.fork_join(&e, &videos);
-        let after_one: f64 = pool.busy_secs().iter().sum();
-        let second = pool.fork_join(&e, &videos);
-        let after_two: f64 = pool.busy_secs().iter().sum();
-        // Device clocks persist: two identical runs double the busy time.
-        assert!((after_two - 2.0 * after_one).abs() < 1e-9);
-        // Results are per-run, not cumulative.
-        assert_eq!(first.merged.labels, second.merged.labels);
-        assert_eq!(first.worker_secs, second.worker_secs);
+    fn run_jobs_returns_results_in_job_order() {
+        for threads in [1, 2, 4, 8] {
+            for jobs in [0, 1, 3, 17] {
+                let got = run_jobs(threads, jobs, |i| i * i);
+                let want: Vec<usize> = (0..jobs).map(|i| i * i).collect();
+                assert_eq!(got, want, "{threads} threads, {jobs} jobs");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job 2 failed")]
+    fn run_jobs_reraises_a_job_panic() {
+        run_jobs(2, 5, |i| {
+            if i == 2 {
+                panic!("job 2 failed");
+            }
+            i
+        });
     }
 }

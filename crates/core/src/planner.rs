@@ -4,12 +4,11 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use zeus_obs::keys;
 
 use zeus_apfg::frame_pp::FramePpModel;
 use zeus_apfg::segment_pp::SegmentPpFilter;
-use zeus_apfg::{Configuration, FeatureCache, SimulatedApfg};
+use zeus_apfg::{Configuration, SimulatedApfg};
 use zeus_rl::agent::{DqnConfig, GreedyPolicy};
 use zeus_rl::{EpsilonSchedule, RewardMode, RlError, TrainerConfig, TrainingReport};
 use zeus_sim::{CostModel, DeviceProfile};
@@ -18,6 +17,7 @@ use zeus_video::{DataSource, Video};
 
 use crate::baselines::{ExecutorKind, QueryEngine};
 use crate::baselines::{FramePp, SegmentPp, ZeusHeuristic, ZeusRl, ZeusSliding};
+use crate::cache::FeatureCache;
 use crate::config::{ConfigSpace, KnobMask};
 use crate::env::{EnvError, VideoTraversalEnv};
 use crate::metrics::EvalProtocol;
@@ -117,7 +117,7 @@ impl CandidateSpec {
 
 /// One row of the configuration cost table (the paper's Table 2): a
 /// configuration with its measured throughput and accuracy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfigProfile {
     /// The profiled configuration.
     pub config: Configuration,
@@ -131,7 +131,7 @@ pub struct ConfigProfile {
 }
 
 /// Simulated training/inference cost breakdown (the paper's Table 6).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TrainingCosts {
     /// Seconds to fine-tune the (3D) APFG — shared by all Zeus variants.
     pub apfg_training_secs: f64,
@@ -494,7 +494,7 @@ impl<'a> QueryPlanner<'a> {
 
         // 3. Train the RL candidate portfolio on the training split:
         // candidates are scheduled across the training engine's
-        // device-pool workers, each rolling out over its own seeded fork
+        // worker threads, each rolling out over its own seeded fork
         // of the prototype environment. A shared feature cache
         // deduplicates APFG invocations across all of them (§5's
         // pre-processing optimization applied on-line).
@@ -562,7 +562,7 @@ impl<'a> QueryPlanner<'a> {
         if let Some(hub) = &self.obs {
             engine = engine.with_obs(hub.clone());
         }
-        let portfolio = engine.train_portfolio(&proto, &jobs, &self.cost)?;
+        let candidates = engine.train_portfolio(&proto, &jobs)?;
         if let (Some(hub), Some(cache)) = (&self.obs, proto.cache()) {
             // The feature cache keeps its own atomic tallies; fold them
             // into the shared namespace once per planning run.
@@ -580,7 +580,7 @@ impl<'a> QueryPlanner<'a> {
         // Zeus "consistently meets the user-specified accuracy target".
         let validation: Vec<&Video> = self.source.store().split(Split::Validation);
         let mut best: Option<(usize, f64, f64)> = None;
-        for (i, outcome) in portfolio.candidates.iter().enumerate() {
+        for (i, outcome) in candidates.iter().enumerate() {
             // Validation utility of this candidate.
             let engine = ZeusRl::new(
                 apfg.clone(),
@@ -618,8 +618,8 @@ impl<'a> QueryPlanner<'a> {
             }
         }
         let (chosen, _, _) = best.expect("at least one candidate");
-        let policy = portfolio.candidates[chosen].policy.clone();
-        let training_report = portfolio.candidates[chosen].report.clone();
+        let policy = candidates[chosen].policy.clone();
+        let training_report = candidates[chosen].report.clone();
 
         // 4. Simulated training costs (Table 6).
         let costs = self.training_costs(&space, &training_report, &jobs[chosen].trainer);

@@ -61,12 +61,11 @@
 //! serving layer (`zeus_serve::ZeusServer::submit_ir`). `QueryIr::to_sql`
 //! renders back to text such that `parse_zql(ir.to_sql()) == Ok(ir)`.
 
-use serde::{Deserialize, Serialize};
 use zeus_video::ActionClass;
 
 /// A parsed action-localization query (the classic §1 core: classes and
 /// an accuracy target).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActionQuery {
     /// Target classes (one normally; several for §6.5 union queries).
     pub classes: Vec<ActionClass>,
@@ -124,7 +123,7 @@ fn class_predicate(classes: &[ActionClass]) -> String {
 }
 
 /// Answer-set ordering requested by `ORDER BY confidence`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderBy {
     /// Highest-confidence segments first (the default direction).
     ConfidenceDesc,
@@ -139,7 +138,7 @@ pub enum OrderBy {
 /// the cache identity; the extensions (`exclude`, `window`, `limit`,
 /// `latency_budget_ms`, `order`) are relational refinements applied to
 /// the answer set plus planning/admission hints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryIr {
     /// The classic query core: union classes + accuracy target.
     pub base: ActionQuery,

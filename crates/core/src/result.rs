@@ -3,7 +3,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use zeus_apfg::Configuration;
 use zeus_sim::SimClock;
 use zeus_video::annotation::runs_from_labels;
@@ -12,7 +11,7 @@ use zeus_video::{ActionClass, Video, VideoId};
 use crate::metrics::{evaluate_events, evaluate_frames, EvalProtocol, EvalReport};
 
 /// How many video frames were processed under each configuration.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ConfigHistogram {
     counts: HashMap<Configuration, u64>,
 }
@@ -76,7 +75,7 @@ impl ConfigHistogram {
 }
 
 /// Raw output of running one engine over a set of videos.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecutionResult {
     /// Predicted per-frame labels per video.
     pub labels: Vec<(VideoId, Vec<bool>)>,
@@ -153,7 +152,7 @@ impl ExecutionResult {
 
 /// A fully-evaluated query outcome — one point on the paper's
 /// throughput-vs-F1 plots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryResult {
     /// Executor that produced it (display name).
     pub method: String,

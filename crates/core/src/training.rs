@@ -8,13 +8,11 @@
 //! portfolio over two axes:
 //!
 //! 1. **Portfolio parallelism** — candidates train concurrently on
-//!    `train_workers` threads, each owning one simulated device of a
-//!    [`DevicePool`] (the hardware abstraction the serving pool also
-//!    uses) that accumulates the candidate's simulated RL-training
-//!    seconds.
+//!    `train_workers` threads, which claim them one at a time through
+//!    [`run_jobs`], the workspace's one fork-join.
 //! 2. **Shared feature cache** — every fork of the prototype environment
 //!    routes APFG invocations through one thread-safe
-//!    [`zeus_apfg::FeatureCache`], so concurrent candidates never
+//!    [`FeatureCache`](crate::FeatureCache), so concurrent candidates never
 //!    recompute a ProxyFeature another one already produced (§5's
 //!    pre-processing optimization applied on-line).
 //!
@@ -30,23 +28,21 @@
 //! single job in isolation. Training time is benchmarked by perfbench's
 //! `plan-paper6` workload.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use zeus_obs::keys;
-use zeus_obs::sync::lock_recover;
 
 use zeus_apfg::SimulatedApfg;
 use zeus_rl::agent::{DqnAgent, DqnConfig, GreedyPolicy};
 use zeus_rl::{DqnTrainer, Environment, RewardMode, RlError, TrainerConfig, TrainingReport};
-use zeus_sim::{CostModel, SimDuration};
+use zeus_sim::CostModel;
 use zeus_video::video::Split;
 use zeus_video::{DataSource, Video};
 
 use crate::config::ConfigSpace;
 use crate::env::{EnvError, VideoTraversalEnv};
 use crate::metrics::EvalProtocol;
-use crate::parallel::DevicePool;
+use crate::parallel::run_jobs;
 
 /// Knobs of the training plane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -141,22 +137,9 @@ pub struct CandidateOutcome {
     pub report: TrainingReport,
 }
 
-/// The trained portfolio plus scheduling telemetry.
-#[derive(Debug, Clone)]
-pub struct PortfolioOutcome {
-    /// One outcome per job, in job order.
-    pub candidates: Vec<CandidateOutcome>,
-    /// Worker threads actually used.
-    pub workers: usize,
-    /// Per-device simulated RL-training seconds (the Table 6 quantity,
-    /// split across the pool).
-    pub device_busy_secs: Vec<f64>,
-}
-
 /// Simulated RL-training seconds implied by a training run: DQN updates
 /// on precomputed features plus policy-head invocations for experience
-/// generation (§5; the `rl_training_secs` column of Table 6). Shared by
-/// the planner's cost accounting and the engine's device charging.
+/// generation (§5; the `rl_training_secs` column of Table 6).
 pub fn rl_training_secs(cost: &CostModel, report: &TrainingReport, batch_size: usize) -> f64 {
     report.updates as f64 * cost.dqn_update(batch_size).as_secs()
         + report.steps as f64 * cost.mlp_head().as_secs() * 2.0
@@ -190,19 +173,6 @@ impl TrainingEngine {
         self.options
     }
 
-    /// Worker threads for a portfolio of `jobs` candidates.
-    pub fn effective_workers(&self, jobs: usize) -> usize {
-        let auto = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let requested = if self.options.train_workers == 0 {
-            auto
-        } else {
-            self.options.train_workers
-        };
-        requested.clamp(1, jobs.max(1))
-    }
-
     /// Train one candidate: fork the prototype with the job's
     /// environment seed and run the training loop over it.
     pub fn train_candidate(
@@ -233,78 +203,33 @@ impl TrainingEngine {
         })
     }
 
-    /// Train a whole candidate portfolio across the worker pool.
+    /// Train a whole candidate portfolio on `train_workers` threads (one
+    /// per available CPU when it is 0), at most one per candidate.
     ///
-    /// Jobs are claimed from a shared cursor by `effective_workers`
-    /// threads; each worker owns one simulated device and charges it the
-    /// simulated RL-training seconds of every candidate it trains.
     /// Results come back in job order and are independent of the worker
-    /// count.
+    /// count; when jobs fail, the first failure in job order is the
+    /// error.
     pub fn train_portfolio(
         &self,
         proto: &VideoTraversalEnv,
         jobs: &[CandidateJob],
-        cost: &CostModel,
-    ) -> Result<PortfolioOutcome, RlError> {
-        if jobs.is_empty() {
-            return Ok(PortfolioOutcome {
-                candidates: Vec::new(),
-                workers: 0,
-                device_busy_secs: Vec::new(),
-            });
-        }
-        let workers = self.effective_workers(jobs.len());
-        let mut pool = DevicePool::homogeneous(workers, cost.device().clone());
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<Result<CandidateOutcome, RlError>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-
-        crossbeam::thread::scope(|s| {
-            for device in pool.devices_mut() {
-                let next = &next;
-                let results = &results;
-                s.spawn(move |_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    let outcome = self.train_candidate(proto, job);
-                    if let Ok(out) = &outcome {
-                        let secs = rl_training_secs(cost, &out.report, job.trainer.batch_size);
-                        device.clock_mut().advance(SimDuration::from_secs(secs));
-                    }
-                    *lock_recover(&results[i]) = Some(outcome);
-                });
-            }
+    ) -> Result<Vec<CandidateOutcome>, RlError> {
+        let threads = match self.options.train_workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        run_jobs(threads, jobs.len(), |i| {
+            self.train_candidate(proto, &jobs[i])
         })
-        .expect("training worker panicked");
-
-        let mut candidates = Vec::with_capacity(jobs.len());
-        for slot in results {
-            let outcome = slot
-                .into_inner()
-                .expect("result slot")
-                .expect("every job claimed exactly once");
-            candidates.push(outcome?);
-        }
-        let device_busy_secs = pool.busy_secs();
-        if let Some(hub) = &self.obs {
-            for (i, busy) in device_busy_secs.iter().enumerate() {
-                hub.metrics
-                    .gauge(&keys::train_device_busy_secs(i))
-                    .set(*busy);
-            }
-        }
-        Ok(PortfolioOutcome {
-            candidates,
-            workers,
-            device_busy_secs,
-        })
+        .into_iter()
+        .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zeus_apfg::{FeatureCache, SimulatedApfg};
+    use zeus_apfg::SimulatedApfg;
     use zeus_rl::{EpsilonSchedule, RewardMode};
     use zeus_video::{ActionClass, DatasetKind, Video};
 
@@ -348,38 +273,30 @@ mod tests {
 
     #[test]
     fn portfolio_is_worker_count_independent() {
-        let proto = proto_env(5).with_cache(Arc::new(FeatureCache::new()));
+        let proto = proto_env(5).with_cache(Arc::new(crate::FeatureCache::new()));
         let jobs: Vec<CandidateJob> = (0..3).map(|i| tiny_job(100 + i)).collect();
-        let cost = CostModel::default();
         let run = |workers| {
             TrainingEngine::new(TrainingOptions {
                 train_workers: workers,
             })
-            .train_portfolio(&proto, &jobs, &cost)
+            .train_portfolio(&proto, &jobs)
             .unwrap()
         };
         let solo = run(1);
         let wide = run(4);
-        assert_eq!(solo.workers, 1);
-        assert!(wide.workers > 1);
-        assert_eq!(solo.candidates.len(), 3);
-        for (a, b) in solo.candidates.iter().zip(&wide.candidates) {
+        assert_eq!(solo.len(), 3);
+        for (a, b) in solo.iter().zip(&wide) {
             assert_eq!(a.report, b.report, "reports must not depend on workers");
             assert_eq!(a.policy.to_bytes(), b.policy.to_bytes());
         }
-        // The simulated training time is conserved across schedules.
-        let total = |o: &PortfolioOutcome| o.device_busy_secs.iter().sum::<f64>();
-        assert!((total(&solo) - total(&wide)).abs() < 1e-6);
-        assert!(total(&solo) > 0.0);
     }
 
     #[test]
     fn empty_portfolio_is_a_noop() {
         let proto = proto_env(1);
         let out = TrainingEngine::default()
-            .train_portfolio(&proto, &[], &CostModel::default())
+            .train_portfolio(&proto, &[])
             .unwrap();
-        assert!(out.candidates.is_empty());
-        assert_eq!(out.workers, 0);
+        assert!(out.is_empty());
     }
 }

@@ -3,12 +3,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use zeus_core::catalog::StoredPlan;
 use zeus_core::query::QueryIr;
 use zeus_obs::keys;
+use zeus_obs::sync::lock_recover;
 use zeus_obs::{Counter, ObsHub, ObsSnapshot};
 use zeus_serve::quota::{Decision, FairShareGate, QuotaSpec, TenantId};
 use zeus_serve::{
@@ -526,7 +526,7 @@ impl FleetRouter {
     /// once per corpus (double-checked under the replication lock).
     fn replicate(&self, route_idx: usize) {
         let route = &self.routes[route_idx];
-        let _guard = self.replicate_lock.lock();
+        let _guard = lock_recover(&self.replicate_lock);
         if route.replicated.load(Ordering::Acquire) {
             return;
         }

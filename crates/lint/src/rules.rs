@@ -178,7 +178,7 @@ pub fn raw_lock_unwrap(ctx: &FileContext, out: &mut Vec<Diagnostic>) {
 /// Flag `std::thread::spawn` / `thread::spawn` whose `JoinHandle` is
 /// dropped on the floor: a statement-position call not chained into
 /// `.join()` and not bound to a named variable. Scoped spawns
-/// (`scope.spawn`, crossbeam) join automatically and are not matched.
+/// (`scope.spawn`) join automatically and are not matched.
 pub fn untracked_spawn(ctx: &FileContext, out: &mut Vec<Diagnostic>) {
     if ctx.rel_path.starts_with("crates/shims") {
         return;
@@ -575,7 +575,7 @@ pub fn collect_lock_orders(ctx: &FileContext, graph: &mut LockGraph) {
 fn acquisitions_in(ctx: &FileContext, t: &[Token]) -> Vec<Acquisition> {
     let mut out = Vec::new();
     for i in 0..t.len() {
-        // `<recv>.lock()` / `.read()` / `.write()` — std or parking_lot.
+        // `<recv>.lock()` / `.read()` / `.write()` on a std lock.
         if i + 3 < t.len()
             && is_punct(&t[i], '.')
             && matches!(t[i + 1].kind.ident(), Some("lock" | "read" | "write"))

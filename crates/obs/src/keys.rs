@@ -77,12 +77,6 @@ pub fn pool_device_busy_secs(device: usize) -> String {
     format!("pool.device.{device}.busy_secs")
 }
 
-/// Per-device utilization gauge on the training pool.
-/// Pattern: `train.device.<n>.busy_secs`.
-pub fn train_device_busy_secs(device: usize) -> String {
-    format!("train.device.{device}.busy_secs")
-}
-
 /// Per-shard routed-query counter on the fleet router.
 /// Pattern: `fleet.shard.<n>.routed`.
 pub fn fleet_shard_routed(shard: usize) -> String {
@@ -125,11 +119,7 @@ pub fn all() -> &'static [&'static str] {
 /// dot-separated segment (a device index, a shard index, or the
 /// `{placeholder}` of a `format!` template).
 pub fn patterns() -> &'static [&'static str] {
-    &[
-        "pool.device.*.busy_secs",
-        "train.device.*.busy_secs",
-        "fleet.shard.*.routed",
-    ]
+    &["pool.device.*.busy_secs", "fleet.shard.*.routed"]
 }
 
 /// The documented top-level namespaces.
@@ -174,7 +164,6 @@ mod tests {
         assert!(is_registered("pool.device.3.busy_secs"));
         assert!(is_registered(&pool_device_busy_secs(7)));
         assert!(is_registered("pool.device.{i}.busy_secs"));
-        assert!(is_registered(&train_device_busy_secs(0)));
         assert!(is_registered(&fleet_shard_routed(2)));
         assert!(!is_registered("pool.device.busy_secs"));
         assert!(!is_registered("serve.made_up"));

@@ -7,12 +7,12 @@
 //! indistinguishable from a re-run minus the device time.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use zeus_core::query::ActionQuery;
 use zeus_core::result::QueryResult;
 use zeus_core::ExecutorKind;
+use zeus_obs::sync::lock_recover;
 use zeus_video::{DataSource, VideoId};
 
 /// Identity of the corpus a server instance serves: the content
@@ -113,7 +113,7 @@ impl ResultCache {
 
     /// Look up a result, bumping recency; counts a hit or a miss.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedExecution>> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_recover(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(key) {
@@ -133,7 +133,7 @@ impl ResultCache {
     /// Insert (or refresh) a result, evicting the least-recently-used
     /// entry when at capacity.
     pub fn insert(&self, key: CacheKey, value: CachedExecution) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock_recover(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
@@ -159,7 +159,7 @@ impl ResultCache {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        lock_recover(&self.inner).map.len()
     }
 
     /// True when nothing is cached.
@@ -169,7 +169,7 @@ impl ResultCache {
 
     /// `(hits, misses)` since construction.
     pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
+        let inner = lock_recover(&self.inner);
         (inner.hits, inner.misses)
     }
 

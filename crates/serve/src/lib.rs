@@ -24,7 +24,7 @@
 //!            │  weighted RR)     │
 //!            └─────────┬─────────┘
 //!            ┌─────────▼──────────────────────┐
-//!            │ worker pool (N × SimDevice)    │
+//!            │ worker pool (N × SimClock)     │
 //!            │  owner claims per-video parts; │
 //!            │  idle workers steal from the   │
 //!            │  board; last finisher          │
@@ -37,8 +37,8 @@
 //! * [`admission`] — the bounded priority queue with load shedding.
 //! * [`plans`] — plan reuse over the [`zeus_core::catalog::PlanCatalog`]
 //!   so repeated queries never re-train.
-//! * [`pool`] — the work-stealing worker pool over
-//!   [`zeus_core::parallel::DevicePool`] devices.
+//! * [`pool`] — the work-stealing worker pool, one simulated device
+//!   clock per worker.
 //! * [`cache`] — the LRU result cache.
 //! * [`quota`] — per-tenant token-bucket quotas with fair-share load
 //!   shedding (the multi-tenant contract the fleet router enforces).

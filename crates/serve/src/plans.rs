@@ -20,12 +20,12 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
-use parking_lot::RwLock;
 use zeus_core::catalog::{decode_plan, encode_plan, PlanCatalog, StoredPlan};
 use zeus_core::planner::QueryPlan;
 use zeus_core::query::ActionQuery;
+use zeus_obs::sync::{read_recover, write_recover};
 
 use crate::cache::CorpusId;
 
@@ -82,7 +82,7 @@ impl PlanStore {
         let Some(dir) = &self.catalog_dir else {
             return Ok(None);
         };
-        if let Some(catalog) = self.catalogs.read().get(&corpus) {
+        if let Some(catalog) = read_recover(&self.catalogs).get(&corpus) {
             return Ok(Some(catalog.clone()));
         }
         let path = dir.join(corpus.to_string());
@@ -90,7 +90,7 @@ impl PlanStore {
             return Ok(None);
         }
         let catalog = PlanCatalog::open(path)?;
-        self.catalogs.write().insert(corpus, catalog.clone());
+        write_recover(&self.catalogs).insert(corpus, catalog.clone());
         Ok(Some(catalog))
     }
 
@@ -108,9 +108,7 @@ impl PlanStore {
         // the plan came from memory or disk.
         let stored =
             decode_plan(&encode_plan(plan, apfg_seed)).expect("freshly encoded plan must decode");
-        self.mem
-            .write()
-            .insert(mem_key(corpus, &stored.query), Arc::new(stored));
+        write_recover(&self.mem).insert(mem_key(corpus, &stored.query), Arc::new(stored));
         match self.catalog(corpus, true)? {
             Some(catalog) => Ok(Some(catalog.save(plan, apfg_seed)?)),
             None => Ok(None),
@@ -122,9 +120,7 @@ impl PlanStore {
     /// query identities — e.g. the same class served at many accuracy
     /// targets — without retraining per identity.
     pub fn install_stored(&self, corpus: CorpusId, stored: StoredPlan) {
-        self.mem
-            .write()
-            .insert(mem_key(corpus, &stored.query), Arc::new(stored));
+        write_recover(&self.mem).insert(mem_key(corpus, &stored.query), Arc::new(stored));
     }
 
     /// Resolve a `(corpus, query)` pair to a stored plan: memory first,
@@ -134,7 +130,7 @@ impl PlanStore {
     /// returned.
     pub fn get(&self, corpus: CorpusId, query: &ActionQuery) -> Option<Arc<StoredPlan>> {
         let key = mem_key(corpus, query);
-        if let Some(plan) = self.mem.read().get(&key) {
+        if let Some(plan) = read_recover(&self.mem).get(&key) {
             return Some(Arc::clone(plan));
         }
         let catalog = match self.catalog(corpus, false) {
@@ -150,7 +146,7 @@ impl PlanStore {
             // only when it matches the request precisely.
             Ok(Some(stored)) if &stored.query == query => {
                 let plan = Arc::new(stored);
-                self.mem.write().insert(key, Arc::clone(&plan));
+                write_recover(&self.mem).insert(key, Arc::clone(&plan));
                 Some(plan)
             }
             Ok(Some(stored)) => {
@@ -175,7 +171,7 @@ impl PlanStore {
 
     /// Number of plans resident in memory (across all corpora).
     pub fn resident(&self) -> usize {
-        self.mem.read().len()
+        read_recover(&self.mem).len()
     }
 
     /// Every memory-resident plan for one corpus. This is the
@@ -183,7 +179,7 @@ impl PlanStore {
     /// sibling shards' stores (via [`PlanStore::install_stored`]) when a
     /// corpus runs hot, so failover and resharding never retrain.
     pub fn plans_for(&self, corpus: CorpusId) -> Vec<Arc<StoredPlan>> {
-        let mem = self.mem.read();
+        let mem = read_recover(&self.mem);
         let mut plans: Vec<_> = mem
             .iter()
             .filter(|((c, _, _), _)| *c == corpus)

@@ -39,7 +39,7 @@ use zeus_core::metrics::EvalProtocol;
 use zeus_core::query::ActionQuery;
 use zeus_core::result::{ConfigHistogram, ExecutionResult, QueryResult};
 use zeus_core::ExecutorKind;
-use zeus_sim::{SimClock, SimDevice};
+use zeus_sim::SimClock;
 use zeus_video::annotation::runs_from_labels;
 use zeus_video::{Video, VideoId};
 
@@ -162,7 +162,9 @@ pub(crate) struct PoolShared {
     pub(crate) board: Mutex<Vec<Arc<ActiveQuery>>>,
     /// In-flight queries by cache key, for submission coalescing.
     pub(crate) inflight: Mutex<HashMap<CacheKey, Arc<ActiveQuery>>>,
-    pub(crate) devices: Vec<Mutex<SimDevice>>,
+    /// One simulated device per worker: its clock accumulates the busy
+    /// time of every part the worker ran.
+    pub(crate) devices: Vec<Mutex<SimClock>>,
     pub(crate) cache: Arc<ResultCache>,
     pub(crate) metrics: ServeMetrics,
     /// The server's observability plane (shared registry + tracer).
@@ -177,7 +179,7 @@ impl PoolShared {
     pub(crate) fn device_busy_secs(&self) -> Vec<f64> {
         self.devices
             .iter()
-            .map(|d| lock_recover(d).busy_secs())
+            .map(|d| lock_recover(d).elapsed_secs())
             .collect()
     }
 }
@@ -260,9 +262,7 @@ fn execute_part(shared: &PoolShared, worker: usize, task: &Arc<ActiveQuery>, i: 
         .record_stage("execute.part", started.elapsed());
 
     // Charge the simulated time to the executing device.
-    lock_recover(&shared.devices[worker])
-        .clock_mut()
-        .merge(&clock);
+    lock_recover(&shared.devices[worker]).merge(&clock);
 
     let event = ResponseEvent::Video {
         video: video.id,

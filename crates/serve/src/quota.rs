@@ -25,10 +25,10 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use zeus_obs::sync::lock_recover;
 
 /// A tenant identity, threaded from the session/API layer through every
 /// serve request. Cheap to clone (shared string).
@@ -278,7 +278,7 @@ impl FairShareGate {
     /// tests drive this directly.
     pub fn admit_at(&self, tenant: &TenantId, pressure: f64, now_secs: f64) -> Decision {
         let quota = self.quota_for(tenant);
-        let mut tenants = self.stripe(tenant).lock();
+        let mut tenants = lock_recover(self.stripe(tenant));
         let state = tenants
             .entry(tenant.clone())
             .or_insert_with(|| TenantState {
@@ -316,8 +316,7 @@ impl FairShareGate {
             .stripes
             .iter()
             .flat_map(|stripe| {
-                stripe
-                    .lock()
+                lock_recover(stripe)
                     .iter()
                     .map(|(t, s)| (t.clone(), s.stats.clone()))
                     .collect::<Vec<_>>()
@@ -331,7 +330,12 @@ impl FairShareGate {
     pub fn total_shed(&self) -> u64 {
         self.stripes
             .iter()
-            .map(|stripe| stripe.lock().values().map(|s| s.stats.shed).sum::<u64>())
+            .map(|stripe| {
+                lock_recover(stripe)
+                    .values()
+                    .map(|s| s.stats.shed)
+                    .sum::<u64>()
+            })
             .sum()
     }
 }

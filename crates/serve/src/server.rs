@@ -15,10 +15,9 @@ use std::time::Instant;
 
 use zeus_core::baselines::QueryEngine;
 use zeus_core::catalog::PlanCatalog;
-use zeus_core::parallel::DevicePool;
 use zeus_core::query::ActionQuery;
 use zeus_core::ExecutorKind;
-use zeus_sim::{CostModel, DeviceProfile};
+use zeus_sim::{CostModel, DeviceProfile, SimClock};
 use zeus_video::annotation::runs_from_labels;
 use zeus_video::video::Split;
 use zeus_video::DataSource;
@@ -111,7 +110,7 @@ pub struct ZeusServer {
 
 impl ZeusServer {
     /// Start a server over any [`DataSource`]: spin up `config.workers`
-    /// threads, each owning one device from a [`DevicePool`].
+    /// threads, each owning one simulated device clock.
     ///
     /// The corpus identity keying the result cache and plan store is the
     /// source's content fingerprint ([`CorpusId::of`]), so two servers
@@ -218,12 +217,13 @@ impl ZeusServer {
             return Err(ServeError::EmptyCorpus);
         }
 
-        let pool = DevicePool::homogeneous(config.workers, config.device.clone());
         let shared = Arc::new(PoolShared {
             queue: AdmissionQueue::new(config.queue_capacity),
             board: Mutex::new(Vec::new()),
             inflight: Mutex::new(std::collections::HashMap::new()),
-            devices: pool.into_devices().into_iter().map(Mutex::new).collect(),
+            devices: (0..config.workers)
+                .map(|_| Mutex::new(SimClock::new()))
+                .collect(),
             cache: cache.unwrap_or_else(|| Arc::new(ResultCache::new(config.cache_capacity))),
             metrics: ServeMetrics::with_registry(&obs.metrics),
             obs: obs.clone(),

@@ -14,11 +14,12 @@ use std::time::{Duration, Instant};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use zeus_core::parallel::run_jobs;
 use zeus_core::query::ActionQuery;
 
 use crate::admission::AdmitError;
 use crate::metrics::MetricsSnapshot;
-use crate::request::{Priority, QueryOutcome};
+use crate::request::{Priority, QueryOutcome, ResponseStream};
 use crate::server::ZeusServer;
 
 /// A traffic mix: queries are drawn round-robin from the templates, with
@@ -83,16 +84,9 @@ pub fn run_open_loop(server: &ZeusServer, spec: &WorkloadSpec, rate_qps: f64) ->
     let start = Instant::now();
     let shed = AtomicUsize::new(0);
 
-    let outcomes = crossbeam::thread::scope(|s| {
+    let outcomes = std::thread::scope(|s| {
         let (tx, rx) = std::sync::mpsc::channel();
-        let collector = s.spawn(move |_| {
-            let mut outcomes: Vec<QueryOutcome> = Vec::new();
-            while let Ok(stream) = rx.recv() {
-                let stream: crate::request::ResponseStream = stream;
-                outcomes.push(stream.wait());
-            }
-            outcomes
-        });
+        let collector = s.spawn(move || rx.iter().map(ResponseStream::wait).collect::<Vec<_>>());
 
         let mut next_arrival = Instant::now();
         for i in 0..spec.total {
@@ -116,8 +110,7 @@ pub fn run_open_loop(server: &ZeusServer, spec: &WorkloadSpec, rate_qps: f64) ->
         }
         drop(tx);
         collector.join().expect("collector panicked")
-    })
-    .expect("workload scope failed");
+    });
 
     WorkloadReport {
         shed: shed.load(Ordering::Relaxed),
@@ -139,45 +132,21 @@ pub fn run_closed_loop(
 ) -> WorkloadReport {
     assert!(concurrency > 0, "need at least one client");
     let start = Instant::now();
-    let cursor = AtomicUsize::new(0);
     let shed = AtomicUsize::new(0);
 
-    let mut outcomes = crossbeam::thread::scope(|s| {
-        let clients: Vec<_> = (0..concurrency)
-            .map(|_| {
-                let cursor = &cursor;
-                let shed = &shed;
-                s.spawn(move |_| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= spec.total {
-                            return mine;
-                        }
-                        let (query, priority) = spec.nth(i);
-                        loop {
-                            match server.submit(query.clone(), priority) {
-                                Ok(stream) => {
-                                    mine.push(stream.wait());
-                                    break;
-                                }
-                                Err(AdmitError::QueueFull { .. }) => {
-                                    shed.fetch_add(1, Ordering::Relaxed);
-                                    std::thread::sleep(Duration::from_micros(200));
-                                }
-                                Err(e) => panic!("closed-loop submission failed: {e}"),
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        clients
-            .into_iter()
-            .flat_map(|h| h.join().expect("client panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("workload scope failed");
+    let mut outcomes = run_jobs(concurrency, spec.total, |i| {
+        let (query, priority) = spec.nth(i);
+        loop {
+            match server.submit(query.clone(), priority) {
+                Ok(stream) => return stream.wait(),
+                Err(AdmitError::QueueFull { .. }) => {
+                    shed.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                Err(e) => panic!("closed-loop submission failed: {e}"),
+            }
+        }
+    });
     outcomes.sort_by_key(|o| o.id);
 
     WorkloadReport {

@@ -3,13 +3,11 @@
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul};
 
-use serde::{Deserialize, Serialize};
-
 /// A span of simulated time, stored as seconds in `f64`.
 ///
 /// Simulated durations are exact (no wall-clock jitter), which makes every
 /// throughput table in the reproduction bit-for-bit deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimDuration(f64);
 
 impl SimDuration {
@@ -79,7 +77,7 @@ impl Sum for SimDuration {
 /// end of a run, `throughput(total_video_frames)` yields the fps figure the
 /// paper plots (frames of *video covered* per second of *processing time*,
 /// which is how a filtering system can exceed the decode rate).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimClock {
     elapsed: SimDuration,
     events: u64,

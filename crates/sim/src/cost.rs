@@ -35,8 +35,6 @@
 //! * DQN-head and classifier-head latencies are sub-millisecond MLP passes,
 //!   folded into `mlp_head_time`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::SimDuration;
 use crate::device::DeviceProfile;
 
@@ -56,7 +54,7 @@ pub const MLP_HEAD_S: f64 = 5.0e-5;
 
 /// Latency cost model for all model families used in the paper, scaled by a
 /// [`DeviceProfile`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     device: DeviceProfile,
     /// Overridable Frame-PP speedup (defaults to [`FRAME_PP_SPEEDUP`]).
@@ -79,11 +77,6 @@ impl CostModel {
             frame_pp_speedup: FRAME_PP_SPEEDUP,
             light3d_speedup: LIGHT3D_SPEEDUP,
         }
-    }
-
-    /// The device this model is scaled for.
-    pub fn device(&self) -> &DeviceProfile {
-        &self.device
     }
 
     fn scale(&self, secs: f64) -> SimDuration {

@@ -1,13 +1,10 @@
-//! Device profiles and simulated device instances: the paper's GPU and
-//! CPU inference targets, plus the [`SimDevice`] unit of hardware that the
-//! parallel executor (§6.4) and the `zeus-serve` worker pool schedule onto.
-
-use serde::{Deserialize, Serialize};
-
-use crate::clock::SimClock;
+//! Device profiles: the paper's GPU and CPU inference targets. A
+//! simulated device itself is only a [`SimClock`](crate::SimClock): the
+//! parallel executor (§6.4) and the `zeus-serve` worker pool each keep
+//! one clock per device.
 
 /// A hardware profile scaling the base (GPU-calibrated) latency model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable device name.
     pub name: String,
@@ -50,55 +47,6 @@ impl Default for DeviceProfile {
     }
 }
 
-/// One simulated accelerator: a profile plus an accumulating clock.
-///
-/// A device is the schedulable unit of hardware. The §6.4 fork-join
-/// executor creates fresh devices per run; the `zeus-serve` worker pool
-/// keeps one long-lived device per worker so busy-time accumulates across
-/// queries and drives utilization accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SimDevice {
-    id: usize,
-    profile: DeviceProfile,
-    clock: SimClock,
-}
-
-impl SimDevice {
-    /// A fresh, idle device.
-    pub fn new(id: usize, profile: DeviceProfile) -> Self {
-        SimDevice {
-            id,
-            profile,
-            clock: SimClock::new(),
-        }
-    }
-
-    /// Pool-local device id.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// The hardware profile this device simulates.
-    pub fn profile(&self) -> &DeviceProfile {
-        &self.profile
-    }
-
-    /// The device's accumulated clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// Mutable access for executors charging work to this device.
-    pub fn clock_mut(&mut self) -> &mut SimClock {
-        &mut self.clock
-    }
-
-    /// Total simulated seconds this device has been busy.
-    pub fn busy_secs(&self) -> f64 {
-        self.clock.elapsed_secs()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,17 +67,5 @@ mod tests {
     #[should_panic(expected = "slowdown must be positive")]
     fn custom_rejects_nonpositive() {
         let _ = DeviceProfile::custom("bad", 0.0);
-    }
-
-    #[test]
-    fn device_accumulates_busy_time() {
-        use crate::clock::SimDuration;
-        let mut d = SimDevice::new(3, DeviceProfile::default());
-        assert_eq!(d.id(), 3);
-        assert_eq!(d.busy_secs(), 0.0);
-        d.clock_mut().advance(SimDuration::from_secs(1.5));
-        d.clock_mut().advance(SimDuration::from_secs(0.5));
-        assert_eq!(d.busy_secs(), 2.0);
-        assert_eq!(d.clock().events(), 2);
     }
 }

@@ -29,4 +29,4 @@ pub mod device;
 
 pub use clock::{SimClock, SimDuration};
 pub use cost::CostModel;
-pub use device::{DeviceProfile, SimDevice};
+pub use device::DeviceProfile;

@@ -6,11 +6,9 @@
 //! label function for a class (or a union of classes, for the multi-class
 //! study of §6.5) is derived from them.
 
-use serde::{Deserialize, Serialize};
-
 /// The action classes used across the paper's six queries plus CrossLeft
 /// (used by the multi-class and cross-model studies, §6.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActionClass {
     /// Pedestrian crosses the street left → right (BDD100K, Figure 6).
     CrossRight,
@@ -81,7 +79,7 @@ impl std::fmt::Display for ActionClass {
 }
 
 /// A labeled action occurrence: frames `[start, end)` of one class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActionInterval {
     /// First frame of the action (inclusive).
     pub start: usize,

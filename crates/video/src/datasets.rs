@@ -32,7 +32,6 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::annotation::{ActionClass, ActionInterval};
 use crate::scene::mix2;
@@ -42,7 +41,7 @@ use crate::video::{Video, VideoId, VideoStore};
 /// Which knob family a corpus plans against (the paper's Table 4 defines
 /// two): the configuration space and evaluation window are
 /// family-specific, so every profile declares its family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConfigFamily {
     /// Short dash-cam clips (BDD100K, Cityscapes, KITTI): high
     /// resolutions, short segments, 16-frame evaluation windows.
@@ -73,7 +72,7 @@ impl ConfigFamily {
 
 /// The corpora used in the paper's evaluation — now a set of built-in
 /// profile recipes over the open [`DatasetProfile`] representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// 200-video BDD100K driving subset (§6.1), 40 s dash-cam clips.
     Bdd100k,
@@ -264,7 +263,7 @@ impl std::fmt::Display for DatasetKind {
 /// Generation parameters for one corpus — the open counterpart of what
 /// used to be the closed `DatasetKind` enum. Users define their own
 /// profiles (validated, never panicking) and generate custom corpora.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetProfile {
     /// Registry/ZQL identity (lowercase, `[a-z0-9_-]`).
     pub name: String,
@@ -449,7 +448,7 @@ fn normal(rng: &mut impl Rng) -> f64 {
 }
 
 /// A generated corpus: its profile plus the videos.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticDataset {
     /// The profile it was generated from.
     pub profile: DatasetProfile,

@@ -1,12 +1,10 @@
 //! Corpus statistics — regenerates the paper's Table 3.
 
-use serde::{Deserialize, Serialize};
-
 use crate::annotation::ActionClass;
 use crate::video::VideoStore;
 
 /// Dataset characteristics in the shape of the paper's Table 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
     /// Number of action classes counted.
     pub num_classes: usize,

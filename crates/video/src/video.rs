@@ -1,12 +1,10 @@
 //! Videos and video corpora.
 
-use serde::{Deserialize, Serialize};
-
 use crate::annotation::{binary_labels, ActionClass, ActionInterval};
 use crate::scene;
 
 /// Identifier of a video inside a corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VideoId(pub u32);
 
 /// A single annotated video.
@@ -14,7 +12,7 @@ pub struct VideoId(pub u32);
 /// A video holds no pixels: the APFG models derive their outputs from its
 /// annotations and seed, so a corpus of hundreds of thousands of frames
 /// costs only its annotations in memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Video {
     /// Corpus-unique id.
     pub id: VideoId,
@@ -77,15 +75,6 @@ impl Video {
         total
     }
 
-    /// Intervals belonging to any of `classes`.
-    pub fn intervals_of(&self, classes: &[ActionClass]) -> Vec<ActionInterval> {
-        self.intervals
-            .iter()
-            .copied()
-            .filter(|iv| classes.contains(&iv.class))
-            .collect()
-    }
-
     /// Duration in seconds.
     pub fn duration_secs(&self) -> f64 {
         self.num_frames as f64 / self.fps
@@ -93,7 +82,7 @@ impl Video {
 }
 
 /// Train/validation/test split assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Split {
     /// Training partition (APFG fine-tuning + RL training).
     Train,
@@ -104,7 +93,7 @@ pub enum Split {
 }
 
 /// An annotated video corpus with deterministic splits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VideoStore {
     videos: Vec<Video>,
 }

@@ -10,12 +10,13 @@
 
 use std::sync::Arc;
 
-use zeus::apfg::{FeatureCache, SimulatedApfg};
+use zeus::apfg::SimulatedApfg;
 use zeus::core::config::ConfigSpace;
 use zeus::core::env::VideoTraversalEnv;
 use zeus::core::planner::{PlannerOptions, QueryPlanner};
 use zeus::core::query::ActionQuery;
 use zeus::core::training::{CandidateJob, TrainingEngine, TrainingOptions};
+use zeus::core::FeatureCache;
 use zeus::rl::agent::GreedyPolicy;
 use zeus::rl::{DqnConfig, EpsilonSchedule, RewardMode, TrainerConfig};
 use zeus::sim::CostModel;
@@ -123,24 +124,18 @@ fn trained_policies_match_golden_hashes() {
 fn portfolio_policies_are_worker_count_independent() {
     let proto = proto_env(5, 17, 64).with_cache(Arc::new(FeatureCache::new()));
     let jobs: Vec<CandidateJob> = (0..4).map(|i| tiny_job(900 + i)).collect();
-    let cost = CostModel::default();
     let portfolio = |workers: usize| {
         TrainingEngine::new(TrainingOptions {
             train_workers: workers,
         })
-        .train_portfolio(&proto, &jobs, &cost)
+        .train_portfolio(&proto, &jobs)
         .expect("portfolio trains")
     };
     let reference = portfolio(1);
     for workers in [2, 4, 8] {
         let other = portfolio(workers);
-        assert_eq!(other.candidates.len(), reference.candidates.len());
-        for (spec, (a, b)) in reference
-            .candidates
-            .iter()
-            .zip(&other.candidates)
-            .enumerate()
-        {
+        assert_eq!(other.len(), reference.len());
+        for (spec, (a, b)) in reference.iter().zip(&other).enumerate() {
             assert_eq!(
                 a.report, b.report,
                 "spec {spec} report changed with {workers} workers"
