@@ -10,8 +10,7 @@
 //! * [`ZeusSession`] — a fluent façade over corpus generation, the query
 //!   planner, the plan store/catalog, and the serving engine. Build one
 //!   with [`ZeusSession::builder`], then call
-//!   `session.query("ZQL ...")?.run()` (batch) or `.run_streaming()`
-//!   (per-video iterator). `session.serve(config)` starts a
+//!   `session.query("ZQL ...")?.run()`. `session.serve(config)` starts a
 //!   [`zeus_serve::ZeusServer`] sharing the session's plans.
 //! * [`ZeusError`] — the workspace-wide typed error. Every layer's
 //!   failure (`ParseError`, `PlanError`, `AdmitError`, `ServeError`,
@@ -50,9 +49,7 @@ mod error;
 mod session;
 
 pub use error::ZeusError;
-pub use session::{
-    Query, QueryResponse, VideoResult, VideoResults, ZeusSession, ZeusSessionBuilder,
-};
+pub use session::{Query, QueryResponse, ZeusSession, ZeusSessionBuilder};
 
 // Re-export the vocabulary types a session caller needs.
 pub use zeus_core::query::{parse_zql, ActionQuery, OrderBy, ParseError, QueryIr};
@@ -62,6 +59,5 @@ pub use zeus_obs::{ExplainReport, MetricsRegistry, ObsHub, ObsSnapshot, StageTim
 pub use zeus_serve::quota::{FairShareGate, QuotaSpec, TenantId, TenantStats};
 pub use zeus_serve::{CorpusId, Priority, SegmentHit, ServeConfig};
 pub use zeus_video::{
-    ConfigFamily, DataError, DataSource, DatasetKind, DatasetProfile, DatasetRegistry,
-    SyntheticDataset,
+    ConfigFamily, DataError, DataSource, DatasetKind, DatasetProfile, SyntheticDataset,
 };

@@ -2,12 +2,11 @@
 //! behind one handle, queries as ZQL strings in, answer sets out.
 //!
 //! A session hosts *any number* of registered data sources — the five
-//! built-in paper corpora, `.zds` files, custom profile-defined corpora,
-//! composite/filtered views — and routes every query by its ZQL
-//! `FROM <dataset>` clause (`FROM UDF(video)` targets the default
-//! source). Plans and result caches are keyed per (corpus fingerprint,
-//! query), so two corpora in one session never share or clobber trained
-//! plans.
+//! built-in paper corpora, `.zds` files, custom profile-defined corpora —
+//! and routes every query by its ZQL `FROM <dataset>` clause (`FROM
+//! UDF(video)` targets the default source). Plans and result caches are
+//! keyed per (corpus fingerprint, query), so two corpora in one session
+//! never share or clobber trained plans.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -19,19 +18,16 @@ use zeus_core::config::ConfigSpace;
 use zeus_core::metrics::{EvalProtocol, EvalReport};
 use zeus_core::planner::{ConfigProfile, PlanError, PlannerOptions, QueryPlan, QueryPlanner};
 use zeus_core::query::{parse_zql, ActionQuery, QueryIr};
-use zeus_core::result::{ConfigHistogram, QueryResult};
+use zeus_core::result::QueryResult;
 use zeus_core::ExecutorKind;
 use zeus_fleet::{FleetConfig, FleetRouter};
 use zeus_obs::sync::{lock_recover, read_recover, write_recover};
 use zeus_obs::{ExplainReport, ObsHub, ObsSnapshot, StageClock, Tracer};
 use zeus_serve::quota::TenantId;
 use zeus_serve::{CorpusId, PlanStore, QueryRefiner, SegmentHit, ServeConfig, ZeusServer};
-use zeus_sim::SimClock;
-use zeus_video::annotation::runs_from_labels;
-use zeus_video::registry::DatasetRegistry;
 use zeus_video::source::{normalize_name, DataSource, SharedSource};
 use zeus_video::video::Split;
-use zeus_video::{DatasetKind, SyntheticDataset, Video, VideoId};
+use zeus_video::{DatasetKind, SyntheticDataset, Video};
 
 use crate::error::ZeusError;
 
@@ -139,8 +135,7 @@ impl ZeusSessionBuilder {
     }
 
     /// Register a custom data source under `name` — a generated
-    /// [`SyntheticDataset`], a concatenation, a filtered view, anything
-    /// implementing [`DataSource`].
+    /// [`SyntheticDataset`] or anything else implementing [`DataSource`].
     pub fn register(mut self, name: impl AsRef<str>, source: impl DataSource + 'static) -> Self {
         self.put(
             name.as_ref().to_string(),
@@ -153,15 +148,6 @@ impl ZeusSessionBuilder {
     /// checksum-verified) at build time.
     pub fn source_file(mut self, name: impl AsRef<str>, path: impl Into<PathBuf>) -> Self {
         self.put(name.as_ref().to_string(), SourceSpec::File(path.into()));
-        self
-    }
-
-    /// Adopt every source of a [`DatasetRegistry`] (registration order
-    /// preserved; same-name entries replace earlier builder entries).
-    pub fn sources(mut self, registry: &DatasetRegistry) -> Self {
-        for (name, source) in registry.iter() {
-            self.put(name.to_string(), SourceSpec::Ready(Arc::clone(source)));
-        }
         self
     }
 
@@ -341,7 +327,7 @@ fn plan_key(corpus: CorpusId, query: &ActionQuery) -> PlanKey {
 /// configuration, one plan store — and every query a ZQL string.
 ///
 /// A session replaces the hand-wired `QueryPlanner::new` → `plan` →
-/// `build_engines` → executor pipeline:
+/// `build_engine` → executor pipeline:
 ///
 /// ```no_run
 /// use zeus_api::ZeusSession;
@@ -640,11 +626,7 @@ impl ZeusSession {
 }
 
 /// A prepared query bound to a session and a resolved dataset: pick an
-/// executor, then [`run`] (batch) or [`run_streaming`] (per-video
-/// iterator).
-///
-/// [`run`]: Query::run
-/// [`run_streaming`]: Query::run_streaming
+/// executor, then [`Query::run`].
 pub struct Query<'s> {
     session: &'s ZeusSession,
     source: &'s SessionSource,
@@ -656,6 +638,14 @@ pub struct Query<'s> {
 struct ResolvedEngine {
     engine: Box<dyn QueryEngine + Send + Sync>,
     protocol: EvalProtocol,
+}
+
+/// The plan a query's engine is built from.
+enum Planned<'a> {
+    /// A full trained plan, profiles included.
+    Full(&'a QueryPlan),
+    /// A stored (catalog) plan: rebuilds Zeus-RL and Zeus-Sliding only.
+    Stored(&'a StoredPlan),
 }
 
 impl<'s> Query<'s> {
@@ -720,7 +710,7 @@ impl<'s> Query<'s> {
     fn resolve(&self) -> Result<ResolvedEngine, ZeusError> {
         if let Some(plan) = self.session.cached_plan(self.source, &self.ir.base) {
             return Ok(ResolvedEngine {
-                engine: self.engine_from_plan(&plan),
+                engine: self.engine(Planned::Full(&plan)),
                 protocol: plan.protocol,
             });
         }
@@ -731,66 +721,55 @@ impl<'s> Query<'s> {
             if let Some(stored) = self.lookup() {
                 return Ok(ResolvedEngine {
                     protocol: stored.protocol,
-                    engine: self.engine_from_stored(&stored),
+                    engine: self.engine(Planned::Stored(&stored)),
                 });
             }
         }
         let plan = self.session.base_plan(self.source, &self.ir.base)?;
         Ok(ResolvedEngine {
-            engine: self.engine_from_plan(&plan),
+            engine: self.engine(Planned::Full(&plan)),
             protocol: plan.protocol,
         })
     }
 
-    /// Build this query's engine from a full trained plan. The
-    /// `latency_budget` clause re-selects Zeus-Sliding's static
-    /// configuration under a throughput floor (tighter budget → faster
-    /// configuration); Zeus-RL adapts per-segment and needs no override.
-    fn engine_from_plan(&self, plan: &QueryPlan) -> Box<dyn QueryEngine + Send + Sync> {
-        let planner = self.session.planner(self.source);
-        match (self.executor, planner.budget_min_fps(&self.ir)) {
-            (ExecutorKind::ZeusSliding, Some(floor)) => {
-                let config = QueryPlanner::select_sliding_config_bounded(
-                    &plan.profiles,
-                    self.ir.base.target_accuracy,
-                    Some(floor),
-                )
-                .unwrap_or(plan.sliding_config);
-                Box::new(ZeusSliding::new(
-                    plan.apfg.clone(),
-                    config,
-                    planner.cost_model().clone(),
-                ))
-            }
-            _ => planner.build_engine(plan, self.executor),
-        }
-    }
-
-    /// Build this query's engine from a stored (catalog) plan — no
-    /// training. A `latency_budget` on a sliding query re-profiles the
-    /// configuration space (cheap: sliding execution over the validation
-    /// split, no RL training) to re-select under the throughput floor.
-    fn engine_from_stored(&self, stored: &StoredPlan) -> Box<dyn QueryEngine + Send + Sync> {
+    /// Build this query's engine from its plan. A `latency_budget` on a
+    /// Zeus-Sliding query re-selects the static configuration under the
+    /// budget's throughput floor (tighter budget → faster configuration);
+    /// for a stored plan that re-profiles the configuration space (cheap:
+    /// sliding execution over the validation split, no RL training).
+    /// Zeus-RL adapts per segment and needs no override.
+    fn engine(&self, planned: Planned<'_>) -> Box<dyn QueryEngine + Send + Sync> {
         let planner = self.session.planner(self.source);
         let cost = planner.cost_model().clone();
-        match self.executor {
-            ExecutorKind::ZeusSliding => {
-                if let Some(floor) = planner.budget_min_fps(&self.ir) {
-                    let profiles = self
-                        .session
-                        .stored_profiles(self.source, &self.ir.base, stored);
-                    let config = QueryPlanner::select_sliding_config_bounded(
-                        &profiles,
-                        self.ir.base.target_accuracy,
-                        Some(floor),
-                    )
-                    .unwrap_or(stored.sliding_config);
-                    Box::new(ZeusSliding::new(stored.apfg(), config, cost))
-                } else {
-                    Box::new(stored.sliding_engine(cost))
+        let floor = match self.executor {
+            ExecutorKind::ZeusSliding => planner.budget_min_fps(&self.ir),
+            _ => None,
+        };
+        if let Some(floor) = floor {
+            let stored_profiles;
+            let (profiles, apfg, config) = match planned {
+                Planned::Full(plan) => (&plan.profiles, plan.apfg.clone(), plan.sliding_config),
+                Planned::Stored(stored) => {
+                    stored_profiles =
+                        self.session
+                            .stored_profiles(self.source, &self.ir.base, stored);
+                    (&*stored_profiles, stored.apfg(), stored.sliding_config)
                 }
+            };
+            let config = QueryPlanner::select_sliding_config_bounded(
+                profiles,
+                self.ir.base.target_accuracy,
+                Some(floor),
+            )
+            .unwrap_or(config);
+            return Box::new(ZeusSliding::new(apfg, config, cost));
+        }
+        match planned {
+            Planned::Full(plan) => planner.build_engine(plan, self.executor),
+            Planned::Stored(stored) if self.executor == ExecutorKind::ZeusSliding => {
+                Box::new(stored.sliding_engine(cost))
             }
-            _ => Box::new(stored.zeus_rl_engine(cost)),
+            Planned::Stored(stored) => Box::new(stored.zeus_rl_engine(cost)),
         }
     }
 
@@ -853,24 +832,6 @@ impl<'s> Query<'s> {
             explain,
         })
     }
-
-    /// Execute lazily, yielding one [`VideoResult`] per test-split video
-    /// as it is processed. `WINDOW` and `AND NOT` filter each video's
-    /// segments; `LIMIT n` short-circuits the iteration once `n` segments
-    /// have been yielded (remaining videos are never executed). `ORDER BY`
-    /// needs the full answer set and only applies to [`Query::run`].
-    pub fn run_streaming(&self) -> Result<VideoResults<'s>, ZeusError> {
-        let resolved = self.resolve()?;
-        let videos = self.session.test_videos(self.source);
-        let refiner = QueryRefiner::new(&self.ir, videos.iter().copied());
-        Ok(VideoResults {
-            videos,
-            engine: resolved.engine,
-            refiner,
-            pos: 0,
-            emitted: 0,
-        })
-    }
 }
 
 /// The evaluated outcome of [`Query::run`].
@@ -892,56 +853,4 @@ pub struct QueryResponse {
     /// from `EXPLAIN ANALYZE <zql>` (or its IR sets
     /// [`QueryIr::explain`]).
     pub explain: Option<ExplainReport>,
-}
-
-/// One video's localized segments, yielded by [`Query::run_streaming`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct VideoResult {
-    /// The processed video.
-    pub video: VideoId,
-    /// Refined predicted segments `(start, end)` in frames.
-    pub segments: Vec<(usize, usize)>,
-    /// Simulated device seconds this video cost.
-    pub simulated_secs: f64,
-}
-
-/// Lazy per-video execution: videos run on demand as the iterator is
-/// advanced, so a satisfied `LIMIT` stops paying for the rest of the
-/// corpus.
-pub struct VideoResults<'s> {
-    videos: Vec<&'s Video>,
-    engine: Box<dyn QueryEngine + Send + Sync>,
-    refiner: QueryRefiner,
-    pos: usize,
-    emitted: usize,
-}
-
-impl Iterator for VideoResults<'_> {
-    type Item = VideoResult;
-
-    fn next(&mut self) -> Option<VideoResult> {
-        if let Some(limit) = self.refiner.limit() {
-            if self.emitted >= limit {
-                return None;
-            }
-        }
-        let video = *self.videos.get(self.pos)?;
-        self.pos += 1;
-        let mut clock = SimClock::new();
-        let mut hist = ConfigHistogram::new();
-        let labels = self.engine.execute_video(video, &mut clock, &mut hist);
-        let mut segments = self
-            .refiner
-            .refine_segments(video.id, runs_from_labels(&labels));
-        if let Some(limit) = self.refiner.limit() {
-            let remaining = limit - self.emitted;
-            segments.truncate(remaining);
-        }
-        self.emitted += segments.len();
-        Some(VideoResult {
-            video: video.id,
-            segments,
-            simulated_secs: clock.elapsed_secs(),
-        })
-    }
 }

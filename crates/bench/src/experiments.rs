@@ -395,7 +395,7 @@ pub fn fig11() -> ExperimentOutput {
 /// Figure 12: cross-model inference — the CrossRight agent driving other
 /// classes' APFGs.
 pub fn fig12(cross_right: &ExperimentContext) -> ExperimentOutput {
-    let planner_cost = CostModel::default();
+    let planner_cost = CostModel;
     let mut rows = Vec::new();
     let mut res_split_rows = Vec::new();
 
@@ -471,7 +471,7 @@ pub fn fig12(cross_right: &ExperimentContext) -> ExperimentOutput {
 /// Figure 13: domain adaptation — train on BDD100K, test on Cityscapes and
 /// KITTI with the calibrated domain-shift model.
 pub fn fig13(cross_right: &ExperimentContext, left_turn: &ExperimentContext) -> ExperimentOutput {
-    let cost = CostModel::default();
+    let cost = CostModel;
     let mut rows = Vec::new();
     let transfers: [(&ExperimentContext, ActionClass, DatasetKind); 3] = [
         (
@@ -578,7 +578,7 @@ pub fn fig14() -> ExperimentOutput {
         let ctx = ExperimentContext::with_scale(kind, vec![class], target, DEFAULT_SCALE, options);
         // `restricted_to` preserves the full-space order, so classify the
         // three surviving configurations by measured throughput.
-        let cost = CostModel::default();
+        let cost = CostModel;
         let mut by_speed = ctx.plan.space.configs().to_vec();
         by_speed.sort_by(|a, b| {
             cost.sliding_throughput(b.seg_len, b.sampling_rate, b.resolution)
@@ -735,11 +735,11 @@ pub fn ablation_window() -> ExperimentOutput {
 
 /// Extension: §6.4 inter-video parallelism.
 pub fn extension_parallel(ctx: &ExperimentContext) -> ExperimentOutput {
-    let engines = ctx.engines();
+    let engine = ctx.engine(ExecutorKind::ZeusRl);
     let videos = ctx.test_videos();
     let mut rows = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        let result = execute_parallel(&engines.zeus_rl, &videos, workers);
+        let result = execute_parallel(engine.as_ref(), &videos, workers);
         rows.push(vec![
             format!("{workers}"),
             format!("{:.1}", result.makespan_secs()),

@@ -1,7 +1,7 @@
-//! Shared experiment driver: dataset → plan → engines → evaluated results.
+//! Shared experiment driver: dataset → plan → engine → evaluated results.
 
 use zeus_core::baselines::QueryEngine;
-use zeus_core::planner::{EngineSet, PlannerOptions, QueryPlan, QueryPlanner};
+use zeus_core::planner::{PlannerOptions, QueryPlan, QueryPlanner};
 use zeus_core::query::ActionQuery;
 use zeus_core::result::QueryResult;
 use zeus_core::{EvalProtocol, ExecutorKind};
@@ -87,25 +87,17 @@ impl ExperimentContext {
         self.dataset.store.split(Split::Test)
     }
 
-    /// Build the five engines from the current plan.
-    pub fn engines(&self) -> EngineSet {
-        let planner = QueryPlanner::new(&self.dataset, self.options.clone());
-        planner.build_engines(&self.plan)
+    /// Build the engine for one technique from the current plan.
+    pub fn engine(&self, kind: ExecutorKind) -> Box<dyn QueryEngine + Send + Sync> {
+        QueryPlanner::new(&self.dataset, self.options.clone()).build_engine(&self.plan, kind)
     }
 
     /// Run one technique on the test split and evaluate it.
     pub fn run(&self, kind: ExecutorKind) -> QueryResult {
-        let engines = self.engines();
         let videos = self.test_videos();
-        let (name, exec) = match kind {
-            ExecutorKind::FramePp => (kind.name(), engines.frame_pp.execute(&videos)),
-            ExecutorKind::SegmentPp => (kind.name(), engines.segment_pp.execute(&videos)),
-            ExecutorKind::ZeusSliding => (kind.name(), engines.sliding.execute(&videos)),
-            ExecutorKind::ZeusHeuristic => (kind.name(), engines.heuristic.execute(&videos)),
-            ExecutorKind::ZeusRl => (kind.name(), engines.zeus_rl.execute(&videos)),
-        };
+        let exec = self.engine(kind).execute(&videos);
         let report = exec.evaluate(&videos, &self.query.classes, self.protocol());
-        QueryResult::from_parts(name, &exec, &report)
+        QueryResult::from_parts(kind.name(), &exec, &report)
     }
 
     /// Run all five techniques (Figure 8's per-query sweep).

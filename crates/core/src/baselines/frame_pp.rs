@@ -68,13 +68,13 @@ mod tests {
     #[test]
     fn labels_every_frame_and_charges_time() {
         let model = FramePpModel::new(vec![ActionClass::CrossRight], 300, 5);
-        let engine = FramePp::new(model, CostModel::default());
+        let engine = FramePp::new(model, CostModel);
         let v = video();
         let result = engine.execute(&[&v]);
         assert_eq!(result.labels[0].1.len(), 320);
         assert_eq!(result.clock.events(), 320);
         // Throughput equals the per-frame model rate.
-        let expected = 1.0 / CostModel::default().cnn2d_frame(300).as_secs();
+        let expected = 1.0 / CostModel.cnn2d_frame(300).as_secs();
         assert!((result.throughput() - expected).abs() / expected < 1e-9);
     }
 
@@ -83,7 +83,7 @@ mod tests {
         // §6.2: Frame-PP is the slowest technique on BDD (~113 fps at
         // r=300 under the calibrated cost model).
         let model = FramePpModel::new(vec![ActionClass::CrossRight], 300, 5);
-        let engine = FramePp::new(model, CostModel::default());
+        let engine = FramePp::new(model, CostModel);
         let v = video();
         let result = engine.execute(&[&v]);
         assert!(result.throughput() < 150.0, "fps {}", result.throughput());

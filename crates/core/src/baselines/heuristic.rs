@@ -111,7 +111,7 @@ mod tests {
             Configuration::new(150, 8, 8),
             Configuration::new(250, 6, 2),
             Configuration::new(300, 4, 1),
-            CostModel::default(),
+            CostModel,
         )
     }
 

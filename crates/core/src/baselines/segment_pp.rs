@@ -107,7 +107,7 @@ mod tests {
             SegmentPpFilter::new(vec![class], 9),
             SimulatedApfg::new(vec![class], 300, 8, 8, 9),
             heavy,
-            CostModel::default(),
+            CostModel,
         )
     }
 
@@ -118,7 +118,7 @@ mod tests {
         let e = engine(ActionClass::LeftTurn);
         let v = video();
         let result = e.execute(&[&v]);
-        let cost = CostModel::default();
+        let cost = CostModel;
         let always_heavy_fps = cost.sliding_throughput(8, 1, 300);
         assert!(
             result.throughput() > always_heavy_fps,

@@ -88,7 +88,7 @@ mod tests {
         ZeusSliding::new(
             SimulatedApfg::new(vec![ActionClass::CrossRight], 300, 8, 8, 7),
             config,
-            CostModel::default(),
+            CostModel,
         )
     }
 

@@ -116,7 +116,7 @@ mod tests {
             policy,
             space.clone(),
             space.most_accurate(),
-            CostModel::default(),
+            CostModel,
         )
     }
 

@@ -371,16 +371,16 @@ mod tests {
         let ds = DatasetKind::Bdd100k.generate(0.08, 3);
         let (plan, seed) = tiny_plan();
         let stored = decode_plan(&encode_plan(&plan, seed)).unwrap();
-        let cost = CostModel::default();
+        let cost = CostModel;
 
         let planner = QueryPlanner::new(&ds, PlannerOptions::default());
-        let engines = planner.build_engines(&plan);
+        let original = planner.build_engine(&plan, crate::baselines::ExecutorKind::ZeusRl);
         let restored = stored.zeus_rl_engine(cost);
 
         let video = &ds.store.videos()[0];
         let mut c1 = zeus_sim::SimClock::new();
         let mut h1 = crate::result::ConfigHistogram::new();
-        let a = engines.zeus_rl.execute_video(video, &mut c1, &mut h1);
+        let a = original.execute_video(video, &mut c1, &mut h1);
         let mut c2 = zeus_sim::SimClock::new();
         let mut h2 = crate::result::ConfigHistogram::new();
         let b = restored.execute_video(video, &mut c2, &mut h2);

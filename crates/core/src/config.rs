@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn fastest_maximises_throughput() {
         let s = ConfigSpace::for_dataset(DatasetKind::Bdd100k);
-        let cost = CostModel::default();
+        let cost = CostModel;
         let f = s.fastest(&cost);
         let f_fps = cost.sliding_throughput(f.seg_len, f.sampling_rate, f.resolution);
         for c in s.configs() {
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn alphas_sum_to_one_and_order_by_speed() {
         let s = ConfigSpace::for_dataset(DatasetKind::Bdd100k);
-        let cost = CostModel::default();
+        let cost = CostModel;
         let a = s.alphas(&cost);
         let sum: f32 = a.iter().sum();
         assert!((sum - 1.0).abs() < 1e-5, "alphas sum to {sum}");

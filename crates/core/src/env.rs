@@ -270,7 +270,7 @@ mod tests {
         let videos: Vec<Video> = ds.store.videos().to_vec();
         let classes = vec![ActionClass::CrossRight];
         let space = ConfigSpace::for_dataset(DatasetKind::Bdd100k);
-        let alphas = space.alphas(&CostModel::default());
+        let alphas = space.alphas(&CostModel);
         let init = space.most_accurate();
         let apfg = Arc::new(SimulatedApfg::new(
             classes.clone(),
@@ -369,7 +369,7 @@ mod tests {
     fn empty_corpus_is_a_typed_error() {
         let classes = vec![ActionClass::CrossRight];
         let space = ConfigSpace::for_dataset(DatasetKind::Bdd100k);
-        let alphas = space.alphas(&CostModel::default());
+        let alphas = space.alphas(&CostModel);
         let init = space.most_accurate();
         let apfg = Arc::new(SimulatedApfg::new(classes.clone(), 300, 8, 8, 0));
         let err =

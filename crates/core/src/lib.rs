@@ -41,7 +41,7 @@ pub use catalog::{PlanCatalog, StoredPlan};
 pub use config::{ConfigSpace, KnobMask};
 pub use metrics::{EvalProtocol, EvalReport};
 pub use planner::{
-    ConfigProfile, EngineSet, PlanError, PlannerOptions, QueryPlan, QueryPlanner, TrainingCosts,
+    ConfigProfile, PlanError, PlannerOptions, QueryPlan, QueryPlanner, TrainingCosts,
 };
 pub use query::{parse_zql, ActionQuery, OrderBy, ParseError, QueryIr};
 pub use result::{ConfigHistogram, ExecutionResult, QueryResult};

@@ -100,7 +100,8 @@ impl ParallelResult {
     }
 }
 
-/// Execute `videos` with `engine` across `workers` simulated devices.
+/// Execute `videos` with `engine` across `workers` simulated devices
+/// (0 runs as 1, as in [`run_jobs`]).
 ///
 /// Videos are assigned round-robin (longest-first would be better for
 /// balance; round-robin matches a streaming arrival order): device `i`
@@ -109,9 +110,9 @@ impl ParallelResult {
 /// sort by video id, so the result does not depend on thread scheduling.
 pub fn execute_parallel<E>(engine: &E, videos: &[&Video], workers: usize) -> ParallelResult
 where
-    E: QueryEngine + Sync,
+    E: QueryEngine + Sync + ?Sized,
 {
-    assert!(workers > 0, "need at least one worker");
+    let workers = workers.max(1);
     let shares = run_jobs(workers, workers, |device| {
         let mut clock = SimClock::new();
         let mut histogram = ConfigHistogram::new();
@@ -155,7 +156,7 @@ mod tests {
         ZeusSliding::new(
             SimulatedApfg::new(vec![ActionClass::CrossRight], 300, 8, 8, 3),
             Configuration::new(200, 4, 4),
-            CostModel::default(),
+            CostModel,
         )
     }
 
@@ -187,11 +188,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_panics() {
-        let ds = DatasetKind::Bdd100k.generate(0.02, 5);
+    fn zero_workers_run_as_one() {
+        let ds = DatasetKind::Bdd100k.generate(0.04, 5);
         let videos = ds.store.split(zeus_video::video::Split::Test);
-        let _ = execute_parallel(&engine(), &videos, 0);
+        let zero = execute_parallel(&engine(), &videos, 0);
+        let one = execute_parallel(&engine(), &videos, 1);
+        assert_eq!(zero.merged.labels, one.merged.labels);
+        assert_eq!(
+            zero.merged.histogram.entries(),
+            one.merged.histogram.entries()
+        );
+        let bits = |r: &ParallelResult| {
+            let secs: Vec<u64> = r.worker_secs.iter().map(|s| s.to_bits()).collect();
+            (
+                secs,
+                r.merged.clock.elapsed_secs().to_bits(),
+                r.merged.clock.events(),
+            )
+        };
+        assert_eq!(bits(&zero), bits(&one));
     }
 
     #[test]

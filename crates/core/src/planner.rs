@@ -11,7 +11,7 @@ use zeus_apfg::segment_pp::SegmentPpFilter;
 use zeus_apfg::{Configuration, SimulatedApfg};
 use zeus_rl::agent::{DqnConfig, GreedyPolicy};
 use zeus_rl::{EpsilonSchedule, RewardMode, RlError, TrainerConfig, TrainingReport};
-use zeus_sim::{CostModel, DeviceProfile};
+use zeus_sim::CostModel;
 use zeus_video::video::Split;
 use zeus_video::{DataSource, Video};
 
@@ -144,8 +144,6 @@ pub struct TrainingCosts {
 /// Planner knobs.
 #[derive(Debug, Clone)]
 pub struct PlannerOptions {
-    /// Device the cost model simulates.
-    pub device: DeviceProfile,
     /// Knob-disabling mask (§6.4 ablation).
     pub knob_mask: KnobMask,
     /// Reward mode override; `None` = the paper's aggregate reward with
@@ -180,7 +178,6 @@ pub struct PlannerOptions {
 impl Default for PlannerOptions {
     fn default() -> Self {
         PlannerOptions {
-            device: DeviceProfile::default(),
             knob_mask: KnobMask::none(),
             reward_mode: None,
             trainer: TrainerConfig {
@@ -234,8 +231,8 @@ pub struct QueryPlan {
 }
 
 /// The Zeus query planner bound to one data source (any
-/// [`DataSource`] — a generated paper corpus, a `.zds` file, a
-/// composite/filtered view).
+/// [`DataSource`] — a generated paper corpus, a `.zds` file, a custom
+/// profile-defined corpus).
 pub struct QueryPlanner<'a> {
     source: &'a dyn DataSource,
     options: PlannerOptions,
@@ -246,11 +243,10 @@ pub struct QueryPlanner<'a> {
 impl<'a> QueryPlanner<'a> {
     /// Create a planner over a data source.
     pub fn new(source: &'a dyn DataSource, options: PlannerOptions) -> Self {
-        let cost = CostModel::new(options.device.clone());
         QueryPlanner {
             source,
             options,
-            cost,
+            cost: CostModel,
             obs: None,
         }
     }
@@ -307,14 +303,8 @@ impl<'a> QueryPlanner<'a> {
             .collect()
     }
 
-    /// The fastest configuration meeting the target accuracy; falls back
-    /// to the most accurate configuration when none qualifies (§4.2).
-    pub fn select_sliding_config(profiles: &[ConfigProfile], target: f64) -> Configuration {
-        Self::select_sliding_config_bounded(profiles, target, None).expect("non-empty profile list")
-    }
-
-    /// Static-configuration selection with an optional throughput floor
-    /// (derived from a ZQL `latency_budget`). Preference order:
+    /// Static-configuration selection (§4.2) with an optional throughput
+    /// floor (derived from a ZQL `latency_budget`). Preference order:
     ///
     /// 1. fastest configuration meeting the accuracy target *and* the
     ///    floor;
@@ -404,34 +394,11 @@ impl<'a> QueryPlanner<'a> {
         picked
     }
 
-    /// Plan a query end-to-end: profile, select, train (Algorithm 1 + 2).
-    ///
-    /// Convenience wrapper over [`QueryPlanner::try_plan`] that panics on
-    /// planner-input errors; prefer `try_plan` (or the `zeus-api` session
-    /// layer) in fallible contexts.
-    pub fn plan(&self, query: &ActionQuery) -> QueryPlan {
-        self.try_plan(query).expect("plannable query")
-    }
-
-    /// Plan a query end-to-end, returning a typed error instead of
-    /// panicking on unusable options or an empty corpus.
-    pub fn try_plan(&self, query: &ActionQuery) -> Result<QueryPlan, PlanError> {
-        self.plan_inner(query, None)
-    }
-
-    /// Plan an extended-ZQL query: the IR's `latency_budget` is compiled
-    /// into a throughput floor for static-configuration selection (the
-    /// corpus must be traversable within the budget), so a tighter budget
-    /// selects a faster sliding configuration.
-    pub fn try_plan_ir(&self, ir: &QueryIr) -> Result<QueryPlan, PlanError> {
-        self.plan_inner(&ir.base, self.budget_min_fps(ir))
-    }
-
     /// The throughput floor (fps) implied by an IR's `latency_budget`
     /// over this planner's test corpus: the whole test split must be
     /// traversable within the budget. `None` when the IR carries no
-    /// budget. Shared by [`QueryPlanner::try_plan_ir`] and the session
-    /// layer's per-query sliding-config re-selection.
+    /// budget. The session layer re-selects Zeus-Sliding's configuration
+    /// under it.
     pub fn budget_min_fps(&self, ir: &QueryIr) -> Option<f64> {
         ir.latency_budget_ms.map(|ms| {
             let frames: u64 = self
@@ -445,11 +412,18 @@ impl<'a> QueryPlanner<'a> {
         })
     }
 
-    fn plan_inner(
-        &self,
-        query: &ActionQuery,
-        min_fps: Option<f64>,
-    ) -> Result<QueryPlan, PlanError> {
+    /// Plan a query end-to-end: profile, select, train (Algorithm 1 + 2).
+    ///
+    /// Convenience wrapper over [`QueryPlanner::try_plan`] that panics on
+    /// planner-input errors; prefer `try_plan` (or the `zeus-api` session
+    /// layer) in fallible contexts.
+    pub fn plan(&self, query: &ActionQuery) -> QueryPlan {
+        self.try_plan(query).expect("plannable query")
+    }
+
+    /// Plan a query end-to-end, returning a typed error instead of
+    /// panicking on unusable options or an empty corpus.
+    pub fn try_plan(&self, query: &ActionQuery) -> Result<QueryPlan, PlanError> {
         if self.options.max_actions < 2 {
             return Err(PlanError::InvalidOptions(format!(
                 "max_actions must be at least 2, got {}",
@@ -479,10 +453,9 @@ impl<'a> QueryPlanner<'a> {
         let max_accuracy = profiles.iter().map(|p| p.f1).fold(0.0, f64::max);
 
         // 2. Zeus-Sliding's static configuration (LCB selection absorbs
-        // the winner's-curse bias of maximising over 27-64 configs). A
-        // latency budget adds a throughput floor.
+        // the winner's-curse bias of maximising over 27-64 configs).
         let sliding_config =
-            Self::select_sliding_config_bounded(&profiles, query.target_accuracy, min_fps)
+            Self::select_sliding_config_bounded(&profiles, query.target_accuracy, None)
                 .ok_or(PlanError::EmptySpace)?;
 
         // 2b. Configuration planning: the agent acts over the Pareto
@@ -698,22 +671,10 @@ impl<'a> QueryPlanner<'a> {
         }
     }
 
-    /// Construct the full engine set for a plan (§6.1's five techniques).
-    /// The heuristic subset is derived from the profiles: fastest config,
-    /// the most accurate, and the config closest to their geometric-mean
-    /// throughput.
-    pub fn build_engines(&self, plan: &QueryPlan) -> EngineSet {
-        EngineSet {
-            frame_pp: self.frame_pp_engine(plan),
-            segment_pp: self.segment_pp_engine(plan),
-            sliding: self.sliding_engine(plan),
-            heuristic: self.heuristic_engine(plan),
-            zeus_rl: self.zeus_rl_engine(plan),
-        }
-    }
-
-    /// Construct only the engine for `kind` (the session layer's path:
-    /// one query runs one engine, so the other four are never built).
+    /// Construct the engine for `kind`, one of §6.1's five techniques. The
+    /// heuristic's subset is derived from the profiles: the fastest
+    /// configuration, the most accurate, and the one closest to their
+    /// geometric-mean throughput.
     pub fn build_engine(
         &self,
         plan: &QueryPlan,
@@ -802,20 +763,6 @@ pub fn heuristic_subset(
     (fast.config, mid.config, slow.config)
 }
 
-/// One engine per §6.1 technique, built from a single plan.
-pub struct EngineSet {
-    /// Frame-level probabilistic predicates.
-    pub frame_pp: FramePp,
-    /// Lightweight filter cascade.
-    pub segment_pp: SegmentPp,
-    /// Static sliding window.
-    pub sliding: ZeusSliding,
-    /// Rule-based adaptive.
-    pub heuristic: ZeusHeuristic,
-    /// The system.
-    pub zeus_rl: ZeusRl,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -853,17 +800,17 @@ mod tests {
     #[test]
     fn sliding_selection_picks_fastest_meeting_target() {
         // Table 2 + §4.2: at target 0.85 the right choice is (250, 6, 2).
-        let c = QueryPlanner::select_sliding_config(&profiles(), 0.85);
-        assert_eq!(c, Configuration::new(250, 6, 2));
+        let c = QueryPlanner::select_sliding_config_bounded(&profiles(), 0.85, None);
+        assert_eq!(c, Some(Configuration::new(250, 6, 2)));
         // At 0.80 the faster (200, 4, 4) qualifies.
-        let c = QueryPlanner::select_sliding_config(&profiles(), 0.80);
-        assert_eq!(c, Configuration::new(200, 4, 4));
+        let c = QueryPlanner::select_sliding_config_bounded(&profiles(), 0.80, None);
+        assert_eq!(c, Some(Configuration::new(200, 4, 4)));
     }
 
     #[test]
     fn sliding_selection_falls_back_to_most_accurate() {
-        let c = QueryPlanner::select_sliding_config(&profiles(), 0.99);
-        assert_eq!(c, Configuration::new(300, 6, 1));
+        let c = QueryPlanner::select_sliding_config_bounded(&profiles(), 0.99, None);
+        assert_eq!(c, Some(Configuration::new(300, 6, 1)));
     }
 
     #[test]
@@ -915,42 +862,6 @@ mod tests {
             .policy
             .act(&state, &mut zeus_rl::agent::RowScratch::default());
         assert!(a < plan.space.len());
-    }
-
-    #[test]
-    fn try_plan_ir_budget_selects_faster_sliding_config() {
-        let ds = DatasetKind::Bdd100k.generate(0.05, 11);
-        let mut options = PlannerOptions::default();
-        options.trainer.episodes = 2;
-        options.trainer.warmup = 64;
-        options.candidates.truncate(1);
-        let planner = QueryPlanner::new(&ds, options);
-        let base = ActionQuery::new(ActionClass::CrossRight, 0.85).unwrap();
-
-        let unbudgeted = planner.try_plan(&base).unwrap();
-        let mut ir = QueryIr::from_query(base);
-        // 1 ms for the whole corpus: the floor is unreachable, so the
-        // planner degrades to the profiled-fastest configuration.
-        ir.latency_budget_ms = Some(1.0);
-        assert!(planner.budget_min_fps(&ir).unwrap() > 1e6);
-        let budgeted = planner.try_plan_ir(&ir).unwrap();
-
-        let fps = |plan: &QueryPlan, c: Configuration| {
-            plan.profiles
-                .iter()
-                .find(|p| p.config == c)
-                .expect("profiled config")
-                .throughput_fps
-        };
-        let max_fps = budgeted
-            .profiles
-            .iter()
-            .map(|p| p.throughput_fps)
-            .fold(0.0, f64::max);
-        assert_eq!(fps(&budgeted, budgeted.sliding_config), max_fps);
-        assert!(
-            fps(&budgeted, budgeted.sliding_config) >= fps(&unbudgeted, unbudgeted.sliding_config)
-        );
     }
 
     #[test]

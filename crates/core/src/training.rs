@@ -110,7 +110,7 @@ impl CandidateJob {
 pub fn bench_env(source: &dyn DataSource, seed: u64) -> Result<VideoTraversalEnv, EnvError> {
     let classes = vec![source.query_classes()[0]];
     let space = ConfigSpace::for_family(source.family());
-    let alphas = space.alphas(&CostModel::default());
+    let alphas = space.alphas(&CostModel);
     let init = space.most_accurate();
     let apfg = Arc::new(SimulatedApfg::new(
         classes.clone(),
@@ -166,11 +166,6 @@ impl TrainingEngine {
     pub fn with_obs(mut self, obs: zeus_obs::ObsHub) -> Self {
         self.obs = Some(obs);
         self
-    }
-
-    /// The engine's knobs.
-    pub fn options(&self) -> TrainingOptions {
-        self.options
     }
 
     /// Train one candidate: fork the prototype with the job's
@@ -240,7 +235,7 @@ mod tests {
         let videos: Vec<Video> = ds.store.videos().to_vec();
         let classes = vec![ActionClass::CrossRight];
         let space = ConfigSpace::for_dataset(DatasetKind::Bdd100k);
-        let alphas = space.alphas(&CostModel::default());
+        let alphas = space.alphas(&CostModel);
         let init = space.most_accurate();
         let apfg = Arc::new(SimulatedApfg::new(
             classes.clone(),

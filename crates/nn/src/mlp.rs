@@ -66,11 +66,6 @@ impl Mlp {
         Self::from_layers(layers, hidden_activation)
     }
 
-    /// Number of `Linear` layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Input feature dimension.
     pub fn in_dim(&self) -> usize {
         self.layers.first().map(Linear::in_dim).unwrap_or(0)
@@ -79,11 +74,6 @@ impl Mlp {
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
         self.layers.last().map(Linear::out_dim).unwrap_or(0)
-    }
-
-    /// Total number of scalar parameters.
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
     }
 
     /// Validate a `[batch, in_dim]` input, returning the batch size.
@@ -261,20 +251,11 @@ mod tests {
     fn shapes_flow_through() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut net = Mlp::new(&[4, 8, 8, 3], Activation::Relu, &mut rng);
-        assert_eq!(net.num_layers(), 3);
         assert_eq!(net.in_dim(), 4);
         assert_eq!(net.out_dim(), 3);
         let x = Tensor::zeros(&[5, 4]);
         let y = net.forward(&x);
         assert_eq!(y.shape(), &[5, 3]);
-    }
-
-    #[test]
-    fn param_count_matches_formula() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let net = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
-        // (4*8 + 8) + (8*3 + 3) = 40 + 27 = 67
-        assert_eq!(net.param_count(), 67);
     }
 
     #[test]

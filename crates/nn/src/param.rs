@@ -55,11 +55,6 @@ impl Param {
             *g += d;
         }
     }
-
-    /// L2 norm of the current gradient (useful for clipping / diagnostics).
-    pub fn grad_norm(&self) -> f32 {
-        self.grad.iter().map(|g| g * g).sum::<f32>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -82,13 +77,6 @@ mod tests {
         assert_eq!(p.grad, vec![2.0, 3.0, 4.0]);
         p.zero_grad();
         assert_eq!(p.grad, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn grad_norm_hand_value() {
-        let mut p = Param::zeros(2);
-        p.accumulate(&[3.0, 4.0]);
-        assert!((p.grad_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -284,11 +284,6 @@ impl Tensor {
             })
             .collect()
     }
-
-    /// L2 norm of the flattened tensor.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
 }
 
 /// Index of the maximum of `values`, the first one on ties. Panics on an
@@ -635,12 +630,6 @@ mod tests {
     #[should_panic(expected = "reshape must preserve element count")]
     fn reshape_bad_count_panics() {
         let _ = Tensor::zeros(&[2, 2]).reshape(&[3]);
-    }
-
-    #[test]
-    fn norm_matches_hand_value() {
-        let t = Tensor::vector(vec![3.0, 4.0]);
-        assert!((t.norm() - 5.0).abs() < 1e-6);
     }
 
     // The three matmul loops this kernel replaced, kept verbatim (over

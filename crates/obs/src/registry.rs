@@ -351,33 +351,6 @@ impl ObsSnapshot {
         }
     }
 
-    /// The snapshot as a single JSON object (`{"name": value, ...}`;
-    /// histograms nest their summary fields).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, s) in self.samples.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": ", json_escape(&s.name)));
-            match &s.value {
-                MetricValue::Counter(v) => out.push_str(&v.to_string()),
-                MetricValue::Gauge(v) => out.push_str(&format!("{v:.6}")),
-                MetricValue::Histogram {
-                    count,
-                    mean,
-                    p50,
-                    p95,
-                    p99,
-                } => out.push_str(&format!(
-                    "{{\"count\": {count}, \"mean\": {mean}, \"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}}}"
-                )),
-            }
-        }
-        out.push('}');
-        out
-    }
-
     /// The snapshot as JSONL: one `{"type":"metric",...}` line per
     /// metric (the `zeus trace --json` export format).
     pub fn to_jsonl(&self) -> String {
@@ -537,12 +510,14 @@ mod tests {
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.samples.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["a.level", "b.count", "c.lat"]);
-        let json = snap.to_json();
-        assert!(json.contains("\"b.count\": 2"), "{json}");
-        assert!(json.contains("\"count\": 1"), "{json}");
         let jsonl = snap.to_jsonl();
         assert_eq!(jsonl.lines().count(), 3);
         assert!(jsonl.contains("\"kind\":\"gauge\""));
+        assert!(
+            jsonl.contains("\"name\":\"b.count\",\"value\":2"),
+            "{jsonl}"
+        );
+        assert!(jsonl.contains("\"count\":1"), "{jsonl}");
         let _ = format!("{snap}");
     }
 }

@@ -92,18 +92,6 @@ pub struct TrainingReport {
     pub updates: u64,
 }
 
-impl TrainingReport {
-    /// Mean reward over the last quarter of episodes (convergence probe).
-    pub fn final_reward(&self) -> f32 {
-        if self.episode_rewards.is_empty() {
-            return 0.0;
-        }
-        let tail = (self.episode_rewards.len() / 4).max(1);
-        let s = &self.episode_rewards[self.episode_rewards.len() - tail..];
-        s.iter().sum::<f32>() / s.len() as f32
-    }
-}
-
 /// Pending (reward-less) experience held in the temporary window buffer.
 struct Pending {
     state: Vec<f32>,
@@ -509,7 +497,6 @@ mod tests {
         let report = trainer.train(&mut env).unwrap();
         assert_eq!(report.episode_rewards.len(), 30);
         assert_eq!(report.steps, 30 * 50);
-        assert!(report.final_reward().is_finite());
     }
 
     #[test]

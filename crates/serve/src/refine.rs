@@ -118,11 +118,6 @@ impl QueryRefiner {
             && self.exclude_spans.is_empty()
     }
 
-    /// The `LIMIT` cap, if any (lets streaming callers stop early).
-    pub fn limit(&self) -> Option<usize> {
-        self.limit
-    }
-
     fn keep(&self, video: VideoId, start: usize, end: usize) -> bool {
         if let Some((t0, t1)) = self.window {
             if end <= t0 || start >= t1 {

@@ -17,7 +17,7 @@ use zeus_core::baselines::QueryEngine;
 use zeus_core::catalog::PlanCatalog;
 use zeus_core::query::ActionQuery;
 use zeus_core::ExecutorKind;
-use zeus_sim::{CostModel, DeviceProfile, SimClock};
+use zeus_sim::{CostModel, SimClock};
 use zeus_video::annotation::runs_from_labels;
 use zeus_video::video::Split;
 use zeus_video::DataSource;
@@ -71,9 +71,7 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Result-cache entries.
     pub cache_capacity: usize,
-    /// Hardware profile of every pool device.
-    pub device: DeviceProfile,
-    /// Default engine for submitted queries. Only the plan-reconstructable
+    /// The engine every submitted query runs. Only the plan-reconstructable
     /// engines ([`ExecutorKind::ZeusRl`], [`ExecutorKind::ZeusSliding`])
     /// are servable.
     pub executor: ExecutorKind,
@@ -85,7 +83,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 64,
             cache_capacity: 128,
-            device: DeviceProfile::default(),
             executor: ExecutorKind::ZeusRl,
         }
     }
@@ -99,7 +96,6 @@ pub struct ZeusServer {
     config: ServeConfig,
     corpus: CorpusId,
     dataset_name: String,
-    cost: CostModel,
     next_id: AtomicU64,
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Exclude-span maps per distinct `AND NOT` class set: the corpus
@@ -126,28 +122,16 @@ impl ZeusServer {
         config: ServeConfig,
     ) -> Result<ZeusServer, ServeError> {
         let name = source.name().to_string();
-        Self::start_as(source, name, plans, config)
-    }
-
-    /// [`ZeusServer::start`] with an explicit served-dataset name — the
-    /// name ZQL `FROM <name>` routing is checked against. Sessions pass
-    /// the *registered* name here, which may differ from the source's
-    /// own profile name (one corpus can be registered under several
-    /// aliases).
-    pub fn start_as(
-        source: &dyn DataSource,
-        name: impl Into<String>,
-        plans: impl Into<Arc<PlanStore>>,
-        config: ServeConfig,
-    ) -> Result<ZeusServer, ServeError> {
         Self::start_with_obs(source, name, plans, config, ObsHub::new())
     }
 
-    /// [`ZeusServer::start_as`] recording into a caller-owned
-    /// observability hub: serving counters, the latency histogram, and
-    /// request traces land in `obs`'s shared namespace (the session
-    /// layer passes its own hub so training and serving telemetry share
-    /// one snapshot).
+    /// [`ZeusServer::start`] with an explicit served-dataset name, the
+    /// name ZQL `FROM <name>` routing is checked against, recording into
+    /// a caller-owned observability hub. Sessions pass the *registered*
+    /// name, which may differ from the source's own profile name (one
+    /// corpus can be registered under several aliases), and their own
+    /// hub, so serving counters, the latency histogram and request
+    /// traces share one snapshot with training telemetry.
     pub fn start_with_obs(
         source: &dyn DataSource,
         name: impl Into<String>,
@@ -238,14 +222,12 @@ impl ZeusServer {
                     .expect("spawn worker")
             })
             .collect();
-        let cost = CostModel::new(config.device.clone());
         Ok(ZeusServer {
             shared,
             plans: plans.into(),
             config,
             corpus: corpus_id,
             dataset_name: name,
-            cost,
             next_id: AtomicU64::new(0),
             handles: Mutex::new(handles),
             exclude_spans: Mutex::new(HashMap::new()),
@@ -274,13 +256,17 @@ impl ZeusServer {
         &self.dataset_name
     }
 
-    /// Submit with the server's default executor.
+    /// Submit a query for execution by the configured executor.
+    ///
+    /// Fast paths first: a result-cache hit answers synchronously (the
+    /// stream already holds every event); a missing plan or a full queue
+    /// rejects. Otherwise the query is admitted and executes on the pool.
     pub fn submit(
         &self,
         query: ActionQuery,
         priority: Priority,
     ) -> Result<ResponseStream, AdmitError> {
-        self.submit_with(query, priority, self.config.executor)
+        self.submit_staged(query, priority, None, None)
     }
 
     /// Submit an extended-ZQL query ([`QueryIr`]).
@@ -319,13 +305,7 @@ impl ZeusServer {
             }
         }
         let priority = priority.unwrap_or_else(|| priority_for_budget(ir.latency_budget_ms));
-        let stream = self.submit_staged(
-            ir.base.clone(),
-            priority,
-            self.config.executor,
-            clock,
-            trace,
-        )?;
+        let stream = self.submit_staged(ir.base.clone(), priority, clock, trace)?;
         // Resolve the exclude-span map from the per-set cache so the
         // admission path never re-scans the corpus for a repeated
         // `AND NOT` set.
@@ -361,21 +341,7 @@ impl ZeusServer {
         Ok(stream.with_refiner(QueryRefiner::with_exclude_spans(ir, spans)))
     }
 
-    /// Submit a query for execution by `executor`.
-    ///
-    /// Fast paths first: a result-cache hit answers synchronously (the
-    /// stream already holds every event); a missing plan or a full queue
-    /// rejects. Otherwise the query is admitted and executes on the pool.
-    pub fn submit_with(
-        &self,
-        query: ActionQuery,
-        priority: Priority,
-        executor: ExecutorKind,
-    ) -> Result<ResponseStream, AdmitError> {
-        self.submit_staged(query, priority, executor, None, None)
-    }
-
-    /// [`ZeusServer::submit_with`] plus stage instrumentation: every
+    /// [`ZeusServer::submit`] plus stage instrumentation: every
     /// admission-path stage (`cache`, `plan`, `admission`) is recorded
     /// into the tracer's aggregates; an `EXPLAIN ANALYZE` caller passes a
     /// [`StageClock`] (contiguous checkpoints) and a [`Trace`] to get the
@@ -385,18 +351,12 @@ impl ZeusServer {
         &self,
         query: ActionQuery,
         priority: Priority,
-        executor: ExecutorKind,
         clock: Option<&mut StageClock>,
         trace: Option<&Trace>,
     ) -> Result<ResponseStream, AdmitError> {
         let submitted = Instant::now();
         self.shared.metrics.on_submit();
-        if !servable(executor) {
-            self.shared.metrics.on_no_plan();
-            return Err(AdmitError::NoPlan {
-                key: format!("{executor} is not plan-reconstructable"),
-            });
-        }
+        let executor = self.config.executor;
         let id = QueryId(self.next_id.fetch_add(1, Ordering::Relaxed));
         // Hot-path submissions grow a sampled trace tree (deterministic,
         // id-based — no RNG); explain callers pass their own trace.
@@ -459,8 +419,8 @@ impl ZeusServer {
             }
         })?;
         let engine: Box<dyn QueryEngine + Send + Sync> = match executor {
-            ExecutorKind::ZeusRl => Box::new(stored.zeus_rl_engine(self.cost.clone())),
-            ExecutorKind::ZeusSliding => Box::new(stored.sliding_engine(self.cost.clone())),
+            ExecutorKind::ZeusRl => Box::new(stored.zeus_rl_engine(CostModel)),
+            ExecutorKind::ZeusSliding => Box::new(stored.sliding_engine(CostModel)),
             _ => unreachable!("servable() vetted the executor"),
         };
 

@@ -226,7 +226,7 @@ fn hundred_concurrent_queries_across_four_devices() {
     for template in &ts {
         let mut variant = fx.stored.clone();
         variant.query = template.clone();
-        let exec = variant.sliding_engine(CostModel::default()).execute(&test);
+        let exec = variant.sliding_engine(CostModel).execute(&test);
         let outcome = report
             .outcomes
             .iter()

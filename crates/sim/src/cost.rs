@@ -29,14 +29,12 @@
 //!   in Frame-PP"; a Frame-PP invocation processes one frame with a 2D CNN.
 //! * `LIGHT3D_SPEEDUP = 10.0` — Segment-PP's "lightweight 3D-CNN filter"
 //!   (§6.1). The paper gives no number; we use the same order of
-//!   lightweight-to-heavy ratio as NoScope/PP-style cascades, and expose it
-//!   as a tunable.
+//!   lightweight-to-heavy ratio as NoScope/PP-style cascades.
 //! * `TRAIN_PASS_MULT = 3.0` — standard forward+backward ≈ 3× forward.
 //! * DQN-head and classifier-head latencies are sub-millisecond MLP passes,
 //!   folded into `mlp_head_time`.
 
 use crate::clock::SimDuration;
-use crate::device::DeviceProfile;
 
 /// Fixed per-invocation overhead of the R3D network, seconds.
 pub const R3D_BASE_S: f64 = 0.019371;
@@ -52,37 +50,12 @@ pub const TRAIN_PASS_MULT: f64 = 3.0;
 /// Three dense layers on a ≤512-d feature: ~50 µs on the calibrated GPU.
 pub const MLP_HEAD_S: f64 = 5.0e-5;
 
-/// Latency cost model for all model families used in the paper, scaled by a
-/// [`DeviceProfile`].
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    device: DeviceProfile,
-    /// Overridable Frame-PP speedup (defaults to [`FRAME_PP_SPEEDUP`]).
-    pub frame_pp_speedup: f64,
-    /// Overridable light-filter speedup (defaults to [`LIGHT3D_SPEEDUP`]).
-    pub light3d_speedup: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::new(DeviceProfile::default())
-    }
-}
+/// Latency cost model for all model families used in the paper, on the
+/// paper's evaluation GPU, an NVIDIA GeForce RTX 2080 Ti (§6.1).
+#[derive(Debug, Clone, Default)]
+pub struct CostModel;
 
 impl CostModel {
-    /// Build a cost model for a device.
-    pub fn new(device: DeviceProfile) -> Self {
-        CostModel {
-            device,
-            frame_pp_speedup: FRAME_PP_SPEEDUP,
-            light3d_speedup: LIGHT3D_SPEEDUP,
-        }
-    }
-
-    fn scale(&self, secs: f64) -> SimDuration {
-        SimDuration::from_secs(secs * self.device.slowdown)
-    }
-
     /// Latency of one R3D (APFG) invocation on a segment of `seg_len`
     /// sampled frames at `resolution x resolution` pixels.
     ///
@@ -92,7 +65,7 @@ impl CostModel {
     pub fn r3d_invocation(&self, seg_len: usize, resolution: usize) -> SimDuration {
         assert!(seg_len > 0 && resolution > 0, "empty segment");
         let voxels = (seg_len * resolution * resolution) as f64;
-        self.scale(R3D_BASE_S + R3D_PER_VOXEL_S * voxels)
+        SimDuration::from_secs(R3D_BASE_S + R3D_PER_VOXEL_S * voxels)
     }
 
     /// Latency of one Frame-PP 2D-CNN invocation on a single frame.
@@ -103,19 +76,19 @@ impl CostModel {
     pub fn cnn2d_frame(&self, resolution: usize) -> SimDuration {
         const REF_LEN: usize = 6;
         let r3d = R3D_BASE_S + R3D_PER_VOXEL_S * (REF_LEN * resolution * resolution) as f64;
-        self.scale(r3d / self.frame_pp_speedup)
+        SimDuration::from_secs(r3d / FRAME_PP_SPEEDUP)
     }
 
     /// Latency of one lightweight 3D-filter invocation (Segment-PP).
     pub fn light3d_invocation(&self, seg_len: usize, resolution: usize) -> SimDuration {
         assert!(seg_len > 0 && resolution > 0, "empty segment");
         let voxels = (seg_len * resolution * resolution) as f64;
-        self.scale((R3D_BASE_S + R3D_PER_VOXEL_S * voxels) / self.light3d_speedup)
+        SimDuration::from_secs((R3D_BASE_S + R3D_PER_VOXEL_S * voxels) / LIGHT3D_SPEEDUP)
     }
 
     /// Latency of a small MLP head pass (APFG classifier or DQN policy).
     pub fn mlp_head(&self) -> SimDuration {
-        self.scale(MLP_HEAD_S)
+        SimDuration::from_secs(MLP_HEAD_S)
     }
 
     /// Latency of one training pass (forward + backward) over a segment.
@@ -133,7 +106,7 @@ impl CostModel {
     /// An update is `batch` forward+backward MLP passes plus sampling
     /// overhead; folded to `batch * 2 * MLP head` cost.
     pub fn dqn_update(&self, batch: usize) -> SimDuration {
-        self.scale(MLP_HEAD_S * 2.0 * batch as f64)
+        SimDuration::from_secs(MLP_HEAD_S * 2.0 * batch as f64)
     }
 
     /// Sliding-window throughput (fps) of a configuration: frames covered
@@ -164,7 +137,7 @@ mod tests {
 
     #[test]
     fn calibration_reproduces_table2_within_one_percent() {
-        let m = CostModel::default();
+        let m = CostModel;
         for (r, l, s, paper_fps) in TABLE2 {
             let fps = m.sliding_throughput(l, s, r);
             let rel = (fps - paper_fps).abs() / paper_fps;
@@ -178,7 +151,7 @@ mod tests {
 
     #[test]
     fn faster_configs_are_faster() {
-        let m = CostModel::default();
+        let m = CostModel;
         // Throughput must be monotone: higher sampling rate, lower res
         // and shorter windows all increase fps.
         assert!(m.sliding_throughput(4, 8, 150) > m.sliding_throughput(4, 4, 150));
@@ -188,7 +161,7 @@ mod tests {
 
     #[test]
     fn frame_pp_is_5_9x_faster_per_invocation() {
-        let m = CostModel::default();
+        let m = CostModel;
         let r3d = m.r3d_invocation(6, 300).as_secs();
         let f2d = m.cnn2d_frame(300).as_secs();
         assert!((r3d / f2d - FRAME_PP_SPEEDUP).abs() < 1e-9);
@@ -196,23 +169,14 @@ mod tests {
 
     #[test]
     fn light_filter_is_cheaper_than_r3d() {
-        let m = CostModel::default();
+        let m = CostModel;
         let heavy = m.light3d_invocation(6, 300).as_secs() * LIGHT3D_SPEEDUP;
         assert!((heavy - m.r3d_invocation(6, 300).as_secs()).abs() < 1e-12);
     }
 
     #[test]
-    fn cpu_profile_scales_latency() {
-        let gpu = CostModel::new(DeviceProfile::gpu_rtx_2080_ti());
-        let cpu = CostModel::new(DeviceProfile::cpu_16_core());
-        let g = gpu.r3d_invocation(6, 300).as_secs();
-        let c = cpu.r3d_invocation(6, 300).as_secs();
-        assert!((c / g - 6.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn training_pass_is_3x_inference() {
-        let m = CostModel::default();
+        let m = CostModel;
         let inf = m.r3d_invocation(4, 200).as_secs();
         let tr = m.r3d_training_pass(4, 200).as_secs();
         assert!((tr / inf - TRAIN_PASS_MULT).abs() < 1e-9);
@@ -220,7 +184,7 @@ mod tests {
 
     #[test]
     fn dqn_update_scales_with_batch() {
-        let m = CostModel::default();
+        let m = CostModel;
         let one = m.dqn_update(1).as_secs();
         let kilo = m.dqn_update(1000).as_secs();
         assert!((kilo / one - 1000.0).abs() < 1e-6);
@@ -229,7 +193,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty segment")]
     fn zero_segment_panics() {
-        let m = CostModel::default();
+        let m = CostModel;
         let _ = m.r3d_invocation(0, 100);
     }
 }

@@ -15,8 +15,7 @@
 //!   a fixed kernel-launch/readout overhead plus compute proportional to
 //!   voxels processed.
 //! * §6.2 states each Frame-PP (2D CNN) invocation is 5.9× faster than an
-//!   R3D invocation; §1 states R3D on a 16-core CPU is ~6.5× slower than
-//!   on the GPU (2 fps vs 13 fps at 720×720).
+//!   R3D invocation.
 //!
 //! Because all methods share one latency model, every *ratio* the paper
 //! reports (speedups, crossovers) is preserved even if one disagrees with
@@ -25,8 +24,6 @@
 #![warn(missing_docs)]
 pub mod clock;
 pub mod cost;
-pub mod device;
 
 pub use clock::{SimClock, SimDuration};
 pub use cost::CostModel;
-pub use device::DeviceProfile;

@@ -157,42 +157,6 @@ pub fn binary_labels(
     labels
 }
 
-/// Morphological smoothing of predicted labels: close gaps of at most
-/// `max_gap` frames between positive runs, then drop runs shorter than
-/// `min_run` frames.
-///
-/// Standard temporal-action-localization post-processing: a detector that
-/// misses one interior window should not have an action counted as two
-/// fragments, and an isolated one-window blip should not count as a
-/// detected event.
-pub fn smooth_labels(labels: &[bool], max_gap: usize, min_run: usize) -> Vec<bool> {
-    let mut out = labels.to_vec();
-    // Close small gaps.
-    if max_gap > 0 {
-        let runs = runs_from_labels(&out);
-        for pair in runs.windows(2) {
-            let (_, prev_end) = pair[0];
-            let (next_start, _) = pair[1];
-            if next_start - prev_end <= max_gap {
-                for l in &mut out[prev_end..next_start] {
-                    *l = true;
-                }
-            }
-        }
-    }
-    // Drop short runs.
-    if min_run > 1 {
-        for (s, e) in runs_from_labels(&out) {
-            if e - s < min_run {
-                for l in &mut out[s..e] {
-                    *l = false;
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Extract maximal contiguous positive runs from a binary label vector —
 /// the inverse of [`binary_labels`], used to turn per-frame predictions
 /// back into output segments.
@@ -294,39 +258,5 @@ mod tests {
         assert_eq!(runs_from_labels(&labels), vec![(1, 3), (4, 5), (7, 8)]);
         assert_eq!(runs_from_labels(&[]), vec![]);
         assert_eq!(runs_from_labels(&[true, true]), vec![(0, 2)]);
-    }
-
-    #[test]
-    fn smoothing_closes_small_gaps() {
-        let labels = vec![true, true, false, false, true, true, false, true];
-        let out = smooth_labels(&labels, 2, 0);
-        // Gaps of 2 and 1 both close into one run.
-        assert_eq!(runs_from_labels(&out), vec![(0, 8)]);
-        // A max_gap of 1 closes only the single-frame gap.
-        let out = smooth_labels(&labels, 1, 0);
-        assert_eq!(runs_from_labels(&out), vec![(0, 2), (4, 8)]);
-    }
-
-    #[test]
-    fn smoothing_drops_short_runs() {
-        let labels = vec![true, false, false, true, true, true, false, true];
-        let out = smooth_labels(&labels, 0, 2);
-        assert_eq!(runs_from_labels(&out), vec![(3, 6)]);
-    }
-
-    #[test]
-    fn smoothing_gap_close_precedes_drop() {
-        // Two 2-frame fragments with a 1-frame gap: closing first makes a
-        // 5-frame run that survives a min_run of 4.
-        let labels = vec![true, true, false, true, true];
-        let out = smooth_labels(&labels, 1, 4);
-        assert_eq!(runs_from_labels(&out), vec![(0, 5)]);
-    }
-
-    #[test]
-    fn smoothing_noop_parameters() {
-        let labels = vec![true, false, true];
-        assert_eq!(smooth_labels(&labels, 0, 0), labels);
-        assert_eq!(smooth_labels(&labels, 0, 1), labels);
     }
 }

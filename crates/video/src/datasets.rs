@@ -24,10 +24,9 @@
 //! The five paper corpora are *built-in profiles*, not a closed world:
 //! any [`DatasetProfile`] — including user-defined ones — generates a
 //! [`SyntheticDataset`], which implements
-//! [`DataSource`](crate::source::DataSource) and can be registered in a
-//! [`DatasetRegistry`](crate::registry::DatasetRegistry), persisted to a
-//! `.zds` file ([`SyntheticDataset::save`]), and queried by name via ZQL
-//! `FROM <dataset>`.
+//! [`DataSource`](crate::source::DataSource), can be persisted to a `.zds`
+//! file ([`SyntheticDataset::save`]), and, once a session registers it,
+//! is queried by name via ZQL `FROM <dataset>`.
 
 use rand::Rng;
 use rand::SeedableRng;

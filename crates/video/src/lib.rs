@@ -21,9 +21,7 @@
 //! * [`segment`] — the frames a `(resolution, segment length, sampling
 //!   rate)` configuration samples.
 //! * [`source`] — the pluggable data plane: the [`DataSource`] trait,
-//!   content fingerprints, and composite/filtered sources.
-//! * [`registry`] — the named [`DatasetRegistry`] behind ZQL
-//!   `FROM <dataset>` resolution.
+//!   content fingerprints and dataset-name normalization.
 //! * [`zds`] — persistent corpora: the versioned, checksummed `.zds`
 //!   on-disk format.
 //!
@@ -33,7 +31,6 @@
 #![warn(missing_docs)]
 pub mod annotation;
 pub mod datasets;
-pub mod registry;
 pub mod scene;
 pub mod segment;
 pub mod source;
@@ -43,7 +40,6 @@ pub mod zds;
 
 pub use annotation::{ActionClass, ActionInterval};
 pub use datasets::{ConfigFamily, DatasetKind, DatasetProfile, SyntheticDataset};
-pub use registry::DatasetRegistry;
 pub use source::{DataError, DataSource, SharedSource};
 pub use video::{Video, VideoId, VideoStore};
 pub use zds::{decode_dataset, encode_dataset};

@@ -1,5 +1,5 @@
-//! The pluggable data plane: the [`DataSource`] trait plus composite and
-//! filtered sources.
+//! The pluggable data plane: the [`DataSource`] trait and content
+//! fingerprints.
 //!
 //! The paper evaluates Zeus over five corpora with very different action
 //! statistics (Table 3, §6.1/§6.6); related spotting systems (Action
@@ -7,8 +7,8 @@
 //! corpora behind a uniform frame-access interface. This module provides
 //! that interface for the reproduction: anything that can hand out a
 //! [`VideoStore`] plus a [`DatasetProfile`] — a generated paper corpus, a
-//! `.zds` file loaded from disk, a concatenation of corpora, a filtered
-//! view — is a query target.
+//! custom profile-defined corpus, a `.zds` file loaded from disk — is a
+//! query target.
 //!
 //! Identity is structural: [`DataSource::fingerprint`] hashes the profile
 //! and every video's annotations, so two sources with the same content
@@ -21,10 +21,10 @@ use std::sync::Arc;
 
 use crate::annotation::ActionClass;
 use crate::datasets::{ConfigFamily, DatasetProfile, SyntheticDataset};
-use crate::video::{Video, VideoId, VideoStore};
+use crate::video::VideoStore;
 
-/// Errors raised by the data plane: profile validation, corpus
-/// persistence, registry management.
+/// Errors raised by the data plane: profile and name validation, empty
+/// splits, corpus persistence.
 #[derive(Debug)]
 pub enum DataError {
     /// A dataset profile fails validation (empty class mix, degenerate
@@ -33,12 +33,8 @@ pub enum DataError {
     /// A dataset name is empty or contains characters outside
     /// `[a-z0-9_-]` (after lowercasing).
     InvalidName(String),
-    /// A registry already holds a source under this name.
-    DuplicateDataset(String),
     /// A required train/validation/test split holds no videos.
     EmptySplit(&'static str),
-    /// A composite or filtered source would contain no videos.
-    EmptyCorpus(String),
     /// A `.zds` file is not a dataset file or failed its checksum.
     Corrupt(String),
     /// Underlying I/O failure reading or writing a `.zds` file.
@@ -50,11 +46,9 @@ impl std::fmt::Display for DataError {
         match self {
             DataError::InvalidProfile(s) => write!(f, "invalid dataset profile: {s}"),
             DataError::InvalidName(s) => write!(f, "invalid dataset name '{s}'"),
-            DataError::DuplicateDataset(s) => write!(f, "dataset '{s}' is already registered"),
             DataError::EmptySplit(s) => {
                 write!(f, "dataset {s} split is empty; use a larger corpus")
             }
-            DataError::EmptyCorpus(s) => write!(f, "dataset '{s}' holds no videos"),
             DataError::Corrupt(s) => write!(f, "corrupt dataset file: {s}"),
             DataError::Io(e) => write!(f, "dataset I/O error: {e}"),
         }
@@ -81,8 +75,8 @@ impl From<std::io::Error> for DataError {
 ///
 /// Everything above the video layer (planner, session, serving) consumes
 /// corpora through this trait, so the five paper corpora, `.zds` files
-/// loaded from disk, custom profile-defined corpora, and composite or
-/// filtered views are interchangeable query targets.
+/// loaded from disk and custom profile-defined corpora are
+/// interchangeable query targets.
 pub trait DataSource: Send + Sync {
     /// Registry-style identity name (lowercase, `[a-z0-9_-]`).
     fn name(&self) -> &str;
@@ -114,12 +108,6 @@ pub trait DataSource: Send + Sync {
         hash_profile(&mut h, self.profile());
         hash_store(&mut h, self.store());
         h.finish()
-    }
-
-    /// Validate that the source is usable as a query target (every split
-    /// non-empty). Sessions call this at registration.
-    fn validate(&self) -> Result<(), DataError> {
-        self.store().validate_splits()
     }
 }
 
@@ -234,149 +222,6 @@ pub(crate) fn hash_store(h: &mut Fingerprint, store: &VideoStore) {
     }
 }
 
-/// An owned, materialized source: the common representation behind
-/// composite and filtered views.
-#[derive(Debug, Clone)]
-pub struct OwnedSource {
-    profile: DatasetProfile,
-    store: VideoStore,
-}
-
-impl DataSource for OwnedSource {
-    fn name(&self) -> &str {
-        &self.profile.name
-    }
-
-    fn profile(&self) -> &DatasetProfile {
-        &self.profile
-    }
-
-    fn store(&self) -> &VideoStore {
-        &self.store
-    }
-}
-
-/// Concatenate several sources into one corpus (videos re-numbered in
-/// order). All parts must share a [`ConfigFamily`] — the knob spaces of
-/// Table 4 are family-specific, so a mixed concatenation has no
-/// well-defined configuration space.
-pub fn concat(name: &str, parts: &[&dyn DataSource]) -> Result<OwnedSource, DataError> {
-    let name = normalize_name(name)?;
-    let (first, rest) = parts
-        .split_first()
-        .ok_or_else(|| DataError::EmptyCorpus(name.clone()))?;
-    let family = first.family();
-    if let Some(other) = rest.iter().find(|p| p.family() != family) {
-        return Err(DataError::InvalidProfile(format!(
-            "cannot concat '{}' ({:?} family) with '{}' ({:?} family)",
-            first.name(),
-            family,
-            other.name(),
-            other.family()
-        )));
-    }
-    let mut videos = Vec::new();
-    for part in parts {
-        for v in part.store().videos() {
-            let mut v = v.clone();
-            v.id = VideoId(videos.len() as u32);
-            videos.push(v);
-        }
-    }
-    if videos.is_empty() {
-        return Err(DataError::EmptyCorpus(name));
-    }
-
-    // Merge the descriptive statistics frame-weighted; union the class
-    // mixes and query classes in first-seen order.
-    let total_frames: usize = parts.iter().map(|p| p.store().total_frames()).sum();
-    let mut class_mix: Vec<(ActionClass, f64)> = Vec::new();
-    let mut query_classes: Vec<ActionClass> = Vec::new();
-    let mut mean_len = 0.0;
-    let mut std_len = 0.0;
-    let mut min_len = usize::MAX;
-    let mut max_len = 0usize;
-    for part in parts {
-        let p = part.profile();
-        let weight = part.store().total_frames() as f64 / total_frames.max(1) as f64;
-        for &(class, fraction) in &p.class_mix {
-            match class_mix.iter_mut().find(|(c, _)| *c == class) {
-                Some((_, f)) => *f += fraction * weight,
-                None => class_mix.push((class, fraction * weight)),
-            }
-        }
-        for &class in &p.query_classes {
-            if !query_classes.contains(&class) {
-                query_classes.push(class);
-            }
-        }
-        mean_len += p.mean_len * weight;
-        std_len += p.std_len * weight;
-        min_len = min_len.min(p.min_len);
-        max_len = max_len.max(p.max_len);
-    }
-    let first_profile = first.profile();
-    let num_videos = videos.len();
-    let profile = DatasetProfile {
-        name,
-        family,
-        query_classes,
-        num_videos,
-        frames_per_video: total_frames / num_videos.max(1),
-        fps: first_profile.fps,
-        class_mix,
-        mean_len,
-        std_len,
-        min_len,
-        max_len,
-    };
-    profile.validate()?;
-    Ok(OwnedSource {
-        profile,
-        store: VideoStore::new(videos),
-    })
-}
-
-/// A filtered view of a source: keep only the videos `keep` accepts.
-/// Video ids are preserved (the view indexes into the same corpus), so a
-/// segment hit on the view names the same video as on the base.
-pub fn filtered(
-    name: &str,
-    base: &dyn DataSource,
-    keep: impl Fn(&Video) -> bool,
-) -> Result<OwnedSource, DataError> {
-    let name = normalize_name(name)?;
-    let videos: Vec<Video> = base
-        .store()
-        .videos()
-        .iter()
-        .filter(|v| keep(v))
-        .cloned()
-        .collect();
-    if videos.is_empty() {
-        return Err(DataError::EmptyCorpus(name));
-    }
-    let mut profile = base.profile().clone();
-    profile.name = name;
-    profile.num_videos = videos.len();
-    Ok(OwnedSource {
-        profile,
-        store: VideoStore::new(videos),
-    })
-}
-
-/// Filtered view keeping only videos that contain at least one instance
-/// of `class` (e.g. a rare-action sub-corpus).
-pub fn filtered_by_class(
-    name: &str,
-    base: &dyn DataSource,
-    class: ActionClass,
-) -> Result<OwnedSource, DataError> {
-    filtered(name, base, |v| {
-        v.intervals.iter().any(|iv| iv.class == class)
-    })
-}
-
 /// Normalize a dataset name to its registry form: lowercase, and only
 /// `[a-z0-9_-]` characters. Anything else is [`DataError::InvalidName`].
 pub fn normalize_name(name: &str) -> Result<String, DataError> {
@@ -408,50 +253,6 @@ mod tests {
         assert_ne!(a.fingerprint(), c.fingerprint(), "seed changes identity");
         let d = DatasetKind::Kitti.generate(0.05, 7);
         assert_ne!(a.fingerprint(), d.fingerprint());
-    }
-
-    #[test]
-    fn concat_merges_and_requires_one_family() {
-        let a = DatasetKind::Bdd100k.generate(0.05, 1);
-        let b = DatasetKind::Kitti.generate(0.05, 2);
-        let both = concat("driving_all", &[&a, &b]).unwrap();
-        assert_eq!(both.store().len(), a.store.len() + b.store.len());
-        assert_eq!(both.family(), ConfigFamily::Driving);
-        // Ids are re-numbered contiguously.
-        for (i, v) in both.store().videos().iter().enumerate() {
-            assert_eq!(v.id.0 as usize, i);
-        }
-        // Query classes are the union.
-        for class in a.query_classes().iter().chain(b.query_classes()) {
-            assert!(both.query_classes().contains(class));
-        }
-        let sports = DatasetKind::Thumos14.generate(0.05, 3);
-        assert!(matches!(
-            concat("mixed", &[&a, &sports]),
-            Err(DataError::InvalidProfile(_))
-        ));
-        assert!(matches!(
-            concat("empty", &[]),
-            Err(DataError::EmptyCorpus(_))
-        ));
-    }
-
-    #[test]
-    fn filtered_view_preserves_ids_and_rejects_empty() {
-        let base = DatasetKind::Bdd100k.generate(0.05, 5);
-        let crossings = filtered_by_class("crossings", &base, ActionClass::CrossRight).unwrap();
-        assert!(!crossings.store().is_empty());
-        assert!(crossings.store().len() <= base.store.len());
-        for v in crossings.store().videos() {
-            let original = base.store.get(v.id).expect("id preserved");
-            assert_eq!(original.intervals, v.intervals);
-        }
-        // KITTI has no CrossRight at all (§6.6) — the view is empty.
-        let kitti = DatasetKind::Kitti.generate(0.05, 5);
-        assert!(matches!(
-            filtered_by_class("none", &kitti, ActionClass::CrossRight),
-            Err(DataError::EmptyCorpus(_))
-        ));
     }
 
     #[test]

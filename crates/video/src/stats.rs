@@ -70,21 +70,6 @@ impl DatasetStats {
             num_instances: n,
         }
     }
-
-    /// Render one row in the shape of Table 3.
-    pub fn table_row(&self, dataset_name: &str) -> String {
-        format!(
-            "{:<12} {:>7} {:>10.0}K {:>8.2}% {:>9.0} {:>8.1} ({}, {})",
-            dataset_name,
-            self.num_classes,
-            self.total_frames as f64 / 1000.0,
-            self.action_fraction * 100.0,
-            self.mean_len,
-            self.std_len,
-            self.min_len,
-            self.max_len
-        )
-    }
 }
 
 #[cfg(test)]
@@ -140,13 +125,5 @@ mod tests {
         assert_eq!(s.num_instances, 0);
         assert_eq!(s.action_fraction, 0.0);
         assert_eq!(s.mean_len, 0.0);
-    }
-
-    #[test]
-    fn table_row_formats() {
-        let s = DatasetStats::compute(&store(), &[ActionClass::CrossRight]);
-        let row = s.table_row("BDD100K");
-        assert!(row.contains("BDD100K"));
-        assert!(row.contains('%'));
     }
 }

@@ -74,11 +74,6 @@ impl Video {
         }
         total
     }
-
-    /// Duration in seconds.
-    pub fn duration_secs(&self) -> f64 {
-        self.num_frames as f64 / self.fps
-    }
 }
 
 /// Train/validation/test split assignment.
@@ -250,12 +245,6 @@ mod tests {
             .push(ActionInterval::new(15, 25, ActionClass::CrossLeft));
         let n = v.action_frames_in(&[ActionClass::CrossRight, ActionClass::CrossLeft], 0, 100);
         assert_eq!(n, 15, "union of [10,20) and [15,25) is 15 frames");
-    }
-
-    #[test]
-    fn duration_is_frames_over_fps() {
-        let v = test_video();
-        assert!((v.duration_secs() - 100.0 / 30.0).abs() < 1e-9);
     }
 
     #[test]

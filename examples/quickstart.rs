@@ -55,30 +55,5 @@ fn main() -> Result<(), ZeusError> {
         );
     }
 
-    // 5. The same query, streamed: videos execute lazily as the
-    //    iterator advances, and the LIMIT short-circuits the corpus.
-    println!("\nstreaming (first three videos with hits):");
-    let mut shown = 0;
-    for video in session
-        .query(
-            "SELECT segment_ids FROM UDF(video) \
-             WHERE action_class = 'cross-right' AND accuracy >= 85% LIMIT 10",
-        )?
-        .run_streaming()?
-    {
-        if video.segments.is_empty() {
-            continue;
-        }
-        println!(
-            "  {:?}: {} segment(s) in {:.2} simulated s",
-            video.video,
-            video.segments.len(),
-            video.simulated_secs
-        );
-        shown += 1;
-        if shown >= 3 {
-            break;
-        }
-    }
     Ok(())
 }

@@ -67,15 +67,14 @@ fn main() -> Result<(), ZeusError> {
     }
 
     // §6.4 extension: batch across videos onto multiple simulated
-    // devices, reusing the session's trained plan (the full plan — the
-    // engine set needs its profile table).
+    // devices, reusing the session's trained plan.
     let plan = session.query(zql)?.train()?;
     let planner = QueryPlanner::new(session.source(), PlannerOptions::default());
-    let engines = planner.build_engines(&plan);
+    let engine = planner.build_engine(&plan, ExecutorKind::ZeusRl);
     let test = session.source().store().split(Split::Test);
     println!("\ninter-video parallelism (§6.4):");
     for workers in [1usize, 2, 4] {
-        let par = execute_parallel(&engines.zeus_rl, &test, workers);
+        let par = execute_parallel(engine.as_ref(), &test, workers);
         println!(
             "  {workers} device(s): {:>7.0} effective fps ({:.2}x)",
             par.parallel_throughput(),

@@ -470,7 +470,6 @@ fn run_serving_workload(
             queue_capacity: 256,
             cache_capacity: 128,
             executor: ExecutorKind::ZeusSliding,
-            ..ServeConfig::default()
         })
         .map_err(|e| e.to_string())?;
     let spec = WorkloadSpec::new(templates.clone(), queries, session.corpus_id().0 ^ 0x5EED);

@@ -47,8 +47,8 @@ pub use zeus_video as video;
 pub mod prelude {
     pub use zeus_apfg::Configuration;
     pub use zeus_api::{
-        parse_zql, ExecutorKind, OrderBy, Query, QueryIr, QueryResponse, SegmentHit, VideoResult,
-        ZeusError, ZeusSession,
+        parse_zql, ExecutorKind, OrderBy, Query, QueryIr, QueryResponse, SegmentHit, ZeusError,
+        ZeusSession,
     };
     pub use zeus_core::baselines::QueryEngine;
     pub use zeus_core::config::ConfigSpace;
@@ -59,6 +59,5 @@ pub mod prelude {
     pub use zeus_obs::{ExplainReport, MetricsRegistry, ObsHub, ObsSnapshot, Tracer};
     pub use zeus_serve::{CorpusId, PlanStore, Priority, ServeConfig, WorkloadSpec, ZeusServer};
     pub use zeus_video::datasets::{ConfigFamily, DatasetKind, DatasetProfile, SyntheticDataset};
-    pub use zeus_video::registry::DatasetRegistry;
     pub use zeus_video::source::{DataError, DataSource, SharedSource};
 }

@@ -261,39 +261,6 @@ fn zds_corpus_keeps_session_identity() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Composite and filtered sources are first-class session datasets.
-#[test]
-fn composite_and_filtered_views_are_queryable() {
-    use zeus::video::source::{concat, filtered_by_class};
-    use zeus::video::ActionClass;
-
-    let bdd = DatasetKind::Bdd100k.generate(0.08, 5);
-    let kitti = DatasetKind::Kitti.generate(0.2, 5);
-    let all_driving = concat("driving_all", &[&bdd, &kitti]).unwrap();
-    let left_turns = filtered_by_class("left_turns", &bdd, ActionClass::LeftTurn).unwrap();
-
-    let session = ZeusSession::builder()
-        .register("driving_all", all_driving)
-        .register("left_turns", left_turns)
-        .planner(fast_options())
-        .executor(ExecutorKind::ZeusSliding)
-        .build()
-        .expect("views build");
-    let response = session
-        .query(
-            "SELECT segment_ids FROM left_turns \
-             WHERE action_class = 'left-turn' AND accuracy >= 80% LIMIT 5",
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-    assert!(response.answer.len() <= 5);
-    assert_eq!(
-        session.source_named("driving_all").unwrap().store().len(),
-        bdd.store.len() + kitti.store.len()
-    );
-}
-
 /// The five built-in corpora keep their content fingerprints across
 /// commits. Persisted `.zds` files and plan catalogs are keyed by these
 /// values, so a generator change that moves one orphans them. The

@@ -1,7 +1,7 @@
 //! Determinism: the whole pipeline is bit-reproducible for fixed seeds —
 //! the property the benchmark harness relies on.
 
-use zeus::core::baselines::QueryEngine;
+use zeus::core::baselines::ExecutorKind;
 use zeus::core::planner::{PlannerOptions, QueryPlanner};
 use zeus::core::query::ActionQuery;
 use zeus::video::video::Split;
@@ -22,9 +22,10 @@ fn planning_and_execution_are_bit_reproducible() {
         let query = ActionQuery::new(ActionClass::CrossRight, 0.85).unwrap();
         let planner = QueryPlanner::new(&dataset, fast_options());
         let plan = planner.plan(&query);
-        let engines = planner.build_engines(&plan);
         let test = dataset.store.split(Split::Test);
-        let exec = engines.zeus_rl.execute(&test);
+        let exec = planner
+            .build_engine(&plan, ExecutorKind::ZeusRl)
+            .execute(&test);
         let report = exec.evaluate(&test, &query.classes, plan.protocol);
         (
             plan.sliding_config,
@@ -62,20 +63,16 @@ fn engines_are_pure_given_the_same_video() {
     let query = ActionQuery::new(ActionClass::LeftTurn, 0.85).unwrap();
     let planner = QueryPlanner::new(&dataset, fast_options());
     let plan = planner.plan(&query);
-    let engines = planner.build_engines(&plan);
+    let engine = planner.build_engine(&plan, ExecutorKind::ZeusRl);
     let video = &dataset.store.videos()[0];
 
     let mut clock_a = zeus::sim::SimClock::new();
     let mut hist_a = zeus::core::ConfigHistogram::new();
-    let a = engines
-        .zeus_rl
-        .execute_video(video, &mut clock_a, &mut hist_a);
+    let a = engine.execute_video(video, &mut clock_a, &mut hist_a);
 
     let mut clock_b = zeus::sim::SimClock::new();
     let mut hist_b = zeus::core::ConfigHistogram::new();
-    let b = engines
-        .zeus_rl
-        .execute_video(video, &mut clock_b, &mut hist_b);
+    let b = engine.execute_video(video, &mut clock_b, &mut hist_b);
 
     assert_eq!(a, b);
     assert_eq!(

@@ -1,7 +1,7 @@
 //! End-to-end integration: plan → engines → execute → evaluate, across
 //! all five techniques on a small corpus.
 
-use zeus::core::baselines::QueryEngine;
+use zeus::core::baselines::ExecutorKind;
 use zeus::core::planner::{PlannerOptions, QueryPlanner};
 use zeus::core::query::ActionQuery;
 use zeus::rl::EpsilonSchedule;
@@ -37,19 +37,12 @@ fn full_pipeline_produces_consistent_results() {
         "executor space should be the thinned Pareto frontier"
     );
 
-    let engines = planner.build_engines(&plan);
     let test = dataset.store.split(Split::Test);
     assert!(!test.is_empty());
     let total: usize = test.iter().map(|v| v.num_frames).sum();
 
     // Every engine must label every frame and charge simulated time.
-    let runs = [
-        engines.frame_pp.execute(&test),
-        engines.segment_pp.execute(&test),
-        engines.sliding.execute(&test),
-        engines.heuristic.execute(&test),
-        engines.zeus_rl.execute(&test),
-    ];
+    let runs = ExecutorKind::ALL.map(|kind| planner.build_engine(&plan, kind).execute(&test));
     for exec in &runs {
         assert_eq!(exec.total_frames() as usize, total);
         assert!(exec.clock.elapsed_secs() > 0.0);
@@ -79,12 +72,15 @@ fn zeus_rl_approaches_the_accuracy_target() {
     let query = ActionQuery::new(ActionClass::CrossRight, 0.85).unwrap();
     let planner = QueryPlanner::new(&dataset, PlannerOptions::default());
     let plan = planner.plan(&query);
-    let engines = planner.build_engines(&plan);
     let test = dataset.store.split(Split::Test);
 
-    let exec = engines.zeus_rl.execute(&test);
+    let exec = planner
+        .build_engine(&plan, ExecutorKind::ZeusRl)
+        .execute(&test);
     let report = exec.evaluate(&test, &query.classes, plan.protocol);
-    let sliding = engines.sliding.execute(&test);
+    let sliding = planner
+        .build_engine(&plan, ExecutorKind::ZeusSliding)
+        .execute(&test);
     let sliding_report = sliding.evaluate(&test, &query.classes, plan.protocol);
 
     // Accuracy lands in the target's neighbourhood (the paper meets it;
@@ -123,9 +119,10 @@ fn segment_pp_fails_on_complex_classes_but_not_easy_ones() {
         let query = ActionQuery::new(class, target).unwrap();
         let planner = QueryPlanner::new(dataset, test_options());
         let plan = planner.plan(&query);
-        let engines = planner.build_engines(&plan);
         let test = dataset.store.split(Split::Test);
-        let exec = engines.segment_pp.execute(&test);
+        let exec = planner
+            .build_engine(&plan, ExecutorKind::SegmentPp)
+            .execute(&test);
         exec.evaluate(&test, &query.classes, plan.protocol).f1()
     };
 
@@ -149,9 +146,10 @@ fn multi_class_union_query_runs_end_to_end() {
         ActionQuery::multi(vec![ActionClass::CrossRight, ActionClass::CrossLeft], 0.85).unwrap();
     let planner = QueryPlanner::new(&dataset, test_options());
     let plan = planner.plan(&query);
-    let engines = planner.build_engines(&plan);
     let test = dataset.store.split(Split::Test);
-    let exec = engines.zeus_rl.execute(&test);
+    let exec = planner
+        .build_engine(&plan, ExecutorKind::ZeusRl)
+        .execute(&test);
     let report = exec.evaluate(&test, &query.classes, plan.protocol);
     assert!(report.f1() > 0.3, "union query collapsed: {}", report.f1());
 }
@@ -162,9 +160,10 @@ fn output_segments_overlap_ground_truth() {
     let query = ActionQuery::new(ActionClass::CrossRight, 0.85).unwrap();
     let planner = QueryPlanner::new(&dataset, test_options());
     let plan = planner.plan(&query);
-    let engines = planner.build_engines(&plan);
     let test = dataset.store.split(Split::Test);
-    let exec = engines.sliding.execute(&test);
+    let exec = planner
+        .build_engine(&plan, ExecutorKind::ZeusSliding)
+        .execute(&test);
 
     // At least half of the returned segments must overlap a true action.
     let mut overlapping = 0usize;

@@ -6,11 +6,12 @@
 
 use zeus::apfg::{Configuration, FeatureGenerator, SimulatedApfg};
 use zeus::core::config::ConfigSpace;
-use zeus::core::planner::{PlannerOptions, QueryPlanner};
+use zeus::core::planner::{PlannerOptions, QueryPlan, QueryPlanner};
 use zeus::core::query::ActionQuery;
 use zeus::core::ExecutorKind;
+use zeus::sim::CostModel;
 use zeus::video::video::Split;
-use zeus::video::{DatasetKind, Video};
+use zeus::video::{DatasetKind, SyntheticDataset, Video};
 
 /// 64-bit FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -110,16 +111,22 @@ fn apfg_outputs_match_golden_hashes() {
     assert_eq!(got, pinned, "APFG outputs moved");
 }
 
-#[test]
-fn executor_outputs_match_golden_hashes() {
+/// The planned bdd100k query that the executor and cost pins share.
+fn planned(dataset: &SyntheticDataset) -> (QueryPlanner<'_>, QueryPlan) {
     let mut options = PlannerOptions::default();
     options.trainer.episodes = 3;
     options.trainer.warmup = 128;
     options.candidates.truncate(1);
-    let dataset = DatasetKind::Bdd100k.generate(0.05, 2022);
     let query = ActionQuery::new(dataset.query_classes()[0], 0.85).unwrap();
-    let planner = QueryPlanner::new(&dataset, options);
+    let planner = QueryPlanner::new(dataset, options);
     let plan = planner.plan(&query);
+    (planner, plan)
+}
+
+#[test]
+fn executor_outputs_match_golden_hashes() {
+    let dataset = DatasetKind::Bdd100k.generate(0.05, 2022);
+    let (planner, plan) = planned(&dataset);
     let test = dataset.store.split(Split::Test);
 
     let pinned = [
@@ -144,4 +151,32 @@ fn executor_outputs_match_golden_hashes() {
         (kind, h.0)
     });
     assert_eq!(got, pinned, "executor outputs moved");
+}
+
+/// The cost model's outputs beyond the executors' clocks: the simulated
+/// training seconds (APFG and Frame-PP passes, DQN updates and policy
+/// heads) and the fastness alphas the training environment rewards.
+#[test]
+fn cost_model_outputs_match_golden_bits() {
+    let dataset = DatasetKind::Bdd100k.generate(0.05, 2022);
+    let (_, plan) = planned(&dataset);
+    let costs = [
+        plan.costs.apfg_training_secs,
+        plan.costs.frame_pp_training_secs,
+        plan.costs.rl_training_secs,
+    ]
+    .map(f64::to_bits);
+    let alphas: Vec<u32> = plan
+        .space
+        .alphas(&CostModel)
+        .iter()
+        .map(|a| a.to_bits())
+        .collect();
+    let pinned_costs = [
+        0x406e_bdf6_7f4d_bdf8_u64,
+        0x4059_7354_b37c_3eae,
+        0x3fe3_70a3_d70a_3d71,
+    ];
+    assert_eq!(costs, pinned_costs, "training costs moved");
+    assert_eq!(alphas, [0x3f0f_bd92, 0x3ee0_84dc], "fastness alphas moved");
 }

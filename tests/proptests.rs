@@ -5,7 +5,7 @@ use zeus::apfg::Configuration;
 use zeus::core::metrics::{evaluate_events, evaluate_frames, EvalProtocol};
 use zeus::core::query::{parse_zql, ActionQuery, OrderBy, QueryIr};
 use zeus::sim::{CostModel, SimClock, SimDuration};
-use zeus::video::annotation::{interval_iou, runs_from_labels, smooth_labels};
+use zeus::video::annotation::{interval_iou, runs_from_labels};
 use zeus::video::segment::sample_indices;
 use zeus::video::source::DataSource;
 use zeus::video::zds::{decode_dataset, encode_dataset};
@@ -121,20 +121,6 @@ proptest! {
         prop_assert_eq!(runs_from_labels(&labels), expect);
     }
 
-    #[test]
-    fn smoothing_never_fragments(labels in prop::collection::vec(any::<bool>(), 1..300),
-                                 gap in 0usize..8, min_run in 0usize..8) {
-        let out = smooth_labels(&labels, gap, min_run);
-        // Smoothing cannot increase the number of runs.
-        prop_assert!(runs_from_labels(&out).len() <= runs_from_labels(&labels).len());
-        // All surviving runs respect min_run.
-        if min_run > 1 {
-            for (s, e) in runs_from_labels(&out) {
-                prop_assert!(e - s >= min_run, "run ({s},{e}) below min_run {min_run}");
-            }
-        }
-    }
-
     // ---------- metrics ----------
 
     #[test]
@@ -194,7 +180,7 @@ proptest! {
 
     #[test]
     fn configuration_cost_is_monotone(r in 1usize..400, l in 1usize..65, s in 1usize..9) {
-        let cost = CostModel::default();
+        let cost = CostModel;
         let base = cost.r3d_invocation(l, r).as_secs();
         prop_assert!(cost.r3d_invocation(l + 1, r).as_secs() > base);
         prop_assert!(cost.r3d_invocation(l, r + 1).as_secs() > base);

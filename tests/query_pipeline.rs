@@ -2,7 +2,7 @@
 //! the parallel executor.
 
 use zeus::apfg::simulated::domain_shift;
-use zeus::core::baselines::{QueryEngine, ZeusRl};
+use zeus::core::baselines::{ExecutorKind, QueryEngine, ZeusRl};
 use zeus::core::parallel::execute_parallel;
 use zeus::core::planner::{PlannerOptions, QueryPlanner};
 use zeus::core::query::{parse_zql, ActionQuery};
@@ -52,7 +52,7 @@ fn cross_model_transfer_runs_with_feature_skew() {
         plan.policy.clone(),
         plan.space.clone(),
         plan.init_config,
-        CostModel::default(),
+        CostModel,
     );
     // Evaluate over the whole corpus: the agent never saw CrossLeft
     // labels, and the tiny test split holds too few CrossLeft instances
@@ -83,7 +83,7 @@ fn domain_shift_reduces_accuracy_consistently() {
     let planner = QueryPlanner::new(&dataset, fast_options());
     let plan = planner.plan(&query);
     let test = dataset.store.split(Split::Test);
-    let cost = CostModel::default();
+    let cost = CostModel;
 
     let in_domain = ZeusRl::new(
         plan.apfg.clone(),
@@ -126,11 +126,11 @@ fn parallel_execution_preserves_results_and_scales() {
     let query = ActionQuery::new(ActionClass::CrossRight, 0.85).unwrap();
     let planner = QueryPlanner::new(&dataset, fast_options());
     let plan = planner.plan(&query);
-    let engines = planner.build_engines(&plan);
+    let sliding = planner.build_engine(&plan, ExecutorKind::ZeusSliding);
     let videos: Vec<&zeus::video::Video> = dataset.store.videos().iter().collect();
 
-    let seq = engines.sliding.execute(&videos);
-    let par = execute_parallel(&engines.sliding, &videos, 4);
+    let seq = sliding.execute(&videos);
+    let par = execute_parallel(sliding.as_ref(), &videos, 4);
     let mut seq_labels = seq.labels.clone();
     seq_labels.sort_by_key(|(id, _)| *id);
     assert_eq!(

@@ -1,7 +1,6 @@
 //! Facade-level integration of the serving subsystem: plan → install →
 //! serve concurrently → verify against direct engine execution.
 
-use zeus::core::baselines::QueryEngine;
 use zeus::prelude::*;
 use zeus::serve::run_open_loop;
 use zeus::video::video::Split;
@@ -26,7 +25,6 @@ fn serving_through_the_facade_matches_direct_execution() {
 
     let planner = QueryPlanner::new(&dataset, fast_options(seed));
     let plan = planner.plan(&query);
-    let engines = planner.build_engines(&plan);
 
     let plans = PlanStore::in_memory();
     plans
@@ -57,7 +55,9 @@ fn serving_through_the_facade_matches_direct_execution() {
 
     let mut test = dataset.store.split(Split::Test);
     test.sort_by_key(|v| v.id);
-    let direct = engines.zeus_rl.execute(&test);
+    let direct = planner
+        .build_engine(&plan, ExecutorKind::ZeusRl)
+        .execute(&test);
     let mut direct_labels = direct.labels.clone();
     direct_labels.sort_by_key(|(id, _)| *id);
 

@@ -109,42 +109,6 @@ fn latency_budget_buys_throughput_for_sliding_plans() {
 }
 
 #[test]
-fn streaming_yields_per_video_and_short_circuits_on_limit() {
-    let videos: Vec<VideoResult> = session()
-        .query(CLASSIC)
-        .unwrap()
-        .run_streaming()
-        .unwrap()
-        .collect();
-    assert_eq!(
-        videos.len(),
-        session()
-            .source()
-            .store()
-            .split(zeus::video::video::Split::Test)
-            .len(),
-        "unlimited stream covers the whole test split"
-    );
-    assert!(videos.iter().all(|v| v.simulated_secs > 0.0));
-    let total_segments: usize = videos.iter().map(|v| v.segments.len()).sum();
-
-    if total_segments > 0 {
-        let limited: Vec<VideoResult> = session()
-            .query(&format!("{CLASSIC} LIMIT 1"))
-            .unwrap()
-            .run_streaming()
-            .unwrap()
-            .collect();
-        let emitted: usize = limited.iter().map(|v| v.segments.len()).sum();
-        assert_eq!(emitted, 1, "LIMIT 1 stream yields exactly one segment");
-        assert!(
-            limited.len() <= videos.len(),
-            "a satisfied LIMIT must stop executing videos"
-        );
-    }
-}
-
-#[test]
 fn excluded_classes_are_subtracted_from_the_answer() {
     let excluded = session()
         .query(

@@ -31,7 +31,7 @@ fn proto_env(corpus_seed: u64, apfg_seed: u64, actions: usize) -> VideoTraversal
     let classes = vec![ActionClass::CrossRight];
     let full = ConfigSpace::for_dataset(DatasetKind::Bdd100k);
     let space = full.restricted_to(&full.configs()[..actions]);
-    let alphas = space.alphas(&CostModel::default());
+    let alphas = space.alphas(&CostModel);
     let init = space.most_accurate();
     let apfg = Arc::new(SimulatedApfg::new(
         classes.clone(),
