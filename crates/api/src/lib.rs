@@ -56,7 +56,7 @@ pub use zeus_core::query::{parse_zql, ActionQuery, OrderBy, ParseError, QueryIr}
 pub use zeus_core::ExecutorKind;
 pub use zeus_fleet::{FleetConfig, FleetError, FleetRouter, Routed};
 pub use zeus_obs::{ExplainReport, MetricsRegistry, ObsHub, ObsSnapshot, StageTiming, Tracer};
-pub use zeus_serve::quota::{FairShareGate, QuotaSpec, TenantId, TenantStats};
+pub use zeus_serve::quota::{FairShareGate, QuotaSpec, TenantId};
 pub use zeus_serve::{CorpusId, Priority, SegmentHit, ServeConfig};
 pub use zeus_video::{
     ConfigFamily, DataError, DataSource, DatasetKind, DatasetProfile, SyntheticDataset,

@@ -638,6 +638,8 @@ pub struct Query<'s> {
 struct ResolvedEngine {
     engine: Box<dyn QueryEngine + Send + Sync>,
     protocol: EvalProtocol,
+    /// Whether the plan was found without planning.
+    from_cache: bool,
 }
 
 /// The plan a query's engine is built from.
@@ -712,6 +714,7 @@ impl<'s> Query<'s> {
             return Ok(ResolvedEngine {
                 engine: self.engine(Planned::Full(&plan)),
                 protocol: plan.protocol,
+                from_cache: true,
             });
         }
         if matches!(
@@ -722,6 +725,7 @@ impl<'s> Query<'s> {
                 return Ok(ResolvedEngine {
                     protocol: stored.protocol,
                     engine: self.engine(Planned::Stored(&stored)),
+                    from_cache: true,
                 });
             }
         }
@@ -729,6 +733,7 @@ impl<'s> Query<'s> {
         Ok(ResolvedEngine {
             engine: self.engine(Planned::Full(&plan)),
             protocol: plan.protocol,
+            from_cache: false,
         })
     }
 
@@ -782,11 +787,6 @@ impl<'s> Query<'s> {
     /// [`ExplainReport`] in [`QueryResponse::explain`] whose stage sum
     /// equals the measured end-to-end latency by construction.
     pub fn run(&self) -> Result<QueryResponse, ZeusError> {
-        let from_cache = self
-            .session
-            .cached_plan(self.source, &self.ir.base)
-            .is_some()
-            || self.lookup().is_some();
         let trace = self.session.obs.tracer.trace("session.run");
         let mut clock = StageClock::new();
 
@@ -816,7 +816,7 @@ impl<'s> Query<'s> {
             ExplainReport {
                 query: self.ir.to_sql(),
                 executor: self.executor.name().to_string(),
-                from_cache,
+                from_cache: resolved.from_cache,
                 coalesced: false,
                 stages,
                 total,

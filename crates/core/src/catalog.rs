@@ -5,8 +5,10 @@
 //! and reusing it for every execution of the same query. The catalog
 //! persists the parts of a [`crate::planner::QueryPlan`] needed to rebuild
 //! the executors — the trained policy weights, the selected static
-//! configuration, the Pareto action space, and the APFG seed — in a small
-//! versioned binary format (`.zpln` files).
+//! configuration, the Pareto action space, and the APFG seed and
+//! model-reuse flag — in a small versioned binary format (`.zpln` files).
+//! A file of another version is refused; the plan store treats it as a
+//! miss, so the query is re-planned and the file rewritten.
 
 use std::fs;
 use std::io;
@@ -26,7 +28,7 @@ use crate::planner::QueryPlan;
 use crate::query::ActionQuery;
 
 const MAGIC: &[u8; 4] = b"ZPLN";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// The persisted portion of a query plan.
 #[derive(Debug, Clone)]
@@ -46,6 +48,9 @@ pub struct StoredPlan {
     pub knob_maxima: (usize, usize, usize),
     /// APFG seed (the behavioural model is deterministic given it).
     pub apfg_seed: u64,
+    /// Whether the APFG uses §5's model reuse (false for a plan trained
+    /// with a per-configuration ensemble).
+    pub model_reuse: bool,
     /// Evaluation window.
     pub protocol: EvalProtocol,
 }
@@ -60,6 +65,7 @@ impl StoredPlan {
     pub fn apfg(&self) -> SimulatedApfg {
         let (r, l, s) = self.knob_maxima;
         SimulatedApfg::new(self.query.classes.clone(), r, l, s, self.apfg_seed)
+            .with_model_reuse(self.model_reuse)
     }
 
     /// Rebuild the Zeus-RL executor from the stored plan.
@@ -196,6 +202,7 @@ pub fn encode_plan(plan: &QueryPlan, apfg_seed: u64) -> Vec<u8> {
     w.u32(plan.space.max_seg_len() as u32);
     w.u32(plan.space.max_sampling() as u32);
     w.u64(apfg_seed);
+    w.0.push(plan.apfg.model_reuse() as u8);
     w.u32(plan.protocol.window as u32);
     w.bytes(&plan.policy.to_bytes());
     w.0
@@ -239,6 +246,11 @@ pub fn decode_plan(bytes: &[u8]) -> Result<StoredPlan, CatalogError> {
     let max_len = r.u32()? as usize;
     let max_samp = r.u32()? as usize;
     let apfg_seed = r.u64()?;
+    let model_reuse = match r.take(1)?[0] {
+        0 => false,
+        1 => true,
+        b => return Err(CatalogError::Corrupt(format!("invalid flag {b}"))),
+    };
     let window = r.u32()? as usize;
     if window == 0 {
         return Err(CatalogError::Corrupt("zero eval window".into()));
@@ -267,6 +279,7 @@ pub fn decode_plan(bytes: &[u8]) -> Result<StoredPlan, CatalogError> {
         space_configs,
         knob_maxima: (max_res, max_len, max_samp),
         apfg_seed,
+        model_reuse,
         protocol: EvalProtocol::new(window),
     })
 }
@@ -334,8 +347,11 @@ mod tests {
     use zeus_video::DatasetKind;
 
     fn tiny_plan() -> (QueryPlan, u64) {
+        tiny_plan_with(PlannerOptions::default())
+    }
+
+    fn tiny_plan_with(mut options: PlannerOptions) -> (QueryPlan, u64) {
         let ds = DatasetKind::Bdd100k.generate(0.08, 3);
-        let mut options = PlannerOptions::default();
         options.trainer.episodes = 2;
         options.trainer.warmup = 64;
         options.candidates.truncate(1);
@@ -363,6 +379,17 @@ mod tests {
             stored.policy.act(&s, &mut scratch),
             plan.policy.act(&s, &mut scratch)
         );
+    }
+
+    #[test]
+    fn an_ensemble_plan_keeps_its_apfg_after_a_roundtrip() {
+        let (plan, seed) = tiny_plan_with(PlannerOptions {
+            per_config_ensemble: true,
+            ..PlannerOptions::default()
+        });
+        assert!(!plan.apfg.model_reuse());
+        let stored = decode_plan(&encode_plan(&plan, seed)).unwrap();
+        assert!(!stored.apfg().model_reuse());
     }
 
     #[test]

@@ -34,4 +34,4 @@ pub mod hrw;
 pub mod router;
 
 pub use router::{FleetConfig, FleetError, FleetRouter, Routed};
-pub use zeus_serve::quota::{Decision, FairShareGate, QuotaSpec, TenantId, TenantStats};
+pub use zeus_serve::quota::{Decision, FairShareGate, QuotaSpec, TenantId};

@@ -386,11 +386,6 @@ impl FleetRouter {
             .unwrap_or(false)
     }
 
-    /// The fair-share gate (per-tenant stats live here).
-    pub fn gate(&self) -> &FairShareGate {
-        &self.gate
-    }
-
     /// The router's own `fleet.*` observability hub.
     pub fn obs(&self) -> &ObsHub {
         &self.obs

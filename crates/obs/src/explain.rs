@@ -97,7 +97,8 @@ pub struct ExplainReport {
     pub query: String,
     /// Executor that served the query (`served`, `cached`, ...).
     pub executor: String,
-    /// Whether the result came from the result cache.
+    /// Whether the result came from the result cache (served queries),
+    /// or the plan was found without planning (session runs).
     pub from_cache: bool,
     /// Whether this request coalesced onto an in-flight duplicate.
     pub coalesced: bool,

@@ -17,7 +17,6 @@
 //! ([`Tracer::record_stage`]).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -82,10 +81,6 @@ impl TraceRecord {
 struct TracerInner {
     traces: Mutex<VecDeque<TraceRecord>>,
     stages: RwLock<HashMap<String, Arc<LogHistogram>>>,
-    /// Trace trees dropped because the ring was full is implicit
-    /// (eviction); spans dropped past the per-trace cap are counted on
-    /// the trace record via `opened`/`spans.len()`.
-    trace_seq: AtomicUsize,
 }
 
 /// The shared span tracer. Cloning is cheap; all clones feed one
@@ -101,7 +96,6 @@ impl Default for Tracer {
             inner: Arc::new(TracerInner {
                 traces: Mutex::new(VecDeque::new()),
                 stages: RwLock::new(HashMap::new()),
-                trace_seq: AtomicUsize::new(0),
             }),
         }
     }
@@ -124,7 +118,6 @@ impl Tracer {
     /// Open a new trace. The trace's tree is published to the tracer
     /// when the last handle (trace or span guard) drops.
     pub fn trace(&self, label: impl Into<String>) -> Trace {
-        self.inner.trace_seq.fetch_add(1, Ordering::Relaxed);
         Trace {
             shared: Arc::new(TraceShared {
                 tracer: self.clone(),
@@ -138,11 +131,6 @@ impl Tracer {
                 }),
             }),
         }
-    }
-
-    /// Traces started so far (stored or since evicted).
-    pub fn traces_started(&self) -> usize {
-        self.inner.trace_seq.load(Ordering::Relaxed)
     }
 
     /// Record a stage duration directly into the per-stage aggregate,
@@ -427,7 +415,6 @@ mod tests {
         let stats = tracer.stage_stats();
         let cache = stats.iter().find(|s| s.name == "cache").unwrap();
         assert_eq!(cache.count, 11);
-        assert_eq!(tracer.traces_started(), 10);
     }
 
     #[test]

@@ -86,8 +86,6 @@ struct Entry {
 struct CacheInner {
     map: HashMap<CacheKey, Entry>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 /// A thread-safe LRU cache of query executions.
@@ -104,30 +102,19 @@ impl ResultCache {
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
                 tick: 0,
-                hits: 0,
-                misses: 0,
             }),
             capacity,
         }
     }
 
-    /// Look up a result, bumping recency; counts a hit or a miss.
+    /// Look up a result, bumping recency.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedExecution>> {
         let mut inner = lock_recover(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let value = Arc::clone(&entry.value);
-                inner.hits += 1;
-                Some(value)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        let entry = inner.map.get_mut(key)?;
+        entry.last_used = tick;
+        Some(Arc::clone(&entry.value))
     }
 
     /// Insert (or refresh) a result, evicting the least-recently-used
@@ -165,22 +152,6 @@ impl ResultCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// `(hits, misses)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = lock_recover(&self.inner);
-        (inner.hits, inner.misses)
-    }
-
-    /// Hit rate in `[0, 1]` (0 when never queried).
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = self.stats();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
     }
 }
 
@@ -220,8 +191,6 @@ mod tests {
         c.insert(key(80), value(1));
         let hit = c.get(&key(80)).expect("cached");
         assert_eq!(hit.result.invocations, 1);
-        assert_eq!(c.stats(), (1, 1));
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!             submit(query, priority)
 //!                      │
 //!            ┌─────────▼─────────┐   hit
-//!            │   ResultCache     ├────────► ResponseStream (replayed)
+//!            │   ResultCache     ├────────► ResponseStream (cached outcome)
 //!            │  (LRU, keyed by   │
 //!            │ query×corpus×exec)│
 //!            └─────────┬─────────┘ miss
@@ -31,7 +31,7 @@
 //!            │  assembles canonically         │
 //!            └─────────┬──────────────────────┘
 //!                      ▼
-//!        ResponseStream: Video events + Done(QueryOutcome)
+//!            ResponseStream: one QueryOutcome
 //! ```
 //!
 //! * [`admission`] — the bounded priority queue with load shedding.
@@ -43,7 +43,7 @@
 //! * [`quota`] — per-tenant token-bucket quotas with fair-share load
 //!   shedding (the multi-tenant contract the fleet router enforces).
 //! * [`metrics`] — p50/p95/p99 latency, throughput, shed/hit counters.
-//! * [`request`] — typed requests and streamed responses.
+//! * [`request`] — typed requests and the one-outcome response channel.
 //! * [`server`] — [`ZeusServer`], tying it together.
 //! * [`workload`] — open-loop (Poisson) and closed-loop drivers.
 //!
@@ -72,9 +72,9 @@ pub use admission::{AdmissionQueue, AdmitError};
 pub use cache::{CacheKey, CachedExecution, CorpusId, ResultCache};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use plans::PlanStore;
-pub use quota::{Decision, FairShareGate, QuotaSpec, TenantId, TenantStats};
+pub use quota::{Decision, FairShareGate, QuotaSpec, TenantId};
 pub use refine::{compute_exclude_spans, ExcludeSpans, QueryRefiner, SegmentHit};
-pub use request::{Priority, QueryId, QueryOutcome, ResponseEvent, ResponseStream};
+pub use request::{Priority, QueryId, QueryOutcome, ResponseStream};
 pub use server::{priority_for_budget, servable, ServeConfig, ServeError, ZeusServer};
 pub use workload::{run_closed_loop, run_open_loop, WorkloadReport, WorkloadSpec};
 pub use zeus_obs::{ExplainReport, ObsHub, ObsSnapshot, StageTiming};

@@ -15,9 +15,8 @@
 //! ## Coalescing
 //!
 //! A submission identical to an in-flight query (same cache key) does not
-//! execute again: it *subscribes* to the running query, receives a replay
-//! of the per-video events already finished plus everything still to
-//! come, and gets its own [`QueryOutcome`] (own id, own latency, marked
+//! execute again: it *subscribes* to the running query and gets its own
+//! [`QueryOutcome`] when the query finishes (own id, own latency, marked
 //! `from_cache`) — thundering herds cost one execution.
 //!
 //! ## Determinism
@@ -40,7 +39,6 @@ use zeus_core::query::ActionQuery;
 use zeus_core::result::{ConfigHistogram, ExecutionResult, QueryResult};
 use zeus_core::ExecutorKind;
 use zeus_sim::SimClock;
-use zeus_video::annotation::runs_from_labels;
 use zeus_video::{Video, VideoId};
 
 use zeus_obs::sync::lock_recover;
@@ -49,7 +47,7 @@ use zeus_obs::ObsHub;
 use crate::admission::{AdmissionQueue, PopTimeout};
 use crate::cache::{CacheKey, CachedExecution, ResultCache};
 use crate::metrics::ServeMetrics;
-use crate::request::{Priority, QueryId, QueryOutcome, ResponseEvent};
+use crate::request::{Priority, QueryId, QueryOutcome};
 
 /// One finished per-video subtask.
 struct Part {
@@ -65,14 +63,14 @@ pub(crate) struct Subscriber {
     pub(crate) id: QueryId,
     pub(crate) priority: Priority,
     pub(crate) submitted: Instant,
-    pub(crate) tx: Sender<ResponseEvent>,
+    pub(crate) tx: Sender<QueryOutcome>,
     /// False only for the original submitter; followers are reported as
     /// cache-served (they cost no execution).
     pub(crate) coalesced: bool,
 }
 
 /// Mutable per-query state behind one lock (single lock ⇒ no ordering
-/// hazards between part completion, event broadcast, and subscription).
+/// hazards between part completion, subscription, and closing).
 struct QueryState {
     parts: Vec<Option<Part>>,
     completed: usize,
@@ -136,20 +134,13 @@ impl ActiveQuery {
         self.next.load(Ordering::Relaxed) >= total
     }
 
-    /// Attach a coalesced follower, replaying already-finished videos.
-    /// Fails when the query has already finalized (caller re-checks the
-    /// result cache, which finalize populated first).
+    /// Attach a coalesced follower. Fails when the query has already
+    /// finalized (caller re-checks the result cache, which finalize
+    /// populated first).
     pub(crate) fn subscribe(&self, subscriber: Subscriber) -> Result<(), Subscriber> {
         let mut state = lock_recover(&self.state);
         if state.closed {
             return Err(subscriber);
-        }
-        for part in state.parts.iter().flatten() {
-            let _ = subscriber.tx.send(ResponseEvent::Video {
-                video: part.video,
-                segments: runs_from_labels(&part.labels),
-                device: None,
-            });
         }
         state.subscribers.push(subscriber);
         Ok(())
@@ -264,19 +255,8 @@ fn execute_part(shared: &PoolShared, worker: usize, task: &Arc<ActiveQuery>, i: 
     // Charge the simulated time to the executing device.
     lock_recover(&shared.devices[worker]).merge(&clock);
 
-    let event = ResponseEvent::Video {
-        video: video.id,
-        segments: runs_from_labels(&labels),
-        device: Some(worker),
-    };
     let finished = {
-        // Store the part and broadcast atomically, so a subscriber
-        // attaching concurrently sees each video exactly once (replay or
-        // broadcast, never both or neither).
         let mut state = lock_recover(&task.state);
-        for sub in &state.subscribers {
-            let _ = sub.tx.send(event.clone());
-        }
         state.parts[i] = Some(Part {
             video: video.id,
             labels,
@@ -293,34 +273,19 @@ fn execute_part(shared: &PoolShared, worker: usize, task: &Arc<ActiveQuery>, i: 
 
 /// Assemble the canonical outcome after the last subtask completes.
 fn finalize(shared: &PoolShared, task: &Arc<ActiveQuery>) {
-    // 1. Snapshot the parts, leaving them in place: subscriptions stay
-    //    open until step 3, and a follower attaching in the meantime
-    //    must still receive the full per-video replay.
-    let parts: Vec<Part> = {
-        let state = lock_recover(&task.state);
-        state
-            .parts
-            .iter()
-            .map(|slot| {
-                let part = slot.as_ref().expect("every part present at finalize");
-                Part {
-                    video: part.video,
-                    labels: part.labels.clone(),
-                    clock: part.clock.clone(),
-                    histogram: part.histogram.clone(),
-                }
-            })
-            .collect()
-    };
+    // 1. Take the parts. Subscriptions stay open until step 3; a
+    //    follower attaching in the meantime is answered in step 4.
+    let parts = std::mem::take(&mut lock_recover(&task.state).parts);
     // Canonical merge: positions are in video-id order, so clock seconds
     // sum in a fixed order and the outcome is scheduling-independent.
     let mut labels = Vec::with_capacity(parts.len());
     let mut clock = SimClock::new();
     let mut histogram = ConfigHistogram::new();
-    for part in &parts {
-        labels.push((part.video, part.labels.clone()));
+    for part in parts {
+        let part = part.expect("every part present at finalize");
         clock.merge(&part.clock);
         histogram.merge(&part.histogram);
+        labels.push((part.video, part.labels));
     }
     let exec = ExecutionResult {
         labels,
@@ -369,7 +334,7 @@ fn finalize(shared: &PoolShared, task: &Arc<ActiveQuery>) {
         } else {
             shared.metrics.on_executed(latency, device_secs, frames);
         }
-        let _ = sub.tx.send(ResponseEvent::Done(QueryOutcome {
+        let _ = sub.tx.send(QueryOutcome {
             id: sub.id,
             query: task.query.clone(),
             priority: sub.priority,
@@ -381,6 +346,85 @@ fn finalize(shared: &PoolShared, task: &Arc<ActiveQuery>) {
             labels: exec.labels.clone(),
             from_cache: sub.coalesced,
             latency,
-        }));
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::{channel, Receiver, TryRecvError};
+
+    use zeus_apfg::{Configuration, SimulatedApfg};
+    use zeus_core::baselines::ZeusSliding;
+    use zeus_sim::CostModel;
+    use zeus_video::video::Split;
+    use zeus_video::{ActionClass, DataSource, DatasetKind};
+
+    use super::*;
+    use crate::cache::CorpusId;
+
+    fn subscriber(id: u64, coalesced: bool) -> (Subscriber, Receiver<QueryOutcome>) {
+        let (tx, rx) = channel();
+        let subscriber = Subscriber {
+            id: QueryId(id),
+            priority: Priority::Standard,
+            submitted: Instant::now(),
+            tx,
+            coalesced,
+        };
+        (subscriber, rx)
+    }
+
+    /// The coalescing protocol, driven by hand on one thread.
+    #[test]
+    fn follower_gets_one_outcome_and_a_late_one_is_refused() {
+        let dataset = DatasetKind::Bdd100k.generate(0.05, 7);
+        let mut videos = dataset.store().split(Split::Test);
+        videos.sort_by_key(|v| v.id);
+        let videos: Vec<Video> = videos.into_iter().cloned().collect();
+        let total = videos.len();
+        let obs = ObsHub::new();
+        let shared = PoolShared {
+            queue: AdmissionQueue::new(1),
+            board: Mutex::new(Vec::new()),
+            inflight: Mutex::new(HashMap::new()),
+            devices: vec![Mutex::new(SimClock::new())],
+            cache: Arc::new(ResultCache::new(1)),
+            metrics: ServeMetrics::with_registry(&obs.metrics),
+            obs,
+            videos,
+        };
+        // Table 4's driving knob maxima, and one configuration within them.
+        let apfg = SimulatedApfg::new(vec![ActionClass::CrossRight], 300, 8, 8, 7);
+        let config = Configuration::new(300, 8, 2);
+        let engine = Box::new(ZeusSliding::new(apfg, config, CostModel));
+        let query = ActionQuery::new(ActionClass::CrossRight, 0.85).unwrap();
+        let kind = ExecutorKind::ZeusSliding;
+        let key = CacheKey::new(&query, CorpusId::of(&dataset), kind);
+        let (owner, owner_rx) = subscriber(0, false);
+        let protocol = EvalProtocol::new(1);
+        let task = ActiveQuery::new(query, kind, protocol, engine, key.clone(), owner, total);
+        let task = Arc::new(task);
+        lock_recover(&shared.inflight).insert(key.clone(), Arc::clone(&task));
+
+        // Every part but the last, then a follower joins.
+        for i in 0..total - 1 {
+            execute_part(&shared, 0, &task, i);
+        }
+        let (follower, follower_rx) = subscriber(1, true);
+        assert!(task.subscribe(follower).is_ok());
+        execute_part(&shared, 0, &task, total - 1);
+
+        let owned = owner_rx.try_recv().expect("the owner is answered");
+        let followed = follower_rx.try_recv().expect("the follower is answered");
+        for rx in [&owner_rx, &follower_rx] {
+            assert_eq!(rx.try_recv().unwrap_err(), TryRecvError::Disconnected);
+        }
+        assert!(!owned.from_cache && followed.from_cache);
+        assert_eq!(followed.labels, owned.labels);
+        // Finalize closed the query, and published its result first.
+        assert!(task.subscribe(subscriber(2, true).0).is_err());
+        let cached = shared.cache.get(&key).expect("published");
+        assert_eq!(cached.labels, owned.labels);
     }
 }

@@ -171,22 +171,6 @@ impl Decision {
     }
 }
 
-/// Per-tenant admission/shed totals, for operator visibility.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TenantStats {
-    /// Requests admitted (in-quota + over-quota).
-    pub admitted: u64,
-    /// Of the admitted, how many rode spare capacity over quota.
-    pub over_quota_admitted: u64,
-    /// Requests shed by the gate (always over-quota by construction).
-    pub shed: u64,
-}
-
-struct TenantState {
-    bucket: TokenBucket,
-    stats: TenantStats,
-}
-
 /// Lock stripes for the tenant table. A fleet routes *every* request
 /// through one gate, so a single tenant-map mutex would serialize the
 /// whole fleet; striping by tenant hash keeps distinct tenants on
@@ -211,7 +195,7 @@ pub struct FairShareGate {
     overrides: HashMap<TenantId, QuotaSpec>,
     work_conserving: bool,
     epoch: Instant,
-    stripes: Vec<Mutex<HashMap<TenantId, TenantState>>>,
+    stripes: Vec<Mutex<HashMap<TenantId, TokenBucket>>>,
 }
 
 impl fmt::Debug for FairShareGate {
@@ -247,7 +231,7 @@ impl FairShareGate {
     }
 
     /// The lock stripe owning `tenant`.
-    fn stripe(&self, tenant: &TenantId) -> &Mutex<HashMap<TenantId, TenantState>> {
+    fn stripe(&self, tenant: &TenantId) -> &Mutex<HashMap<TenantId, TokenBucket>> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         tenant.hash(&mut hasher);
         &self.stripes[(hasher.finish() as usize) % STRIPES]
@@ -279,19 +263,15 @@ impl FairShareGate {
     pub fn admit_at(&self, tenant: &TenantId, pressure: f64, now_secs: f64) -> Decision {
         let quota = self.quota_for(tenant);
         let mut tenants = lock_recover(self.stripe(tenant));
-        let state = tenants
+        let bucket = tenants
             .entry(tenant.clone())
-            .or_insert_with(|| TenantState {
-                bucket: TokenBucket::new(quota, now_secs),
-                stats: TenantStats::default(),
-            });
-        state.bucket.refill(now_secs);
-        if state.bucket.in_quota() {
-            state.bucket.take();
-            state.stats.admitted += 1;
+            .or_insert_with(|| TokenBucket::new(quota, now_secs));
+        bucket.refill(now_secs);
+        if bucket.in_quota() {
+            bucket.take();
             return Decision::Admit { in_quota: true };
         }
-        let overage = state.bucket.overage();
+        let overage = bucket.overage();
         let shed = if self.work_conserving {
             // Most-over-quota tenants shed first: deeper debt lowers the
             // pressure threshold at which this tenant is turned away.
@@ -300,43 +280,11 @@ impl FairShareGate {
             true
         };
         if shed {
-            state.stats.shed += 1;
             Decision::Shed { overage }
         } else {
-            state.bucket.take();
-            state.stats.admitted += 1;
-            state.stats.over_quota_admitted += 1;
+            bucket.take();
             Decision::Admit { in_quota: false }
         }
-    }
-
-    /// Per-tenant totals, sorted by tenant name.
-    pub fn tenant_stats(&self) -> Vec<(TenantId, TenantStats)> {
-        let mut out: Vec<_> = self
-            .stripes
-            .iter()
-            .flat_map(|stripe| {
-                lock_recover(stripe)
-                    .iter()
-                    .map(|(t, s)| (t.clone(), s.stats.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Total requests shed by the gate across all tenants.
-    pub fn total_shed(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|stripe| {
-                lock_recover(stripe)
-                    .values()
-                    .map(|s| s.stats.shed)
-                    .sum::<u64>()
-            })
-            .sum()
     }
 }
 
@@ -432,8 +380,5 @@ mod tests {
         }
         assert!(gate.admit_at(&pleb, 0.0, 0.0).admitted());
         assert!(!gate.admit_at(&pleb, 0.0, 0.0).admitted());
-        let stats = gate.tenant_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(gate.total_shed(), 1);
     }
 }

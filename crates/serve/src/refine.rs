@@ -132,19 +132,6 @@ impl QueryRefiner {
         true
     }
 
-    /// Filter one video's predicted segments (window + exclusions).
-    /// `ORDER BY` and `LIMIT` are global and applied by [`Self::answer`].
-    pub fn refine_segments(
-        &self,
-        video: VideoId,
-        segments: Vec<(usize, usize)>,
-    ) -> Vec<(usize, usize)> {
-        segments
-            .into_iter()
-            .filter(|&(s, e)| self.keep(video, s, e))
-            .collect()
-    }
-
     /// The full refined answer set: filter, order, limit.
     pub fn answer(&self, labels: &[(VideoId, Vec<bool>)]) -> Vec<SegmentHit> {
         let mut hits: Vec<SegmentHit> = answer_from_labels(labels)

@@ -1,10 +1,8 @@
-//! Typed requests and streamed responses.
+//! Typed requests and responses.
 //!
 //! A client submits an [`zeus_core::query::ActionQuery`] with a
-//! [`Priority`]; the server answers over a typed channel: one
-//! [`ResponseEvent::Video`] per finished video (in completion order —
-//! results stream as devices finish) and a final [`ResponseEvent::Done`]
-//! carrying the assembled, canonically-ordered [`QueryOutcome`].
+//! [`Priority`]; the server answers over a typed channel with exactly one
+//! message: the assembled, canonically-ordered [`QueryOutcome`].
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -66,23 +64,6 @@ impl std::fmt::Display for Priority {
     }
 }
 
-/// One event on a query's response stream.
-#[derive(Debug, Clone)]
-pub enum ResponseEvent {
-    /// A video finished processing (streamed in completion order).
-    Video {
-        /// The finished video.
-        video: VideoId,
-        /// Predicted action segments `(start, end)` in frames.
-        segments: Vec<(usize, usize)>,
-        /// Pool-local id of the device that processed it; `None` when the
-        /// result was replayed from the cache.
-        device: Option<usize>,
-    },
-    /// The query finished; final assembled outcome.
-    Done(QueryOutcome),
-}
-
 /// Final outcome of a served query.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
@@ -114,18 +95,18 @@ pub struct QueryOutcome {
     pub latency: Duration,
 }
 
-/// Receiving half of a query's typed response channel.
+/// Receiving half of a query's typed response channel: it carries the
+/// query's one [`QueryOutcome`].
 ///
 /// When the submission carried extended-ZQL clauses, the stream holds the
-/// compiled [`QueryRefiner`] and applies it on delivery: `Video` events
-/// are filtered (window + class exclusions) and the final outcome's
-/// [`QueryOutcome::answer`] is recomputed (filter + order + limit). The
-/// raw `labels` pass through untouched — the cached execution and the
-/// serial-equivalence contract are refinement-independent.
+/// compiled [`QueryRefiner`] and applies it on delivery: the outcome's
+/// [`QueryOutcome::answer`] is computed from its labels (filter + order +
+/// limit). The raw `labels` pass through untouched — the cached execution
+/// and the serial-equivalence contract are refinement-independent.
 #[derive(Debug)]
 pub struct ResponseStream {
     id: QueryId,
-    rx: mpsc::Receiver<ResponseEvent>,
+    rx: mpsc::Receiver<QueryOutcome>,
     refiner: Option<QueryRefiner>,
     /// Sampled request trace: `wait` times its `execute`/`refine` spans
     /// on it, and the trace tree publishes when the stream drops.
@@ -133,7 +114,7 @@ pub struct ResponseStream {
 }
 
 impl ResponseStream {
-    pub(crate) fn new(id: QueryId, rx: mpsc::Receiver<ResponseEvent>) -> Self {
+    pub(crate) fn new(id: QueryId, rx: mpsc::Receiver<QueryOutcome>) -> Self {
         ResponseStream {
             id,
             rx,
@@ -156,72 +137,33 @@ impl ResponseStream {
         self
     }
 
-    /// The query this stream answers.
-    pub fn id(&self) -> QueryId {
-        self.id
-    }
-
-    fn apply(&self, event: ResponseEvent) -> ResponseEvent {
-        match event {
-            ResponseEvent::Video {
-                video,
-                segments,
-                device,
-            } => ResponseEvent::Video {
-                video,
-                segments: match &self.refiner {
-                    Some(refiner) => refiner.refine_segments(video, segments),
-                    None => segments,
-                },
-                device,
-            },
-            // The answer set is computed at delivery, and only for IR
-            // submissions (plain `submit` callers read labels/result and
-            // should not pay a corpus-sized scan they never use).
-            ResponseEvent::Done(mut outcome) => {
-                if let Some(refiner) = &self.refiner {
-                    outcome.answer = refiner.answer(&outcome.labels);
-                }
-                ResponseEvent::Done(outcome)
-            }
-        }
-    }
-
-    /// Block for the next event; `None` once the stream is exhausted
-    /// (after [`ResponseEvent::Done`]).
-    pub fn recv(&self) -> Option<ResponseEvent> {
-        self.rx.recv().ok().map(|e| self.apply(e))
-    }
-
-    /// Drain the stream to the raw (unrefined) final outcome — the
-    /// `execute` half of [`ResponseStream::wait`], split out so
-    /// `EXPLAIN ANALYZE` can time execution and refinement separately.
+    /// Block for the raw (unrefined) outcome — the `execute` half of
+    /// [`ResponseStream::wait`], split out so `EXPLAIN ANALYZE` can time
+    /// execution and refinement separately.
     ///
-    /// Panics if the server dropped the channel without sending `Done`
-    /// (a server bug — every admitted query is answered).
+    /// Panics if the server dropped the channel without answering (a
+    /// server bug — every admitted query is answered).
     pub(crate) fn wait_raw(&self) -> QueryOutcome {
-        loop {
-            match self.rx.recv() {
-                Ok(ResponseEvent::Done(outcome)) => return outcome,
-                Ok(ResponseEvent::Video { .. }) => continue,
-                Err(_) => panic!("server dropped response stream for {}", self.id),
-            }
-        }
+        self.rx
+            .recv()
+            .unwrap_or_else(|_| panic!("server dropped response stream for {}", self.id))
     }
 
     /// Apply this stream's refiner to a raw outcome — the `refine` half
-    /// of [`ResponseStream::wait`].
-    pub(crate) fn refine_outcome(&self, outcome: QueryOutcome) -> QueryOutcome {
-        match self.apply(ResponseEvent::Done(outcome)) {
-            ResponseEvent::Done(outcome) => outcome,
-            ResponseEvent::Video { .. } => unreachable!("apply preserves variants"),
+    /// of [`ResponseStream::wait`]. The answer set is computed only for
+    /// IR submissions: plain `submit` callers read labels/result and
+    /// should not pay a corpus-sized scan they never use.
+    pub(crate) fn refine_outcome(&self, mut outcome: QueryOutcome) -> QueryOutcome {
+        if let Some(refiner) = &self.refiner {
+            outcome.answer = refiner.answer(&outcome.labels);
         }
+        outcome
     }
 
-    /// Drain the stream to completion and return the final outcome.
+    /// Block for the query's outcome and return it refined.
     ///
-    /// Panics if the server dropped the channel without sending `Done`
-    /// (a server bug — every admitted query is answered).
+    /// Panics if the server dropped the channel without answering (a
+    /// server bug — every admitted query is answered).
     pub fn wait(self) -> QueryOutcome {
         let raw = {
             let _span = self.trace.as_ref().map(|t| t.span("execute"));
@@ -249,13 +191,7 @@ mod tests {
     fn stream_drains_to_done() {
         let (tx, rx) = mpsc::channel();
         let stream = ResponseStream::new(QueryId(7), rx);
-        tx.send(ResponseEvent::Video {
-            video: VideoId(1),
-            segments: vec![(0, 5)],
-            device: Some(0),
-        })
-        .unwrap();
-        tx.send(ResponseEvent::Done(QueryOutcome {
+        tx.send(QueryOutcome {
             id: QueryId(7),
             query: ActionQuery::new(zeus_video::ActionClass::LeftTurn, 0.8).unwrap(),
             priority: Priority::Standard,
@@ -274,7 +210,7 @@ mod tests {
             answer: vec![],
             from_cache: false,
             latency: Duration::from_millis(3),
-        }))
+        })
         .unwrap();
         let outcome = stream.wait();
         assert_eq!(outcome.id, QueryId(7));

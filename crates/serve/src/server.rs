@@ -18,7 +18,6 @@ use zeus_core::catalog::PlanCatalog;
 use zeus_core::query::ActionQuery;
 use zeus_core::ExecutorKind;
 use zeus_sim::{CostModel, SimClock};
-use zeus_video::annotation::runs_from_labels;
 use zeus_video::video::Split;
 use zeus_video::DataSource;
 
@@ -33,7 +32,7 @@ use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::plans::PlanStore;
 use crate::pool::{worker_loop, ActiveQuery, PoolShared, Subscriber};
 use crate::refine::{compute_exclude_spans, ExcludeSpans, QueryRefiner};
-use crate::request::{Priority, QueryId, QueryOutcome, ResponseEvent, ResponseStream};
+use crate::request::{Priority, QueryId, QueryOutcome, ResponseStream};
 
 /// Why a server could not be started: every `assert!` that used to guard
 /// [`ZeusServer::start`] is a typed variant here.
@@ -259,7 +258,7 @@ impl ZeusServer {
     /// Submit a query for execution by the configured executor.
     ///
     /// Fast paths first: a result-cache hit answers synchronously (the
-    /// stream already holds every event); a missing plan or a full queue
+    /// stream already holds the outcome); a missing plan or a full queue
     /// rejects. Otherwise the query is admitted and executes on the pool.
     pub fn submit(
         &self,
@@ -278,8 +277,7 @@ impl ZeusServer {
     /// * `latency_budget` selects the admission priority when the caller
     ///   passes `None` (see [`priority_for_budget`]): tight budgets ride
     ///   the interactive class.
-    /// * `WINDOW` / `AND NOT` filter streamed per-video segments; with
-    ///   `ORDER BY` / `LIMIT` they shape the final
+    /// * `WINDOW`, `AND NOT`, `ORDER BY` and `LIMIT` shape the outcome's
     ///   [`QueryOutcome::answer`].
     pub fn submit_ir(
         &self,
@@ -537,25 +535,18 @@ impl ZeusServer {
         Ok((outcome, report))
     }
 
-    /// Answer a submission from a cached execution: replay per-video
-    /// events and the final outcome onto the subscriber's channel.
+    /// Answer a submission from a cached execution: send its outcome
+    /// onto the subscriber's channel.
     fn replay_cached(
         &self,
         query: &ActionQuery,
         executor: ExecutorKind,
         subscriber: &Subscriber,
-        cached: &crate::cache::CachedExecution,
+        cached: &CachedExecution,
     ) {
-        for (video, labels) in &cached.labels {
-            let _ = subscriber.tx.send(ResponseEvent::Video {
-                video: *video,
-                segments: runs_from_labels(labels),
-                device: None,
-            });
-        }
         let latency = subscriber.submitted.elapsed();
         self.shared.metrics.on_cache_hit(latency);
-        let _ = subscriber.tx.send(ResponseEvent::Done(QueryOutcome {
+        let _ = subscriber.tx.send(QueryOutcome {
             id: subscriber.id,
             query: query.clone(),
             priority: subscriber.priority,
@@ -566,7 +557,7 @@ impl ZeusServer {
             labels: cached.labels.clone(),
             from_cache: true,
             latency,
-        }));
+        });
     }
 
     /// Current admission-queue depth.

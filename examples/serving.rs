@@ -9,11 +9,9 @@
 //! queries it intends to serve (offline, one-time cost), then starts a
 //! server sharing the session's plan store. Clients submit extended-ZQL
 //! queries — `latency_budget` picks their admission priority, `WINDOW`
-//! and `LIMIT` shape the streamed answer — and results stream back per
-//! video.
+//! and `LIMIT` shape the answer set — and each gets one outcome back.
 
 use zeus::prelude::*;
-use zeus::serve::ResponseEvent;
 
 fn main() -> Result<(), ZeusError> {
     // A small BDD100K corpus; scale 0.2 keeps the example under a
@@ -53,36 +51,17 @@ fn main() -> Result<(), ZeusError> {
     let extended = session.query(&format!(
         "{sql} AND latency_budget <= 100ms WINDOW [0, 600]"
     ))?;
-    println!("\ninteractive query, streamed results:");
-    let stream = server.submit_ir(extended.ir(), None)?;
-    while let Some(event) = stream.recv() {
-        match event {
-            ResponseEvent::Video {
-                video,
-                segments,
-                device,
-            } => {
-                if !segments.is_empty() {
-                    println!(
-                        "  {video:?} -> {} segment(s) on device {device:?}",
-                        segments.len()
-                    );
-                }
-            }
-            ResponseEvent::Done(outcome) => {
-                println!(
-                    "  done ({} priority): F1 {:.3} at {:.0} simulated fps, \
-                     latency {:.2} ms, {} windowed segment(s)",
-                    outcome.priority,
-                    outcome.result.f1,
-                    outcome.result.throughput_fps,
-                    outcome.latency.as_secs_f64() * 1e3,
-                    outcome.answer.len(),
-                );
-                break;
-            }
-        }
-    }
+    println!("\ninteractive query:");
+    let outcome = server.submit_ir(extended.ir(), None)?.wait();
+    println!(
+        "  done ({} priority): F1 {:.3} at {:.0} simulated fps, \
+         latency {:.2} ms, {} windowed segment(s)",
+        outcome.priority,
+        outcome.result.f1,
+        outcome.result.throughput_fps,
+        outcome.latency.as_secs_f64() * 1e3,
+        outcome.answer.len(),
+    );
 
     // A burst of repeat queries: the first execution populated the LRU
     // result cache, so these are answered without touching a device —

@@ -251,6 +251,40 @@ fn catalog_plans_are_reused_without_retraining() {
 }
 
 #[test]
+fn explain_reports_a_catalog_plan_only_where_it_is_reused() {
+    let dir = std::env::temp_dir().join(format!("zeus-session-explain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        let mut options = PlannerOptions::default();
+        options.trainer.episodes = 2;
+        options.trainer.warmup = 64;
+        options.candidates.truncate(1);
+        ZeusSession::builder()
+            .dataset(DatasetKind::Bdd100k)
+            .scale(0.08)
+            .seed(21)
+            .planner(options)
+            .catalog(&dir)
+            .build()
+            .unwrap()
+    };
+    open().query(CLASSIC).unwrap().plan().unwrap();
+
+    // A second session over the catalog: Zeus-Sliding rebuilds from the
+    // stored plan, while Frame-PP ignores stored plans and trains.
+    let session = open();
+    let explain = |executor| {
+        let query = session
+            .query(&format!("EXPLAIN ANALYZE {CLASSIC}"))
+            .unwrap();
+        query.executor(executor).run().unwrap().explain.unwrap()
+    };
+    assert!(explain(ExecutorKind::ZeusSliding).from_cache);
+    assert!(!explain(ExecutorKind::FramePp).from_cache);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn typed_errors_never_panic() {
     let session = session();
     // Parse-level failures.
