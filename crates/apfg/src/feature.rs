@@ -14,12 +14,12 @@ use crate::config::Configuration;
 /// for the uninformative directions of a real embedding.
 pub const FEATURE_DIM: usize = 16;
 
-/// Output of one APFG invocation over a segment.
-#[derive(Debug, Clone, PartialEq)]
+/// Output of one APFG invocation over a segment. It is plain data, so a
+/// copy (from the feature cache, say) allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApfgOutput {
-    /// The ProxyFeature vector (length [`FEATURE_DIM`] for the simulated
-    /// APFG; model-defined for real networks).
-    pub feature: Vec<f32>,
+    /// The ProxyFeature vector.
+    pub feature: [f32; FEATURE_DIM],
     /// Binary prediction: `true` = ACTION present in the segment.
     pub prediction: bool,
     /// Model confidence for the positive class, in `[0, 1]`.
@@ -27,13 +27,10 @@ pub struct ApfgOutput {
 }
 
 /// Anything that can act as the APFG: maps `(video, position, config)` to a
-/// ProxyFeature and a prediction.
+/// ProxyFeature of [`FEATURE_DIM`] values and a prediction.
 ///
 /// Implemented by [`crate::simulated::SimulatedApfg`].
 pub trait FeatureGenerator {
-    /// Feature vector length this generator emits.
-    fn feature_dim(&self) -> usize;
-
     /// Process the segment starting at `start` under `config`.
     ///
     /// `start` must be a valid frame index of `video`.
@@ -46,12 +43,11 @@ mod tests {
 
     struct Dummy;
     impl FeatureGenerator for Dummy {
-        fn feature_dim(&self) -> usize {
-            2
-        }
         fn process(&self, _video: &Video, start: usize, _config: Configuration) -> ApfgOutput {
+            let mut feature = [1.0; FEATURE_DIM];
+            feature[0] = start as f32;
             ApfgOutput {
-                feature: vec![start as f32, 1.0],
+                feature,
                 prediction: start.is_multiple_of(2),
                 confidence: 0.5,
             }
@@ -69,7 +65,7 @@ mod tests {
             intervals: vec![],
         };
         let out = gens[0].process(&video, 4, Configuration::new(100, 2, 1));
-        assert_eq!(out.feature, vec![4.0, 1.0]);
+        assert_eq!(out.feature[..2], [4.0, 1.0]);
         assert!(out.prediction);
     }
 }

@@ -402,10 +402,6 @@ fn normal(rng: &mut impl Rng) -> f64 {
 }
 
 impl FeatureGenerator for SimulatedApfg {
-    fn feature_dim(&self) -> usize {
-        FEATURE_DIM
-    }
-
     fn process(&self, video: &Video, start: usize, config: Configuration) -> ApfgOutput {
         let Classified {
             mut rng,
@@ -446,7 +442,7 @@ impl FeatureGenerator for SimulatedApfg {
             _ => 0.0,
         };
 
-        let mut feature = vec![0.0f32; FEATURE_DIM];
+        let mut feature = [0.0f32; FEATURE_DIM];
         feature[0] = noisy(overall, &mut rng);
         feature[1] = noisy(trailing, &mut rng);
         feature[2] = noisy(leading, &mut rng);
@@ -460,7 +456,7 @@ impl FeatureGenerator for SimulatedApfg {
         feature[7] = (config.seg_len as f64 / self.max_seg_len as f64) as f32;
         feature[8] = (config.sampling_rate as f64 / self.max_sampling as f64) as f32;
         feature[9] = (span_len as f64 / config.frames_covered() as f64) as f32;
-        for slot in feature.iter_mut().take(FEATURE_DIM).skip(10) {
+        for slot in feature.iter_mut().skip(10) {
             *slot = (0.3 * normal(&mut rng)) as f32;
         }
 

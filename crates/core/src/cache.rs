@@ -21,7 +21,11 @@ type Key = (VideoId, usize, Configuration);
 /// A concurrent memo table over APFG invocations.
 #[derive(Debug, Default)]
 pub struct FeatureCache {
-    map: RwLock<HashMap<Key, ApfgOutput>>,
+    /// Outputs are boxed, so the table's slots hold pointers. When the
+    /// table grows it briefly keeps the old slots and the new ones; with
+    /// the 72-byte outputs stored in the slots, that transient raised
+    /// `plan-paper6`'s peak resident memory by 1–2 MB.
+    map: RwLock<HashMap<Key, Box<ApfgOutput>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -63,11 +67,11 @@ impl FeatureCache {
         let key = (video.id, start, config);
         if let Some(hit) = read_recover(&self.map).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
+            return **hit;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let out = generator.process(video, start, config);
-        write_recover(&self.map).insert(key, out.clone());
+        write_recover(&self.map).insert(key, Box::new(out));
         out
     }
 }
@@ -82,13 +86,10 @@ mod tests {
     }
 
     impl FeatureGenerator for Counting {
-        fn feature_dim(&self) -> usize {
-            1
-        }
         fn process(&self, _v: &Video, start: usize, _c: Configuration) -> ApfgOutput {
             self.calls.fetch_add(1, Ordering::SeqCst);
             ApfgOutput {
-                feature: vec![start as f32],
+                feature: [start as f32; zeus_apfg::FEATURE_DIM],
                 prediction: false,
                 confidence: 0.0,
             }

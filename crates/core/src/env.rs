@@ -19,8 +19,9 @@ use std::sync::Arc;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use zeus_apfg::{ApfgOutput, Configuration, FeatureGenerator};
+use zeus_apfg::{ApfgOutput, Configuration, FeatureGenerator, FEATURE_DIM};
 use zeus_rl::{Environment, Transition};
+use zeus_video::annotation::binary_labels_in;
 use zeus_video::{ActionClass, Video};
 
 use crate::cache::FeatureCache;
@@ -69,7 +70,7 @@ pub struct VideoTraversalEnv {
     rng: ChaCha8Rng,
     vid_cursor: usize,
     frame_cursor: usize,
-    state: Vec<f32>,
+    state: [f32; FEATURE_DIM],
 }
 
 impl std::fmt::Debug for VideoTraversalEnv {
@@ -121,7 +122,7 @@ impl VideoTraversalEnv {
             rng: ChaCha8Rng::seed_from_u64(seed),
             vid_cursor: 0,
             frame_cursor: 0,
-            state: Vec::new(),
+            state: [0.0; FEATURE_DIM],
         })
     }
 
@@ -151,7 +152,7 @@ impl VideoTraversalEnv {
             rng: ChaCha8Rng::seed_from_u64(seed),
             vid_cursor: 0,
             frame_cursor: 0,
-            state: Vec::new(),
+            state: [0.0; FEATURE_DIM],
         }
     }
 
@@ -194,7 +195,7 @@ impl VideoTraversalEnv {
 
 impl Environment for VideoTraversalEnv {
     fn state_dim(&self) -> usize {
-        self.apfg.feature_dim()
+        FEATURE_DIM
     }
 
     fn num_actions(&self) -> usize {
@@ -209,7 +210,7 @@ impl Environment for VideoTraversalEnv {
         self.order.shuffle(&mut self.rng);
         self.vid_cursor = 0;
         self.init_state();
-        self.state.clone()
+        self.state.to_vec()
     }
 
     fn step(&mut self, action: usize) -> Transition {
@@ -223,12 +224,10 @@ impl Environment for VideoTraversalEnv {
         let out = self.process(video, start, config);
         let span_end = (start + config.frames_covered()).min(video.num_frames);
 
-        let gt: Vec<bool> = (start..span_end)
-            .map(|n| video.label_at(&self.classes, n))
-            .collect();
+        let gt = binary_labels_in(&video.intervals, &self.classes, start, span_end);
         let pred = vec![out.prediction; span_end - start];
 
-        let prev_state = std::mem::take(&mut self.state);
+        let prev_state = self.state;
         self.state = out.feature;
         self.frame_cursor = span_end;
 
@@ -247,9 +246,9 @@ impl Environment for VideoTraversalEnv {
         }
 
         Transition {
-            state: prev_state,
+            state: prev_state.to_vec(),
             action,
-            next_state: self.state.clone(),
+            next_state: self.state.to_vec(),
             done,
             gt,
             pred,
@@ -267,9 +266,14 @@ mod tests {
 
     fn tiny_env(seed: u64) -> VideoTraversalEnv {
         let ds = DatasetKind::Bdd100k.generate(0.02, 3);
-        let videos: Vec<Video> = ds.store.videos().to_vec();
-        let classes = vec![ActionClass::CrossRight];
-        let space = ConfigSpace::for_dataset(DatasetKind::Bdd100k);
+        env_over(ds.store.videos().to_vec(), DatasetKind::Bdd100k, seed)
+    }
+
+    /// An environment over `videos` of `kind`, querying the dataset's
+    /// first class.
+    fn env_over(videos: Vec<Video>, kind: DatasetKind, seed: u64) -> VideoTraversalEnv {
+        let classes = vec![kind.query_classes()[0]];
+        let space = ConfigSpace::for_dataset(kind);
         let alphas = space.alphas(&CostModel);
         let init = space.most_accurate();
         let apfg = Arc::new(SimulatedApfg::new(
@@ -348,21 +352,63 @@ mod tests {
         assert!(changed, "video order should be permuted across episodes");
     }
 
+    /// Every step's `gt` over whole episodes of untrimmed Thumos14
+    /// videos with several intervals of both classes, frame by frame
+    /// against `Video::label_at`. The actions cycle through the space, so
+    /// spans run from the shortest to the 512-frame longest.
     #[test]
     fn transition_labels_match_ground_truth() {
-        let mut env = tiny_env(4);
-        let _ = env.reset();
-        let video_idx = env.order[0];
-        let start = env.frame_cursor;
-        let t = env.step(5);
-        let video = &env.videos[video_idx];
-        for (i, &g) in t.gt.iter().enumerate() {
-            assert_eq!(
-                g,
-                video.label_at(&[ActionClass::CrossRight], start + i),
-                "gt mismatch at offset {i}"
-            );
+        let kind = DatasetKind::Thumos14;
+        let videos: Vec<Video> = kind
+            .generate(0.05, 9)
+            .store
+            .videos()
+            .iter()
+            .filter(|v| v.intervals.len() > 1)
+            .cloned()
+            .collect();
+        assert!(videos.len() > 1, "the corpus has multi-interval videos");
+        let classes = [kind.query_classes()[0]];
+        assert!(
+            videos
+                .iter()
+                .flat_map(|v| &v.intervals)
+                .any(|iv| !classes.contains(&iv.class)),
+            "some intervals belong to the class the query leaves out"
+        );
+        let mut env = env_over(videos, kind, 5);
+        let configs = env.space.configs().to_vec();
+        let longest = configs.iter().map(|c| c.frames_covered()).max().unwrap();
+        assert_eq!(longest, 512);
+        let (mut steps, mut positives, mut longest_seen) = (0usize, 0usize, 0usize);
+        for episode in 0..2 {
+            let _ = env.reset();
+            loop {
+                let video = env.videos[env.order[env.vid_cursor]].clone();
+                let start = env.frame_cursor;
+                let action = (steps * 7 + episode) % configs.len();
+                let t = env.step(action);
+                let span_end = (start + configs[action].frames_covered()).min(video.num_frames);
+                assert_eq!(t.gt.len(), span_end - start, "step {steps}");
+                for (i, &g) in t.gt.iter().enumerate() {
+                    assert_eq!(
+                        g,
+                        video.label_at(&classes, start + i),
+                        "step {steps}, video {:?}, frame {}",
+                        video.id,
+                        start + i
+                    );
+                }
+                positives += t.gt.iter().filter(|&&g| g).count();
+                longest_seen = longest_seen.max(t.gt.len());
+                steps += 1;
+                if t.done {
+                    break;
+                }
+            }
         }
+        assert!(positives > 0, "the walk crosses action frames");
+        assert_eq!(longest_seen, longest, "the walk takes a longest span");
     }
 
     #[test]

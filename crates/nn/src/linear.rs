@@ -1,4 +1,23 @@
 //! Fully-connected (dense) layer with manual backprop.
+//!
+//! A layer runs three products through the crate's GEMM kernel (see
+//! [`crate::tensor`]): the forward `X W`, the weight gradient and the
+//! input gradient `dY W^T`. The kernel's columns are the product's output
+//! columns, and a product only a few columns wide runs in narrow tiles at
+//! a fraction of the kernel's rate. So the weight gradient picks its
+//! orientation from the layer's shape: `dW = X^T dY` has `out_dim`
+//! columns, and the same sums as `dW^T = dY^T X` have `in_dim`. A layer
+//! with fewer than 16 outputs, and fewer outputs than inputs, such as a
+//! Q-network's output layer with one column per action, takes the
+//! second. Either way every element is one sum over the batch rows,
+//! ascending from `0.0`, of the same unfused products (`a * b == b * a`
+//! exactly), so the gradient has the same bits.
+//!
+//! The forward keeps `X W` at every width. The wide orientation, `Y^T =
+//! W^T X^T`, needs `X^T` copied first, and on a Q-network's output layer
+//! (`[128 x 64]·[64 x n]`, n of 2 to 8) the copy costs about what the
+//! product saves; running the whole network feature-major moves that
+//! cost to the input but makes the two 64-wide hidden products slower.
 
 use rand::Rng;
 
@@ -26,9 +45,9 @@ pub struct Linear {
     input: Vec<f32>,
     /// Rows in `input`; `None` until the first training forward.
     batch: Option<usize>,
-    /// Backward scratch: `[in_dim, out_dim]` `dW` before it is
-    /// accumulated, then `[out_dim]` `db`, then `W^T` for the input
-    /// gradient.
+    /// Backward scratch: `[in_dim, out_dim]` `dW` (or `[out_dim, in_dim]`
+    /// `dW^T`) before it is accumulated, then `[out_dim]` `db`, then `W^T`
+    /// for the input gradient.
     scratch: Vec<f32>,
 }
 
@@ -72,11 +91,19 @@ impl Linear {
         self.out_dim
     }
 
+    /// Whether the weight gradient runs output-major, as `dW^T = dY^T X`,
+    /// with the layer's inputs as the kernel's columns (see the module
+    /// docs).
+    fn output_major_grad(&self) -> bool {
+        self.out_dim < 16 && self.out_dim < self.in_dim
+    }
+
     /// `out = x W + b` for `x` of `[rows, in_dim]`. `out` is resized to
-    /// `[rows, out_dim]`, reusing its allocation; the bias is added after
-    /// each element's sum, as a separate rounding step.
+    /// `[rows, out_dim]`, reusing its allocation; the kernel writes every
+    /// element, so a buffer of the right length is not cleared first. The
+    /// bias is added after each element's sum, as a separate rounding
+    /// step.
     pub(crate) fn affine(&self, x: &[f32], rows: usize, out: &mut Vec<f32>) {
-        out.clear();
         out.resize(rows * self.out_dim, 0.0);
         gemm(
             Strided::row_major(x, rows, self.in_dim),
@@ -112,20 +139,38 @@ impl Linear {
     /// `[batch, out_dim]`: accumulates `dW` and `db`, and writes
     /// `dX = dY W^T` into `dx` when one is asked for.
     ///
+    /// `dW[p, j]` is the sum over the batch rows `r`, ascending from
+    /// `0.0`, of `X[r, p] * dY[r, j]`. Computed output-major, as `dW^T =
+    /// dY^T X` with `dY^T` read through a transposed view, each element is
+    /// the same products in the same order, and is added into the
+    /// gradient at its `dW` position.
+    ///
     /// Panics if called before a training forward.
     pub(crate) fn backward_into(&mut self, dy: &[f32], dx: Option<&mut Vec<f32>>) {
         let rows = self.batch.expect("backward called before forward");
         assert_eq!(dy.len(), rows * self.out_dim, "grad shape mismatch");
-        // dW = X^T dY, read through a transposed view of the cached X.
-        self.scratch.clear();
+        // The kernel writes every element of the scratch, which is
+        // therefore resized but not cleared.
         self.scratch.resize(self.in_dim * self.out_dim, 0.0);
-        gemm(
-            Strided::transposed(&self.input, rows, self.in_dim),
-            dy,
-            self.out_dim,
-            &mut self.scratch,
-        );
-        self.w.accumulate(&self.scratch);
+        if self.output_major_grad() {
+            // dW^T = dY^T X, with dY^T a transposed view of dY.
+            gemm(
+                Strided::transposed(dy, rows, self.out_dim),
+                &self.input,
+                self.in_dim,
+                &mut self.scratch,
+            );
+            accumulate_transposed(&mut self.w.grad, &self.scratch, self.out_dim, self.in_dim);
+        } else {
+            // dW = X^T dY, read through a transposed view of the cached X.
+            gemm(
+                Strided::transposed(&self.input, rows, self.in_dim),
+                dy,
+                self.out_dim,
+                &mut self.scratch,
+            );
+            self.w.accumulate(&self.scratch);
+        }
         // db = column sums of dY, each summed from 0.0 down the rows. The
         // rows are added in order into one accumulator row, so every
         // column keeps its summation order without a strided pass per
@@ -140,7 +185,6 @@ impl Linear {
         self.b.accumulate(&self.scratch);
         if let Some(dx) = dx {
             transpose_into(&self.w.value, self.in_dim, self.out_dim, &mut self.scratch);
-            dx.clear();
             dx.resize(rows * self.in_dim, 0.0);
             gemm(
                 Strided::row_major(dy, rows, self.out_dim),
@@ -181,6 +225,24 @@ impl Linear {
     /// Mutable references to this layer's parameters (weights then bias).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.w, &mut self.b]
+    }
+}
+
+/// `grad += t^T` for the row-major `rows x cols` matrix `t`, with `grad`
+/// row-major `cols x rows`: each element gets one addition, as
+/// [`Param::accumulate`] gives it.
+fn accumulate_transposed(grad: &mut [f32], t: &[f32], rows: usize, cols: usize) {
+    assert_eq!(grad.len(), rows * cols, "gradient length mismatch");
+    assert_eq!(t.len(), rows * cols, "transposed gradient length mismatch");
+    // Counted loops: the test suite runs unoptimised.
+    let mut j = 0;
+    while j < rows {
+        let mut p = 0;
+        while p < cols {
+            grad[p * rows + j] += t[j * cols + p];
+            p += 1;
+        }
+        j += 1;
     }
 }
 

@@ -28,9 +28,10 @@ pub struct Mlp {
     deltas: Vec<Vec<f32>>,
 }
 
-/// Caller-owned buffers for [`Mlp::forward_row`]: the two activation rows
-/// it alternates between. They grow to the widest layer they meet and are
-/// then reused, so one scratch serves networks of any shape.
+/// Caller-owned buffers for [`Mlp::forward_rows`]: the two activation
+/// buffers it alternates between. They grow to the widest layer and the
+/// largest batch they meet and are then reused, so one scratch serves
+/// networks of any shape.
 #[derive(Debug, Clone, Default)]
 pub struct RowScratch {
     h: Vec<f32>,
@@ -110,14 +111,21 @@ impl Mlp {
         Tensor::from_vec(&[rows, self.out_dim()], h)
     }
 
-    /// Inference forward pass of one input row into `scratch`, returning
-    /// the output row. Bit-identical to [`Mlp::forward_inference`] on a
-    /// one-row batch, without allocating once `scratch` has grown to the
-    /// network's widest layer.
-    pub fn forward_row<'s>(&self, x: &[f32], scratch: &'s mut RowScratch) -> &'s [f32] {
-        assert_eq!(x.len(), self.in_dim(), "input width != in_dim");
+    /// Inference forward pass over the `rows` rows of the row-major `x`
+    /// into `scratch`, returning the row-major `[rows, out_dim]` output.
+    /// Bit-identical to [`Mlp::forward_inference`], without allocating
+    /// once `scratch` has grown to the network's widest layer and the
+    /// batch: one row for a policy's step, a minibatch for the DQN
+    /// update's forward over next states.
+    pub fn forward_rows<'s>(
+        &self,
+        x: &[f32],
+        rows: usize,
+        scratch: &'s mut RowScratch,
+    ) -> &'s [f32] {
+        assert_eq!(x.len(), rows * self.in_dim(), "input width != in_dim");
         let RowScratch { h, z } = scratch;
-        self.infer_into(x, 1, h, z);
+        self.infer_into(x, rows, h, z);
         h
     }
 
@@ -269,15 +277,23 @@ mod tests {
     }
 
     #[test]
-    fn forward_row_matches_a_one_row_inference_bit_for_bit() {
+    fn forward_rows_match_inference_bit_for_bit_on_one_scratch() {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let wide = Mlp::new(&[5, 70, 64, 7], Activation::Relu, &mut rng);
         let narrow = Mlp::new(&[3, 4, 2], Activation::Relu, &mut rng);
         let mut scratch = RowScratch::default();
-        for (net, step) in [(&wide, 0.37f32), (&narrow, -0.61), (&wide, 0.11)] {
-            let x: Vec<f32> = (0..net.in_dim()).map(|i| step * i as f32 - 0.5).collect();
-            let want = net.forward_inference(&Tensor::from_vec(&[1, x.len()], x.clone()));
-            let got = net.forward_row(&x, &mut scratch);
+        let runs = [
+            (&wide, 1, 0.37f32),
+            (&narrow, 9, -0.61),
+            (&wide, 6, 0.11),
+            (&wide, 1, 0.2),
+        ];
+        for (net, rows, step) in runs {
+            let x: Vec<f32> = (0..rows * net.in_dim())
+                .map(|i| step * i as f32 - 0.5)
+                .collect();
+            let want = net.forward_inference(&Tensor::from_vec(&[rows, net.in_dim()], x.clone()));
+            let got = net.forward_rows(&x, rows, &mut scratch);
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(got), bits(want.data()));
         }

@@ -6,9 +6,10 @@
 //!
 //! Every dense product in the crate runs through one crate-private kernel,
 //! `gemm`: [`Tensor::matmul`], and inside [`crate::Linear`] the forward
-//! `X W`, the weight gradient `X^T dY` and the input gradient `dY W^T`.
-//! The kernel reads its left operand through a row and a column stride, so
-//! `X^T` is never copied; `dY W^T` multiplies against a materialised `W^T`.
+//! `X W`, the weight gradient `X^T dY` (or `dY^T X`, see below) and the
+//! input gradient `dY W^T`. The kernel reads its left operand through a
+//! row and a column stride, so neither `X^T` nor `dY^T` is ever copied;
+//! `dY W^T` multiplies against a materialised `W^T`.
 //! It accumulates 4-row register tiles, then tiles of the single rows
 //! left over, with 32-, 16- and 8-column edges and then one tile exactly
 //! as wide as the `n % 8` columns left, so those columns share one pass
@@ -25,18 +26,31 @@
 //!
 //! | Body | 4-row tile | 1-row tile |
 //! |---|---|---|
-//! | AVX-512F | 32 | 64 |
+//! | AVX-512F | 64 | 64 |
 //! | AVX2 | 16 | 64 |
 //! | portable | 16 | 32 |
 //!
-//! A 4 x 32 tile's 8 accumulators fit AVX-512F's 32 zmm registers easily,
-//! where in ymm registers they would take all 16. A single row's
-//! accumulators take a quarter of the registers, so its tile is wider:
-//! the one-row products of the executor's policy forward, and a 64-wide
-//! hidden layer in particular, run as one set of independent sums instead
-//! of tiles in sequence. AVX-512F makes FMA available, but Rust never
-//! emits a multiply or add that LLVM may contract, so no product is fused
-//! and all three bodies give the same bits.
+//! A 4 x 64 tile's 16 accumulators take half of AVX-512F's 32 zmm
+//! registers, leaving room for the loads of `B`, and each broadcast
+//! element of `A` feeds four vectors instead of the two of a 4 x 32 tile.
+//! On a 2-vCPU AVX-512F VM, the Q-network's 64-wide hidden products
+//! (`[128 x 64]·[64 x 64]`, its weight gradient and its 16-input first
+//! layer) ran 10–20% faster that way than in 4 x 32 tiles, timed in one
+//! process with the two tilings interleaved. In ymm registers, 4 x 32
+//! already takes all 16. A single row's accumulators take a quarter of
+//! the registers, so its tile is at least as wide: the one-row products
+//! of the executor's policy forward, and a 64-wide hidden layer in
+//! particular, run as one set of independent sums instead of tiles in
+//! sequence. AVX-512F makes FMA available, but Rust never emits a
+//! multiply or add that LLVM may contract, so no product is fused and all
+//! three bodies give the same bits.
+//!
+//! The kernel's columns are the output's columns, so a product only a
+//! few columns wide runs in narrow tiles at a fraction of the rate. A
+//! Q-network's output layer has one column per action, at most 8 after
+//! the planner thins the action space; [`crate::Linear`] therefore
+//! computes such a layer's weight gradient output-major, as `dW^T = dY^T
+//! X`, whose columns are the layer's inputs (see its docs).
 //!
 //! Because every output row depends only on its own input row, a row's
 //! value does not depend on the size or makeup of the batch it is computed
@@ -266,12 +280,6 @@ impl Tensor {
         argmax(&self.data)
     }
 
-    /// Per-row argmax of a 2-D tensor.
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        assert_eq!(self.ndim(), 2);
-        (0..self.shape[0]).map(|r| argmax(self.row(r))).collect()
-    }
-
     /// Per-row max of a 2-D tensor.
     pub fn max_rows(&self) -> Vec<f32> {
         assert_eq!(self.ndim(), 2);
@@ -380,8 +388,8 @@ enum Body {
     /// need all 16 ymm registers for its accumulators; 64-column tiles of
     /// one row, in 8 of them.
     Avx2,
-    /// AVX-512F: 32-column tiles of four rows and 64-column tiles of one
-    /// row, which 32 zmm registers hold easily.
+    /// AVX-512F: 64-column tiles of four rows and of one row, whose 16
+    /// and 4 accumulators 32 zmm registers hold with room to spare.
     Avx512f,
 }
 
@@ -420,13 +428,13 @@ fn gemm_avx2(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
     gemm_body::<16, 64>(a, b, n, out);
 }
 
-/// [`gemm_body`] compiled with AVX-512F enabled, with 32-column tiles of
+/// [`gemm_body`] compiled with AVX-512F enabled, with 64-column tiles of
 /// four rows. Calling it is sound only on a CPU with AVX-512F, which
 /// [`gemm_on`] checks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn gemm_avx512f(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
-    gemm_body::<32, 64>(a, b, n, out);
+    gemm_body::<64, 64>(a, b, n, out);
 }
 
 /// The kernel: 4-row blocks tiled `W` columns wide, then the rows left
@@ -434,10 +442,10 @@ fn gemm_avx512f(a: Strided<'_>, b: &[f32], n: usize, out: &mut [f32]) {
 /// full-width tiles are followed by 32-, 16- and 8-column edges, then one
 /// tile as wide as the `n % 8` columns left.
 ///
-/// A single row's tile is twice as wide or more because its accumulators
-/// take a quarter of the registers: with `W1 = 64`, a 64-wide hidden
-/// layer's one-row forward is one set of independent sums over `k`
-/// instead of two tiles in sequence.
+/// A single row's tile is at least as wide because its accumulators take
+/// a quarter of the registers: with `W1 = 64`, a 64-wide hidden layer's
+/// one-row forward is one set of independent sums over `k` instead of
+/// tiles in sequence.
 #[inline(always)]
 fn gemm_body<const W: usize, const W1: usize>(
     a: Strided<'_>,
@@ -612,9 +620,8 @@ mod tests {
     }
 
     #[test]
-    fn argmax_rows_and_max_rows() {
+    fn max_rows_takes_each_rows_maximum() {
         let t = Tensor::from_vec(&[2, 3], vec![1.0, 5.0, 2.0, 9.0, 0.0, 3.0]);
-        assert_eq!(t.argmax_rows(), vec![1, 0]);
         assert_eq!(t.max_rows(), vec![5.0, 9.0]);
     }
 
@@ -737,7 +744,8 @@ mod tests {
         ]
     }
 
-    /// `n` up to 72 runs two 32-column tiles, the 16- and 8-column edges,
+    /// `n` up to 72 runs a 64-column tile (AVX-512F) or up to four
+    /// 16-column ones (AVX2, portable), the 32-, 16- and 8-column edges,
     /// every tail width 1..=7, and (with `m % 4 != 0`) the single-row
     /// tiles: one 64 columns wide then the edges and tail, or (portable)
     /// two 32 columns wide.

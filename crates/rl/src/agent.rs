@@ -1,6 +1,7 @@
 //! The DQN agent: ε-greedy Q-network with target network (Algorithm 1).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -69,6 +70,9 @@ pub struct DqnAgent {
     /// The online network's activations for `select_action`'s greedy
     /// forward, reused from step to step.
     row_scratch: RowScratch,
+    /// The online network's activations for the update's forward over the
+    /// next states, reused from update to update.
+    batch_scratch: RowScratch,
 }
 
 impl std::fmt::Debug for DqnAgent {
@@ -104,6 +108,7 @@ impl DqnAgent {
             updates: 0,
             rng,
             row_scratch: RowScratch::default(),
+            batch_scratch: RowScratch::default(),
         }
     }
 
@@ -148,7 +153,7 @@ impl DqnAgent {
         if self.rng.gen::<f64>() < epsilon {
             self.rng.gen_range(0..self.num_actions)
         } else {
-            argmax(self.q.forward_row(state, &mut self.row_scratch))
+            argmax(self.q.forward_rows(state, 1, &mut self.row_scratch))
         }
     }
 
@@ -188,19 +193,19 @@ impl DqnAgent {
             next_states.extend_from_slice(&e.next_state);
         }
         let states = Tensor::from_vec(&[n, state_dim], states);
-        let next_states = Tensor::from_vec(&[n, state_dim], next_states);
 
         // Bootstrapped targets from the frozen network. With Double DQN
         // the online network selects the action and the target network
         // evaluates it; with plain DQN the target network does both.
-        let next_q_target = self.target_memo.rows(&self.target, batch);
+        let next_q_target = self.target_memo.rows(&self.target, &next_states);
         let next_values: Vec<f32> = if self.cfg.double_dqn {
-            let next_q_online = self.q.forward_inference(&next_states);
+            let next_q_online = self
+                .q
+                .forward_rows(&next_states, n, &mut self.batch_scratch);
             next_q_online
-                .argmax_rows()
-                .into_iter()
+                .chunks_exact(self.num_actions)
                 .enumerate()
-                .map(|(row, a)| next_q_target.at2(row, a))
+                .map(|(row, q)| next_q_target.at2(row, argmax(q)))
                 .collect()
         } else {
             next_q_target.max_rows()
@@ -272,7 +277,7 @@ impl DqnAgent {
 #[derive(Debug, Default)]
 struct TargetMemo {
     /// Row number in `values` of each memoized state, by `f32::to_bits`.
-    index: HashMap<Box<[u32]>, usize>,
+    index: HashMap<Box<[u32]>, usize, BuildHasherDefault<WordHasher>>,
     /// The memoized rows, one after another, `num_actions` values each.
     values: Vec<f32>,
     hits: u64,
@@ -280,18 +285,19 @@ struct TargetMemo {
 }
 
 impl TargetMemo {
-    /// `Q_target(s')` for every experience of `batch`, as a
-    /// `[batch.len(), num_actions]` tensor. The distinct states not yet
-    /// memoized go through `target` in one forward pass.
-    fn rows(&mut self, target: &Mlp, batch: &[&Experience]) -> Tensor {
+    /// `Q_target(s')` for every row of the row-major `next_states`, as a
+    /// `[rows, num_actions]` tensor. The distinct states not yet memoized
+    /// go through `target` in one forward pass.
+    fn rows(&mut self, target: &Mlp, next_states: &[f32]) -> Tensor {
         let (state_dim, width) = (target.in_dim(), target.out_dim());
+        let rows = next_states.len() / state_dim;
         let memoized = self.values.len() / width;
-        let mut slots = Vec::with_capacity(batch.len());
+        let mut slots = Vec::with_capacity(rows);
         let mut missed = Vec::new();
         let mut key = Vec::with_capacity(state_dim);
-        for e in batch {
+        for state in next_states.chunks_exact(state_dim) {
             key.clear();
-            key.extend(e.next_state.iter().map(|v| v.to_bits()));
+            key.extend(state.iter().map(|v| v.to_bits()));
             let slot = match self.index.get(key.as_slice()) {
                 Some(&slot) => {
                     self.hits += 1;
@@ -301,28 +307,76 @@ impl TargetMemo {
                     let slot = memoized + missed.len() / state_dim;
                     self.misses += 1;
                     self.index.insert(key.as_slice().into(), slot);
-                    missed.extend_from_slice(&e.next_state);
+                    missed.extend_from_slice(state);
                     slot
                 }
             };
             slots.push(slot);
         }
         if !missed.is_empty() {
-            let rows = missed.len() / state_dim;
-            let fresh = target.forward_inference(&Tensor::from_vec(&[rows, state_dim], missed));
+            let fresh = target.forward_inference(&Tensor::from_vec(
+                &[missed.len() / state_dim, state_dim],
+                missed,
+            ));
             self.values.extend_from_slice(fresh.data());
         }
-        let mut out = Vec::with_capacity(batch.len() * width);
+        let mut out = Vec::with_capacity(rows * width);
         for slot in slots {
             out.extend_from_slice(&self.values[slot * width..(slot + 1) * width]);
         }
-        Tensor::from_vec(&[batch.len(), width], out)
+        Tensor::from_vec(&[rows, width], out)
     }
 
     /// Forget every row, keeping the counts.
     fn clear(&mut self) {
         self.index.clear();
         self.values.clear();
+    }
+}
+
+/// The target memo's key hasher, in the style of FxHash: every 64-bit
+/// word of the key's bytes is folded in with a rotate, an xor and a
+/// multiply. A key is 16 `u32`s, so a lookup hashes 8 words, where std's
+/// SipHash runs its rounds over the same 64 bytes at several times the
+/// cost. The keys are the agent's own states, so SipHash's resistance to
+/// chosen collisions buys nothing, and the memo's map is never iterated:
+/// the hasher sets how fast a lookup runs, never what it returns.
+#[derive(Debug, Default, Clone, Copy)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    /// FxHash's 64-bit multiplier.
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Counted loops, as in `zeus-nn`'s kernel: the test suite runs
+        // unoptimised, where every iterator adapter step is a call.
+        let mut i = 0;
+        while i + 8 <= bytes.len() {
+            self.add(u64::from_le_bytes(
+                bytes[i..i + 8].try_into().expect("eight bytes"),
+            ));
+            i += 8;
+        }
+        if i < bytes.len() {
+            let mut word = [0u8; 8];
+            word[..bytes.len() - i].copy_from_slice(&bytes[i..]);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -339,7 +393,7 @@ impl GreedyPolicy {
     /// across steps (an executor holds one per video) so that a step
     /// allocates nothing; any scratch works with any policy.
     pub fn act(&self, state: &[f32], scratch: &mut RowScratch) -> usize {
-        argmax(self.net.forward_row(state, scratch))
+        argmax(self.net.forward_rows(state, 1, scratch))
     }
 
     /// Width of the state vector the policy reads.
@@ -420,6 +474,11 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The next states of `batch`, one row-major row each.
+    fn next_rows(batch: &[&Experience]) -> Vec<f32> {
+        batch.iter().flat_map(|e| e.next_state.clone()).collect()
+    }
+
     /// The target network's row for `state`, from a one-row forward pass.
     fn fresh_target_row(a: &DqnAgent, state: &[f32]) -> Vec<u32> {
         let x = Tensor::from_vec(&[1, state.len()], state.to_vec());
@@ -456,7 +515,7 @@ mod tests {
         };
         for u in 0..23 {
             let batch = batch_at(u);
-            let rows = a.target_memo.rows(&a.target, &batch);
+            let rows = a.target_memo.rows(&a.target, &next_rows(&batch));
             for (row, e) in batch.iter().enumerate() {
                 assert_eq!(
                     bits(rows.row(row)),
@@ -492,13 +551,40 @@ mod tests {
         let pool = repeating_experiences();
         let batch: Vec<&Experience> = pool.iter().collect();
         a.update(&batch).unwrap();
-        let before = bits(a.target_memo.rows(&a.target, &batch[..1]).data());
+        let first = next_rows(&batch[..1]);
+        let before = bits(a.target_memo.rows(&a.target, &first).data());
         // The second update syncs the target network to the trained one.
         a.update(&batch).unwrap();
-        let after = bits(a.target_memo.rows(&a.target, &batch[..1]).data());
+        let after = bits(a.target_memo.rows(&a.target, &first).data());
         assert_ne!(before, after, "the sync must change the target row");
         assert_eq!(after, fresh_target_row(&a, &batch[0].next_state));
         assert_eq!(a.target_memo_misses(), 5 + 1);
+    }
+
+    #[test]
+    fn the_memo_hasher_reads_every_word_of_a_key() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<WordHasher>::default();
+        // 16 words, as the Q-network's states give, and 3, whose bytes end
+        // in half a 64-bit word.
+        for len in [16, 3] {
+            let key: Vec<u32> = (0..len)
+                .map(|i| (i as f32 * 0.37 - 1.0).to_bits())
+                .collect();
+            let hash = build.hash_one(key.as_slice());
+            for i in 0..len {
+                let mut other = key.clone();
+                other[i] ^= 1 << (i % 32);
+                assert_ne!(
+                    build.hash_one(other.as_slice()),
+                    hash,
+                    "len {len}, word {i}"
+                );
+            }
+            // The length is hashed too: a trailing zero word is not ignored.
+            let longer = [key.as_slice(), &[0]].concat();
+            assert_ne!(build.hash_one(longer.as_slice()), hash, "len {len}");
+        }
     }
 
     #[test]

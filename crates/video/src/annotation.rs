@@ -145,12 +145,26 @@ pub fn binary_labels(
     classes: &[ActionClass],
     num_frames: usize,
 ) -> Vec<bool> {
-    let mut labels = vec![false; num_frames];
+    binary_labels_in(intervals, classes, 0, num_frames)
+}
+
+/// The labels of frames `[start, end)` alone: `binary_labels(..)[start..end]`
+/// for any `num_frames >= end`, built in one pass over the intervals
+/// without labelling the rest of the video. A range with `end <= start` is
+/// empty.
+pub fn binary_labels_in(
+    intervals: &[ActionInterval],
+    classes: &[ActionClass],
+    start: usize,
+    end: usize,
+) -> Vec<bool> {
+    let end = end.max(start);
+    let mut labels = vec![false; end - start];
     for iv in intervals {
         if classes.contains(&iv.class) {
-            let end = iv.end.min(num_frames);
-            for l in &mut labels[iv.start.min(num_frames)..end] {
-                *l = true;
+            let (s, e) = (iv.start.clamp(start, end), iv.end.clamp(start, end));
+            if s < e {
+                labels[s - start..e - start].fill(true);
             }
         }
     }
@@ -250,6 +264,32 @@ mod tests {
         assert!(labels[8]);
         assert!(labels[9]);
         assert_eq!(labels.len(), 10);
+    }
+
+    #[test]
+    fn range_labels_match_a_per_frame_test() {
+        let ivs = vec![
+            ActionInterval::new(2, 4, ActionClass::CrossRight),
+            ActionInterval::new(6, 12, ActionClass::CrossLeft),
+            ActionInterval::new(3, 9, ActionClass::LeftTurn),
+            ActionInterval::new(7, 8, ActionClass::CrossRight),
+        ];
+        let classes = [ActionClass::CrossRight, ActionClass::CrossLeft];
+        let label = |n: usize| {
+            ivs.iter()
+                .any(|iv| classes.contains(&iv.class) && iv.contains(n))
+        };
+        for start in 0..=13 {
+            for end in start..=13 {
+                let want: Vec<bool> = (start..end).map(label).collect();
+                assert_eq!(
+                    binary_labels_in(&ivs, &classes, start, end),
+                    want,
+                    "[{start}, {end})"
+                );
+            }
+        }
+        assert!(binary_labels_in(&ivs, &classes, 5, 3).is_empty());
     }
 
     #[test]

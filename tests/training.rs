@@ -71,6 +71,18 @@ fn tiny_job(seed: u64) -> CandidateJob {
     }
 }
 
+/// [`tiny_job`] over one episode with the planner's minibatches of 128,
+/// each one full, and an update every 16 steps: few enough updates that
+/// the unoptimised test build trains them in about a second.
+fn planner_batch_job(seed: u64) -> CandidateJob {
+    let mut job = tiny_job(seed);
+    job.trainer.episodes = 1;
+    job.trainer.warmup = 128;
+    job.trainer.batch_size = 128;
+    job.trainer.update_every = 16;
+    job
+}
+
 /// FNV-1a-64 of a policy's checkpoint bytes.
 fn policy_hash(policy: &GreedyPolicy) -> u64 {
     let mut fp = Fingerprint::new();
@@ -78,12 +90,16 @@ fn policy_hash(policy: &GreedyPolicy) -> u64 {
     fp.finish()
 }
 
-/// Three fixed jobs train to pinned policies, step counts and update
-/// counts. Attaching the shared feature cache must not change the
-/// outcome: the APFG is a pure function of `(video, start, config)`.
+/// Fixed jobs train to pinned policies, step counts and update counts.
+/// Attaching the shared feature cache must not change the outcome: the
+/// APFG is a pure function of `(video, start, config)`.
 ///
-/// The 7-action row's output layer is narrower than the GEMM's 8-column
-/// tile, so its every Q-value comes from the kernel's column tail.
+/// The first three rows update on minibatches of 32. The 7-action row's
+/// output layer is narrower than the GEMM's 8-column tile, so its every
+/// Q-value comes from the kernel's column tail. The last two rows train
+/// 2 and 5 actions, output widths the planner's thinned action spaces
+/// give, on the planner's minibatches of 128; the rows above already
+/// cover the cache, so they train once.
 #[test]
 fn trained_policies_match_golden_hashes() {
     let engine = TrainingEngine::new(TrainingOptions { train_workers: 1 });
@@ -92,25 +108,58 @@ fn trained_policies_match_golden_hashes() {
         (4242, 5, 64, 0x8a2c_fcb5_136c_7647, 421, 178),
         (11, 3, 7, 0x5804_2cff_f6e4_998a, 707, 298),
     ] {
-        let proto = proto_env(corpus, seed ^ 0xA11CE, actions);
         let job = tiny_job(seed);
-        let outcome = engine.train_candidate(&proto, &job).expect("trains");
-        assert_eq!(
-            policy_hash(&outcome.policy),
-            hash,
-            "seed {seed}, {actions} actions: trained policy moved"
+        check_golden(
+            &engine,
+            (seed, corpus, actions),
+            &job,
+            (hash, steps, updates),
+            true,
         );
-        assert_eq!(
-            outcome.report.steps, steps,
-            "seed {seed}, {actions} actions: steps"
+    }
+    for (seed, corpus, actions, hash, steps, updates) in [
+        (11u64, 3u64, 2, 0x89cd_8557_be07_2457_u64, 1078u64, 59u64),
+        (4242, 5, 5, 0x43fa_4aab_deb9_50de, 462, 17),
+    ] {
+        let job = planner_batch_job(seed);
+        check_golden(
+            &engine,
+            (seed, corpus, actions),
+            &job,
+            (hash, steps, updates),
+            false,
         );
-        assert_eq!(
-            outcome.report.updates, updates,
-            "seed {seed}, {actions} actions: updates"
-        );
+    }
+}
 
+/// Train `job` over the first `actions` configurations of `corpus` and
+/// compare with the pinned `(hash, steps, updates)`. With `cached`, train
+/// again through a shared feature cache, which must change nothing.
+fn check_golden(
+    engine: &TrainingEngine,
+    (seed, corpus, actions): (u64, u64, usize),
+    job: &CandidateJob,
+    (hash, steps, updates): (u64, u64, u64),
+    cached: bool,
+) {
+    let proto = proto_env(corpus, seed ^ 0xA11CE, actions);
+    let outcome = engine.train_candidate(&proto, job).expect("trains");
+    assert_eq!(
+        policy_hash(&outcome.policy),
+        hash,
+        "seed {seed}, {actions} actions: trained policy moved"
+    );
+    assert_eq!(
+        outcome.report.steps, steps,
+        "seed {seed}, {actions} actions: steps"
+    );
+    assert_eq!(
+        outcome.report.updates, updates,
+        "seed {seed}, {actions} actions: updates"
+    );
+    if cached {
         let cached = proto.fork(0).with_cache(Arc::new(FeatureCache::new()));
-        let again = engine.train_candidate(&cached, &job).expect("trains");
+        let again = engine.train_candidate(&cached, job).expect("trains");
         assert_eq!(
             again.report, outcome.report,
             "seed {seed}, {actions} actions: cache changed the report"
