@@ -21,6 +21,7 @@ use zeus_core::query::{parse_zql, ActionQuery, QueryIr};
 use zeus_core::result::QueryResult;
 use zeus_core::ExecutorKind;
 use zeus_fleet::{FleetConfig, FleetRouter};
+use zeus_obs::keys;
 use zeus_obs::sync::{lock_recover, read_recover, write_recover};
 use zeus_obs::{ExplainReport, ObsHub, ObsSnapshot, StageClock, Tracer};
 use zeus_serve::quota::TenantId;
@@ -678,9 +679,15 @@ impl<'s> Query<'s> {
     }
 
     /// The stored plan for this query's (corpus, core), if one is
-    /// resolvable without training.
+    /// resolvable without training. A refused catalog plan is a miss,
+    /// counted under `serve.plan.refused`.
     pub fn lookup(&self) -> Option<Arc<StoredPlan>> {
-        self.session.plans.get(self.source.corpus, &self.ir.base)
+        let found = self.session.plans.lookup(self.source.corpus, &self.ir.base);
+        if found.is_err() {
+            let refused = self.session.obs.metrics.counter(keys::SERVE_PLAN_REFUSED);
+            refused.inc();
+        }
+        found.ok().flatten()
     }
 
     /// Ensure this query's core is planned and return the stored form —

@@ -225,7 +225,6 @@ impl Environment for VideoTraversalEnv {
         let span_end = (start + config.frames_covered()).min(video.num_frames);
 
         let gt = binary_labels_in(&video.intervals, &self.classes, start, span_end);
-        let pred = vec![out.prediction; span_end - start];
 
         let prev_state = self.state;
         self.state = out.feature;
@@ -251,7 +250,7 @@ impl Environment for VideoTraversalEnv {
             next_state: self.state.to_vec(),
             done,
             gt,
-            pred,
+            pred: out.prediction,
             alpha: self.alphas[action],
         }
     }

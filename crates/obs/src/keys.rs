@@ -22,6 +22,10 @@ pub const SERVE_ADMITTED: &str = "serve.admitted";
 pub const SERVE_ADMIT_SHED: &str = "serve.admit.shed";
 /// Queries refused because no plan is installed for the core.
 pub const SERVE_ADMIT_NO_PLAN: &str = "serve.admit.no_plan";
+/// Catalog plans refused on lookup: the corpus directory cannot be
+/// opened, the file is corrupt or of an unsupported version, or it holds
+/// a plan for another exact target.
+pub const SERVE_PLAN_REFUSED: &str = "serve.plan.refused";
 /// Queries completed end to end.
 pub const SERVE_COMPLETED: &str = "serve.completed";
 /// Duplicate in-flight submissions coalesced onto one execution.
@@ -90,6 +94,7 @@ pub fn all() -> &'static [&'static str] {
         SERVE_ADMITTED,
         SERVE_ADMIT_SHED,
         SERVE_ADMIT_NO_PLAN,
+        SERVE_PLAN_REFUSED,
         SERVE_COMPLETED,
         SERVE_COALESCED,
         SERVE_FRAMES,

@@ -19,9 +19,8 @@ pub struct Transition {
     pub done: bool,
     /// Per-frame ground-truth labels of the span this action covered.
     pub gt: Vec<bool>,
-    /// Per-frame predicted labels of the span (the APFG prediction
-    /// broadcast over the covered frames).
-    pub pred: Vec<bool>,
+    /// The APFG's prediction, which labels every frame of the span.
+    pub pred: bool,
     /// Normalised fastness α of the chosen configuration (§4.4).
     pub alpha: f32,
 }
@@ -121,7 +120,7 @@ pub(crate) mod test_envs {
                 next_state: vec![self.current as f32],
                 done: self.steps >= self.max_steps,
                 gt: vec![true],
-                pred: vec![correct],
+                pred: correct,
                 alpha: if action == 1 { 0.9 } else { 0.1 },
             }
         }
@@ -133,7 +132,7 @@ pub(crate) mod test_envs {
         let s = b.reset();
         assert_eq!(s.len(), 1);
         let t = b.step(s[0] as usize);
-        assert!(t.pred[0], "matching action should be correct");
+        assert!(t.pred, "matching action should be correct");
         assert!(t.has_action());
     }
 }

@@ -156,7 +156,7 @@ impl EpisodeAccum {
     /// become pushable now — immediately in local mode, or the whole
     /// flushed window (Algorithm 2's delayed update) in aggregate mode —
     /// each tagged with its action-window flag for stratified replay.
-    fn absorb(&mut self, mode: RewardMode, t: &Transition) -> Vec<(Experience, bool)> {
+    fn absorb(&mut self, mode: RewardMode, t: Transition) -> Vec<(Experience, bool)> {
         match mode {
             RewardMode::Local { beta } => {
                 let has_action = t.has_action();
@@ -165,10 +165,10 @@ impl EpisodeAccum {
                 self.reward_count += 1;
                 vec![(
                     Experience {
-                        state: t.state.clone(),
+                        state: t.state,
                         action: t.action,
                         reward: r,
-                        next_state: t.next_state.clone(),
+                        next_state: t.next_state,
                         done: t.done,
                     },
                     has_action,
@@ -184,17 +184,19 @@ impl EpisodeAccum {
                 local_mix,
                 beta,
             } => {
+                let has_action = t.has_action();
+                self.window_alpha += t.alpha * t.span_len() as f32;
+                self.window_pred
+                    .resize(self.window_pred.len() + t.span_len(), t.pred);
+                self.window_gt.extend_from_slice(&t.gt);
                 self.pending.push(Pending {
-                    state: t.state.clone(),
+                    state: t.state,
                     action: t.action,
-                    next_state: t.next_state.clone(),
+                    next_state: t.next_state,
                     done: t.done,
                     alpha: t.alpha,
-                    has_action: t.has_action(),
+                    has_action,
                 });
-                self.window_alpha += t.alpha * t.span_len() as f32;
-                self.window_gt.extend_from_slice(&t.gt);
-                self.window_pred.extend_from_slice(&t.pred);
                 if self.window_gt.len() < window_frames && !t.done {
                     return Vec::new();
                 }
@@ -392,8 +394,10 @@ impl DqnTrainer {
             let t = env.step(action);
             self.global_step += 1;
             report.steps += 1;
+            state.clone_from(&t.next_state);
+            let done = t.done;
 
-            for (e, action_window) in acc.absorb(mode, &t) {
+            for (e, action_window) in acc.absorb(mode, t) {
                 self.push_experience(e, action_window);
             }
 
@@ -410,8 +414,7 @@ impl DqnTrainer {
                 report.updates += 1;
             }
 
-            state = t.next_state;
-            if t.done {
+            if done {
                 break;
             }
         }

@@ -71,7 +71,7 @@ pub mod workload;
 pub use admission::{AdmissionQueue, AdmitError};
 pub use cache::{CacheKey, CachedExecution, CorpusId, ResultCache};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
-pub use plans::PlanStore;
+pub use plans::{PlanRefused, PlanStore};
 pub use quota::{Decision, FairShareGate, QuotaSpec, TenantId};
 pub use refine::{compute_exclude_spans, ExcludeSpans, QueryRefiner, SegmentHit};
 pub use request::{Priority, QueryId, QueryOutcome, ResponseStream};

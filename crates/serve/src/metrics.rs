@@ -33,6 +33,7 @@ pub struct ServeMetrics {
     admitted: Counter,
     shed: Counter,
     rejected_no_plan: Counter,
+    plan_refused: Counter,
     completed: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
@@ -65,6 +66,7 @@ impl ServeMetrics {
             admitted: registry.counter(keys::SERVE_ADMITTED),
             shed: registry.counter(keys::SERVE_ADMIT_SHED),
             rejected_no_plan: registry.counter(keys::SERVE_ADMIT_NO_PLAN),
+            plan_refused: registry.counter(keys::SERVE_PLAN_REFUSED),
             completed: registry.counter(keys::SERVE_COMPLETED),
             cache_hits: registry.counter(keys::CACHE_RESULT_HIT),
             cache_misses: registry.counter(keys::CACHE_RESULT_MISS),
@@ -94,6 +96,12 @@ impl ServeMetrics {
     /// Record a no-plan rejection.
     pub fn on_no_plan(&self) {
         self.rejected_no_plan.inc();
+    }
+
+    /// Record a catalog plan refused on lookup (the query is then
+    /// rejected as unplanned, too).
+    pub fn on_plan_refused(&self) {
+        self.plan_refused.inc();
     }
 
     /// Record a result-cache hit answering a query without execution.

@@ -43,6 +43,11 @@ fn mem_key(corpus: CorpusId, query: &ActionQuery) -> MemKey {
     )
 }
 
+/// A catalog entry that exists for a lookup's key but cannot serve it
+/// (see [`PlanStore::lookup`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanRefused;
+
 /// Two-tier plan resolver: memory, then per-corpus catalog directory.
 pub struct PlanStore {
     catalog_dir: Option<PathBuf>,
@@ -125,47 +130,42 @@ impl PlanStore {
 
     /// Resolve a `(corpus, query)` pair to a stored plan: memory first,
     /// then the corpus's catalog subdirectory (memoizing a disk hit).
-    /// `None` means the query was never planned on this corpus — a plan
-    /// trained for the same SQL on a *different* corpus is never
-    /// returned.
+    /// `None` means no usable plan — a plan trained for the same SQL on a
+    /// *different* corpus is never returned, and a refused catalog file
+    /// (see [`PlanStore::lookup`]) is a miss too.
     pub fn get(&self, corpus: CorpusId, query: &ActionQuery) -> Option<Arc<StoredPlan>> {
+        self.lookup(corpus, query).ok().flatten()
+    }
+
+    /// [`PlanStore::get`], telling a query that was never planned on this
+    /// corpus (`Ok(None)`) apart from one whose catalog entry cannot
+    /// serve it ([`PlanRefused`]): the corpus directory cannot be opened,
+    /// the plan file is corrupt or of an unsupported version, or it holds
+    /// a plan for another exact target. A refused plan must not take
+    /// serving down; callers count it and treat it as a miss.
+    pub fn lookup(
+        &self,
+        corpus: CorpusId,
+        query: &ActionQuery,
+    ) -> Result<Option<Arc<StoredPlan>>, PlanRefused> {
         let key = mem_key(corpus, query);
         if let Some(plan) = read_recover(&self.mem).get(&key) {
-            return Some(Arc::clone(plan));
+            return Ok(Some(Arc::clone(plan)));
         }
-        let catalog = match self.catalog(corpus, false) {
-            Ok(catalog) => catalog?,
-            Err(e) => {
-                eprintln!("plan catalog: cannot open corpus directory {corpus}: {e}");
-                return None;
-            }
+        let Some(catalog) = self.catalog(corpus, false).map_err(|_| PlanRefused)? else {
+            return Ok(None);
         };
-        match catalog.load(query) {
+        match catalog.load(query).map_err(|_| PlanRefused)? {
             // Catalog file names round the target, so a loaded plan may
             // have been trained for a *different* exact target; serve it
             // only when it matches the request precisely.
-            Ok(Some(stored)) if &stored.query == query => {
+            Some(stored) if &stored.query == query => {
                 let plan = Arc::new(stored);
                 write_recover(&self.mem).insert(key, Arc::clone(&plan));
-                Some(plan)
+                Ok(Some(plan))
             }
-            Ok(Some(stored)) => {
-                eprintln!(
-                    "plan catalog: '{}' holds a plan for target {} (requested {}); treating as a miss",
-                    key.1, stored.query.target_accuracy, query.target_accuracy
-                );
-                None
-            }
-            Ok(None) => None,
-            Err(e) => {
-                // A corrupt plan file must not take serving down; treat it
-                // as a miss (the operator re-plans).
-                eprintln!(
-                    "plan catalog: ignoring unreadable plan for '{}': {e}",
-                    key.1
-                );
-                None
-            }
+            Some(_) => Err(PlanRefused),
+            None => Ok(None),
         }
     }
 

@@ -410,7 +410,11 @@ impl ZeusServer {
 
         // 3. Plan resolution (never trains inline).
         stages.enter("plan");
-        let stored = self.plans.get(self.corpus, &query).ok_or_else(|| {
+        let found = self.plans.lookup(self.corpus, &query);
+        if found.is_err() {
+            self.shared.metrics.on_plan_refused();
+        }
+        let stored = found.ok().flatten().ok_or_else(|| {
             self.shared.metrics.on_no_plan();
             AdmitError::NoPlan {
                 key: PlanCatalog::key(&query),

@@ -12,10 +12,11 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use zeus_core::baselines::QueryEngine;
-use zeus_core::catalog::{decode_plan, encode_plan, StoredPlan};
+use zeus_core::catalog::{decode_plan, encode_plan, PlanCatalog, StoredPlan};
 use zeus_core::planner::{PlannerOptions, QueryPlanner};
 use zeus_core::query::ActionQuery;
 use zeus_core::ExecutorKind;
+use zeus_obs::keys;
 use zeus_serve::admission::AdmissionQueue;
 use zeus_serve::{
     run_open_loop, AdmitError, CorpusId, PlanStore, Priority, QueryOutcome, ServeConfig,
@@ -31,6 +32,8 @@ const SEED: u64 = 3;
 struct Fixture {
     dataset: SyntheticDataset,
     stored: StoredPlan,
+    /// The `.zpln` bytes of `stored`.
+    encoded: Vec<u8>,
 }
 
 /// Plan once (fast options), reuse across every test.
@@ -47,8 +50,13 @@ fn fixture() -> &'static Fixture {
         options.candidates.truncate(1);
         let planner = QueryPlanner::new(&dataset, options);
         let plan = planner.plan(&ActionQuery::new(ActionClass::CrossRight, 0.85).unwrap());
-        let stored = decode_plan(&encode_plan(&plan, SEED)).expect("roundtrip");
-        Fixture { dataset, stored }
+        let encoded = encode_plan(&plan, SEED);
+        let stored = decode_plan(&encoded).expect("roundtrip");
+        Fixture {
+            dataset,
+            stored,
+            encoded,
+        }
     })
 }
 
@@ -311,6 +319,42 @@ fn unplanned_query_is_refused_not_trained() {
     let metrics = server.metrics();
     server.shutdown();
     assert_eq!(metrics.rejected_no_plan, 1);
+}
+
+#[test]
+fn refused_catalog_plans_are_counted_as_misses() {
+    // One corpus directory holding a corrupt plan file, and the fixture's
+    // CrossRight-at-0.85 plan under the file name that 0.851 also rounds
+    // to: neither can serve its request.
+    let dir = std::env::temp_dir().join(format!("zeus-serve-refused-{}", std::process::id()));
+    let corpus_dir = dir.join(corpus().to_string());
+    std::fs::create_dir_all(&corpus_dir).unwrap();
+    let corrupt = ActionQuery::new(ActionClass::LeftTurn, 0.85).unwrap();
+    let other_target = ActionQuery::new(ActionClass::CrossRight, 0.851).unwrap();
+    assert_eq!(
+        PlanCatalog::key(&other_target),
+        PlanCatalog::key(&fixture().stored.query)
+    );
+    std::fs::write(corpus_dir.join(PlanCatalog::key(&corrupt)), b"not a plan").unwrap();
+    std::fs::write(
+        corpus_dir.join(PlanCatalog::key(&other_target)),
+        &fixture().encoded,
+    )
+    .unwrap();
+
+    let store = PlanStore::with_catalog(&dir).unwrap();
+    let server = ZeusServer::start(&fixture().dataset, store, ServeConfig::default()).unwrap();
+    for query in [corrupt, other_target] {
+        let err = server
+            .submit(query, Priority::Interactive)
+            .expect_err("a refused plan is a miss");
+        assert!(matches!(err, AdmitError::NoPlan { .. }));
+    }
+    let snapshot = server.snapshot();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(snapshot.counter(keys::SERVE_PLAN_REFUSED), Some(2));
+    assert_eq!(snapshot.counter(keys::SERVE_ADMIT_NO_PLAN), Some(2));
 }
 
 #[test]

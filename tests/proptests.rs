@@ -103,22 +103,44 @@ proptest! {
         }
     }
 
+    /// Any label vector, at every length up to 300 (so every chunk offset
+    /// and tail length of the chunked search occurs): coin flips with
+    /// the first and last frames set either way, alternating runs and
+    /// gaps of 1..=100 frames that start with either, all `false`, or all
+    /// `true`. The runs must equal the per-frame scan's and rebuild the
+    /// labels exactly.
     #[test]
-    fn runs_roundtrip_through_labels(runs in prop::collection::vec((0usize..100, 1usize..20), 0..5)) {
-        // Build labels from sorted, gap-separated runs; extraction must
-        // return exactly those runs.
-        let mut labels = vec![false; 400];
-        let mut cursor = 0usize;
-        let mut expect = Vec::new();
-        for (gap, len) in runs {
-            let start = cursor + gap + 1;
-            let end = (start + len).min(400);
-            if start >= end { break; }
-            for l in &mut labels[start..end] { *l = true; }
-            expect.push((start, end));
-            cursor = end;
+    fn runs_roundtrip_through_labels(
+        len in 0usize..=300,
+        shape in 0usize..4,
+        coins in prop::collection::vec(any::<bool>(), 300),
+        spans in prop::collection::vec(1usize..=100, 300),
+        (first, last) in (any::<bool>(), any::<bool>()),
+    ) {
+        let mut labels = match shape {
+            0 => coins[..len].to_vec(),
+            1 => {
+                let mut labels = Vec::with_capacity(len);
+                for (i, &span) in spans.iter().enumerate() {
+                    let span = span.min(len - labels.len());
+                    labels.extend(std::iter::repeat_n(first ^ (i % 2 == 1), span));
+                }
+                labels
+            }
+            2 => vec![false; len],
+            _ => vec![true; len],
+        };
+        if shape == 0 && len > 0 {
+            labels[0] = first;
+            labels[len - 1] = last;
         }
-        prop_assert_eq!(runs_from_labels(&labels), expect);
+        let runs = runs_from_labels(&labels);
+        prop_assert_eq!(&runs, &runs_frame_by_frame(&labels), "labels {:?}", labels);
+        let mut rebuilt = vec![false; len];
+        for &(start, end) in &runs {
+            rebuilt[start..end].fill(true);
+        }
+        prop_assert_eq!(rebuilt, labels);
     }
 
     // ---------- metrics ----------
@@ -277,4 +299,25 @@ proptest! {
             prop_assert_eq!(from_runs, from_count);
         }
     }
+}
+
+/// The per-frame scan that `runs_from_labels` replaced: the reference
+/// its chunked boundary search must match.
+fn runs_frame_by_frame(labels: &[bool]) -> Vec<(usize, usize)> {
+    let mut runs = Vec::new();
+    let mut start = None;
+    for (i, &l) in labels.iter().enumerate() {
+        match (l, start) {
+            (true, None) => start = Some(i),
+            (false, Some(s)) => {
+                runs.push((s, i));
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    if let Some(s) = start {
+        runs.push((s, labels.len()));
+    }
+    runs
 }

@@ -247,6 +247,14 @@ fn catalog_plans_are_reused_without_retraining() {
         first.result.f1.to_bits(),
         "stored plan must execute identically to the session that trained it"
     );
+
+    // 85.1% rounds to the stored plan's file name, but that file holds
+    // the plan for 85%: the session refuses it, counts the refusal, and
+    // cannot retrain.
+    let other_target = s2.query(&CLASSIC.replace("85%", "85.1%")).unwrap();
+    assert!(other_target.lookup().is_none());
+    assert!(other_target.plan().is_err());
+    assert_eq!(s2.snapshot().counter("serve.plan.refused"), Some(2));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
