@@ -41,9 +41,6 @@ pub enum ZeusError {
     },
     /// Underlying I/O failure (catalog directory, bench output, ...).
     Io(std::io::Error),
-    /// The request is well-formed but outside what this build supports
-    /// (e.g. a non-plan-reconstructable executor for a stored plan).
-    Unsupported(String),
 }
 
 impl std::fmt::Display for ZeusError {
@@ -62,7 +59,6 @@ impl std::fmt::Display for ZeusError {
                 available.join(", ")
             ),
             ZeusError::Io(e) => write!(f, "I/O error: {e}"),
-            ZeusError::Unsupported(s) => write!(f, "unsupported: {s}"),
         }
     }
 }
@@ -78,7 +74,7 @@ impl std::error::Error for ZeusError {
             ZeusError::Catalog(e) => Some(e),
             ZeusError::Data(e) => Some(e),
             ZeusError::Io(e) => Some(e),
-            ZeusError::UnknownDataset { .. } | ZeusError::Unsupported(_) => None,
+            ZeusError::UnknownDataset { .. } => None,
         }
     }
 }
@@ -214,11 +210,6 @@ mod tests {
                 "unknown dataset",
                 "bdd100k, kitti",
             ),
-            (
-                ZeusError::Unsupported("Segment-PP serving".into()),
-                "unsupported",
-                "Segment-PP",
-            ),
         ];
         for (err, layer, detail) in cases {
             let s = err.to_string();
@@ -268,6 +259,10 @@ mod tests {
         use std::error::Error;
         let e = ZeusError::from(ParseError::MissingClass);
         assert!(e.source().is_some());
-        assert!(ZeusError::Unsupported("x".into()).source().is_none());
+        let unknown = ZeusError::UnknownDataset {
+            name: "x".into(),
+            available: Vec::new(),
+        };
+        assert!(unknown.source().is_none());
     }
 }

@@ -10,22 +10,22 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use zeus_core::baselines::{QueryEngine, ZeusSliding};
-use zeus_core::catalog::{PlanCatalog, StoredPlan};
-use zeus_core::config::ConfigSpace;
-use zeus_core::metrics::{EvalProtocol, EvalReport};
-use zeus_core::planner::{ConfigProfile, PlanError, PlannerOptions, QueryPlan, QueryPlanner};
+use zeus_core::catalog::PlanCatalog;
+use zeus_core::metrics::EvalReport;
+use zeus_core::planner::{PlanError, PlannerOptions, QueryPlan, QueryPlanner};
 use zeus_core::query::{parse_zql, ActionQuery, QueryIr};
 use zeus_core::result::QueryResult;
 use zeus_core::ExecutorKind;
 use zeus_fleet::{FleetConfig, FleetRouter};
 use zeus_obs::keys;
-use zeus_obs::sync::{lock_recover, read_recover, write_recover};
+use zeus_obs::sync::lock_recover;
 use zeus_obs::{ExplainReport, ObsHub, ObsSnapshot, StageClock, Tracer};
 use zeus_serve::quota::TenantId;
 use zeus_serve::{CorpusId, PlanStore, QueryRefiner, SegmentHit, ServeConfig, ZeusServer};
+use zeus_sim::CostModel;
 use zeus_video::source::{normalize_name, DataSource, SharedSource};
 use zeus_video::video::Split;
 use zeus_video::{DatasetKind, SyntheticDataset, Video};
@@ -64,7 +64,6 @@ pub struct ZeusSessionBuilder {
     scale: f64,
     seed: u64,
     options: PlannerOptions,
-    train_workers: Option<usize>,
     catalog: Option<PathBuf>,
     executor: ExecutorKind,
     obs: Option<ObsHub>,
@@ -96,7 +95,6 @@ impl Default for ZeusSessionBuilder {
             scale: 0.2,
             seed: 2022,
             options: PlannerOptions::default(),
-            train_workers: None,
             catalog: None,
             executor: ExecutorKind::ZeusRl,
             obs: None,
@@ -176,19 +174,9 @@ impl ZeusSessionBuilder {
 
     /// Planner options used for every query planned by the session.
     /// `options.seed` is overridden by the session seed at build time,
-    /// keeping corpus and planner seeds aligned (likewise
-    /// [`Self::train_workers`] overrides `options.training`, so the
-    /// knobs compose in any order).
+    /// keeping corpus and planner seeds aligned.
     pub fn planner(mut self, options: PlannerOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Worker threads for the training plane's candidate portfolio
-    /// (`0` = one per available CPU). Trained plans are bit-identical
-    /// for any value; this only trades planning wall-clock for cores.
-    pub fn train_workers(mut self, workers: usize) -> Self {
-        self.train_workers = Some(workers);
         self
     }
 
@@ -240,9 +228,6 @@ impl ZeusSessionBuilder {
         }
         let mut options = self.options;
         options.seed = self.seed;
-        if let Some(workers) = self.train_workers {
-            options.training.train_workers = workers;
-        }
         if self.sources.is_empty() {
             self.sources.push((
                 DatasetKind::Bdd100k.registry_name().to_string(),
@@ -297,9 +282,7 @@ impl ZeusSessionBuilder {
             executor: self.executor,
             obs: self.obs.unwrap_or_default(),
             tenant: self.tenant.unwrap_or_default(),
-            plan_cache: RwLock::new(HashMap::new()),
             plan_locks: Mutex::new(HashMap::new()),
-            profile_cache: RwLock::new(HashMap::new()),
         })
     }
 }
@@ -310,18 +293,6 @@ struct SessionSource {
     name: String,
     source: SharedSource,
     corpus: CorpusId,
-}
-
-/// Session-local plan-cache key: corpus fingerprint + catalog key +
-/// exact target bits.
-type PlanKey = (CorpusId, String, u64);
-
-fn plan_key(corpus: CorpusId, query: &ActionQuery) -> PlanKey {
-    (
-        corpus,
-        PlanCatalog::key(query),
-        query.target_accuracy.to_bits(),
-    )
 }
 
 /// The unified entry point to Zeus: named corpora, one planner
@@ -359,12 +330,12 @@ fn plan_key(corpus: CorpusId, query: &ActionQuery) -> PlanKey {
 /// # Ok::<(), zeus_api::ZeusError>(())
 /// ```
 ///
-/// Plan resolution never retrains what it can reuse: a query first
-/// checks the session's in-memory plan cache, then the shared
-/// [`PlanStore`] (including the `.zpln` catalog when one is
-/// configured), and only trains from scratch on a complete miss. Every
-/// plan and cache key carries the corpus fingerprint, so the same SQL
-/// against two registered corpora trains two independent plans.
+/// Plan resolution never retrains what it can reuse: every executor is
+/// built from the plan in the shared [`PlanStore`] (including the
+/// `.zpln` catalog when one is configured), and a query trains from
+/// scratch only on a complete miss. Every plan and cache key carries the
+/// corpus fingerprint, so the same SQL against two registered corpora
+/// trains two independent plans.
 /// [`Self::serve`] starts a [`ZeusServer`] sharing the same plan store,
 /// so everything the session planned is immediately servable.
 pub struct ZeusSession {
@@ -380,19 +351,10 @@ pub struct ZeusSession {
     /// The identity fleet submissions are attributed (and quota-charged)
     /// to.
     tenant: TenantId,
-    /// Full trained plans (with profiles) per (corpus, query core); the
-    /// `PlanStore` holds the serialized form used by serving and the
-    /// catalog.
-    plan_cache: RwLock<HashMap<PlanKey, Arc<QueryPlan>>>,
-    /// Per-(corpus, core) training guards: concurrent queries for the
-    /// same uncached core serialize on its guard so training is paid
-    /// once.
-    plan_locks: Mutex<HashMap<PlanKey, Arc<Mutex<()>>>>,
-    /// Profile tables (Table 2) re-derived for store-resolved plans:
-    /// budgeted sliding queries need them for config re-selection, and
-    /// the profiling pass is paid once per (corpus, core), not once per
-    /// run.
-    profile_cache: RwLock<HashMap<PlanKey, Arc<Vec<ConfigProfile>>>>,
+    /// Training guards per catalog path (`<corpus>/<key>`): concurrent
+    /// queries for the same unplanned core serialize on its guard so
+    /// training is paid once.
+    plan_locks: Mutex<HashMap<String, Arc<Mutex<()>>>>,
 }
 
 impl ZeusSession {
@@ -555,67 +517,33 @@ impl ZeusSession {
         QueryPlanner::new(source.source.as_ref(), self.options.clone()).with_obs(self.obs.clone())
     }
 
-    /// The full plan trained this session, if any.
-    fn cached_plan(&self, source: &SessionSource, base: &ActionQuery) -> Option<Arc<QueryPlan>> {
-        read_recover(&self.plan_cache)
-            .get(&plan_key(source.corpus, base))
-            .cloned()
-    }
-
-    /// The trained plan for a (corpus, query core): session cache, then
-    /// plan from scratch (training — the expensive path, paid once per
-    /// core and persisted to the plan store / catalog). Engine
-    /// construction prefers [`Self::cached_plan`] / the [`PlanStore`]
-    /// and only lands here on a complete miss (or for executors that
-    /// need the full profile table).
-    fn base_plan(
+    /// Train `base` on `source` and install the plan in the store — the
+    /// expensive path, paid once per core and persisted to the catalog.
+    /// Concurrent callers for one core serialize on its guard: the first
+    /// trains, and the others find its plan in the store.
+    fn train(
         &self,
         source: &SessionSource,
         base: &ActionQuery,
     ) -> Result<Arc<QueryPlan>, ZeusError> {
-        if let Some(plan) = self.cached_plan(source, base) {
-            return Ok(plan);
-        }
-        // Serialize training per core: the first caller trains while
-        // concurrent callers for the same core wait on its guard and
-        // then hit the cache, so training really is paid once.
         let guard = {
             let mut locks = lock_recover(&self.plan_locks);
             Arc::clone(
                 locks
-                    .entry(plan_key(source.corpus, base))
-                    .or_insert_with(|| Arc::new(Mutex::new(()))),
+                    .entry(format!("{}/{}", source.corpus, PlanCatalog::key(base)))
+                    .or_default(),
             )
         };
         let _training = lock_recover(&guard);
-        if let Some(plan) = self.cached_plan(source, base) {
+        // `get`, not the counted lookup: the caller has counted a refusal.
+        if let Some(plan) = self.plans.get(source.corpus, base) {
             return Ok(plan);
         }
-        let plan = Arc::new(self.planner(source).try_plan(base)?);
-        self.plans
+        let plan = self.planner(source).try_plan(base)?;
+        let installed = self
+            .plans
             .install(source.corpus, &plan, self.options.seed)?;
-        write_recover(&self.plan_cache).insert(plan_key(source.corpus, base), Arc::clone(&plan));
-        Ok(plan)
-    }
-
-    /// The profile table for a store-resolved plan, re-derived on first
-    /// use (sliding execution over the validation split — no RL
-    /// training) and cached per (corpus, core).
-    fn stored_profiles(
-        &self,
-        source: &SessionSource,
-        base: &ActionQuery,
-        stored: &StoredPlan,
-    ) -> Arc<Vec<ConfigProfile>> {
-        let key = plan_key(source.corpus, base);
-        if let Some(profiles) = read_recover(&self.profile_cache).get(&key) {
-            return Arc::clone(profiles);
-        }
-        let planner = self.planner(source);
-        let space = ConfigSpace::for_family(source.source.family()).masked(self.options.knob_mask);
-        let profiles = Arc::new(planner.profile_configurations(base, &space, &stored.apfg()));
-        write_recover(&self.profile_cache).insert(key, Arc::clone(&profiles));
-        profiles
+        Ok(installed)
     }
 
     /// Test-split videos of a source in canonical (id) order.
@@ -633,22 +561,6 @@ pub struct Query<'s> {
     source: &'s SessionSource,
     ir: QueryIr,
     executor: ExecutorKind,
-}
-
-/// A query's engine plus the evaluation protocol it was resolved with.
-struct ResolvedEngine {
-    engine: Box<dyn QueryEngine + Send + Sync>,
-    protocol: EvalProtocol,
-    /// Whether the plan was found without planning.
-    from_cache: bool,
-}
-
-/// The plan a query's engine is built from.
-enum Planned<'a> {
-    /// A full trained plan, profiles included.
-    Full(&'a QueryPlan),
-    /// A stored (catalog) plan: rebuilds Zeus-RL and Zeus-Sliding only.
-    Stored(&'a StoredPlan),
 }
 
 impl<'s> Query<'s> {
@@ -681,7 +593,7 @@ impl<'s> Query<'s> {
     /// The stored plan for this query's (corpus, core), if one is
     /// resolvable without training. A refused catalog plan is a miss,
     /// counted under `serve.plan.refused`.
-    pub fn lookup(&self) -> Option<Arc<StoredPlan>> {
+    pub fn lookup(&self) -> Option<Arc<QueryPlan>> {
         let found = self.session.plans.lookup(self.source.corpus, &self.ir.base);
         if found.is_err() {
             let refused = self.session.obs.metrics.counter(keys::SERVE_PLAN_REFUSED);
@@ -690,98 +602,50 @@ impl<'s> Query<'s> {
         found.ok().flatten()
     }
 
-    /// Ensure this query's core is planned and return the stored form —
-    /// the warm-up path for serving and the catalog. Resolution is
+    /// Ensure this query's core is planned and return its plan — the
+    /// warm-up path for serving and the catalog. Resolution is
     /// store-first: a plan already in the session's [`PlanStore`]
     /// (including one persisted by an earlier process via the catalog)
     /// is returned as-is; only a complete miss trains.
-    pub fn plan(&self) -> Result<Arc<StoredPlan>, ZeusError> {
-        if let Some(stored) = self.lookup() {
-            return Ok(stored);
-        }
-        self.session.base_plan(self.source, &self.ir.base)?;
-        self.lookup()
-            .ok_or_else(|| ZeusError::Unsupported("freshly trained plan must be stored".into()))
+    pub fn plan(&self) -> Result<Arc<QueryPlan>, ZeusError> {
+        Ok(self.resolve()?.0)
     }
 
-    /// Train (or fetch from the session cache) the *full* plan for this
-    /// query's core — profiles, training report, and costs included.
-    /// Unlike [`Query::plan`], this cannot be satisfied by a catalog
-    /// entry alone: use it when the full planning artifacts are needed
-    /// (e.g. reporting training costs, building all five engines).
+    /// The same as [`Query::plan`].
     pub fn train(&self) -> Result<Arc<QueryPlan>, ZeusError> {
-        self.session.base_plan(self.source, &self.ir.base)
+        self.plan()
     }
 
-    /// Resolve this query to an engine without retraining what can be
-    /// reused: the session's full-plan cache first, then the plan store
-    /// (catalog) for plan-reconstructable executors, then training.
-    fn resolve(&self) -> Result<ResolvedEngine, ZeusError> {
-        if let Some(plan) = self.session.cached_plan(self.source, &self.ir.base) {
-            return Ok(ResolvedEngine {
-                engine: self.engine(Planned::Full(&plan)),
-                protocol: plan.protocol,
-                from_cache: true,
-            });
+    /// This query's plan, and whether it was found without planning.
+    fn resolve(&self) -> Result<(Arc<QueryPlan>, bool), ZeusError> {
+        match self.lookup() {
+            Some(plan) => Ok((plan, true)),
+            None => Ok((self.session.train(self.source, &self.ir.base)?, false)),
         }
-        if matches!(
-            self.executor,
-            ExecutorKind::ZeusRl | ExecutorKind::ZeusSliding
-        ) {
-            if let Some(stored) = self.lookup() {
-                return Ok(ResolvedEngine {
-                    protocol: stored.protocol,
-                    engine: self.engine(Planned::Stored(&stored)),
-                    from_cache: true,
-                });
-            }
-        }
-        let plan = self.session.base_plan(self.source, &self.ir.base)?;
-        Ok(ResolvedEngine {
-            engine: self.engine(Planned::Full(&plan)),
-            protocol: plan.protocol,
-            from_cache: false,
-        })
     }
 
     /// Build this query's engine from its plan. A `latency_budget` on a
-    /// Zeus-Sliding query re-selects the static configuration under the
-    /// budget's throughput floor (tighter budget → faster configuration);
-    /// for a stored plan that re-profiles the configuration space (cheap:
-    /// sliding execution over the validation split, no RL training).
-    /// Zeus-RL adapts per segment and needs no override.
-    fn engine(&self, planned: Planned<'_>) -> Box<dyn QueryEngine + Send + Sync> {
+    /// Zeus-Sliding query re-selects the static configuration from the
+    /// plan's profiles under the budget's throughput floor (tighter
+    /// budget → faster configuration). Zeus-RL adapts per segment and
+    /// needs no override.
+    fn engine(&self, plan: &QueryPlan) -> Box<dyn QueryEngine + Send + Sync> {
         let planner = self.session.planner(self.source);
-        let cost = planner.cost_model().clone();
         let floor = match self.executor {
             ExecutorKind::ZeusSliding => planner.budget_min_fps(&self.ir),
             _ => None,
         };
-        if let Some(floor) = floor {
-            let stored_profiles;
-            let (profiles, apfg, config) = match planned {
-                Planned::Full(plan) => (&plan.profiles, plan.apfg.clone(), plan.sliding_config),
-                Planned::Stored(stored) => {
-                    stored_profiles =
-                        self.session
-                            .stored_profiles(self.source, &self.ir.base, stored);
-                    (&*stored_profiles, stored.apfg(), stored.sliding_config)
-                }
-            };
-            let config = QueryPlanner::select_sliding_config_bounded(
-                profiles,
-                self.ir.base.target_accuracy,
-                Some(floor),
-            )
-            .unwrap_or(config);
-            return Box::new(ZeusSliding::new(apfg, config, cost));
-        }
-        match planned {
-            Planned::Full(plan) => planner.build_engine(plan, self.executor),
-            Planned::Stored(stored) if self.executor == ExecutorKind::ZeusSliding => {
-                Box::new(stored.sliding_engine(cost))
+        match floor {
+            Some(floor) => {
+                let config = QueryPlanner::select_sliding_config_bounded(
+                    &plan.profiles,
+                    self.ir.base.target_accuracy,
+                    Some(floor),
+                )
+                .unwrap_or(plan.sliding_config);
+                Box::new(ZeusSliding::new(plan.apfg.clone(), config, CostModel))
             }
-            Planned::Stored(stored) => Box::new(stored.zeus_rl_engine(cost)),
+            None => planner.build_engine(plan, self.executor),
         }
     }
 
@@ -798,13 +662,14 @@ impl<'s> Query<'s> {
         let mut clock = StageClock::new();
 
         let span = trace.span("plan");
-        let resolved = self.resolve()?;
+        let (plan, from_cache) = self.resolve()?;
+        let engine = self.engine(&plan);
         drop(span);
         clock.mark("plan");
 
         let mut span = trace.span("execute");
         let videos = self.session.test_videos(self.source);
-        let exec = resolved.engine.execute(&videos);
+        let exec = engine.execute(&videos);
         let device_secs = exec.clock.elapsed_secs();
         span.set_device_secs(device_secs);
         drop(span);
@@ -812,7 +677,7 @@ impl<'s> Query<'s> {
         clock.set_device_secs(device_secs);
 
         let span = trace.span("refine");
-        let report = exec.evaluate(&videos, &self.ir.base.classes, resolved.protocol);
+        let report = exec.evaluate(&videos, &self.ir.base.classes, plan.protocol);
         let refiner = QueryRefiner::new(&self.ir, videos.iter().copied());
         let answer = refiner.answer(&exec.labels);
         drop(span);
@@ -823,7 +688,7 @@ impl<'s> Query<'s> {
             ExplainReport {
                 query: self.ir.to_sql(),
                 executor: self.executor.name().to_string(),
-                from_cache: resolved.from_cache,
+                from_cache,
                 coalesced: false,
                 stages,
                 total,

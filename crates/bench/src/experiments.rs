@@ -1,5 +1,6 @@
 //! One driver per table and figure of the paper's evaluation (§6), plus
-//! the ablations DESIGN.md commits to. Each driver returns a printable
+//! three ablations (reward, model reuse, aggregation window) and the §6.4
+//! parallel-execution extension. Each returns a printable
 //! [`ExperimentOutput`]; the `reproduce` binary runs them all.
 
 use zeus_apfg::frame_pp::FramePpModel;
@@ -231,14 +232,14 @@ pub fn fig8(contexts: &[(&str, &ExperimentContext)]) -> ExperimentOutput {
 }
 
 /// Table 5 + Figure 9: accuracy-aware planning across targets.
-pub fn fig9_table5(sweep: &[(&str, f64, ExperimentContext)]) -> ExperimentOutput {
+pub fn fig9_table5(sweep: &[(&str, &ExperimentContext)]) -> ExperimentOutput {
     let mut rows = Vec::new();
-    for (name, target, ctx) in sweep {
+    for (name, ctx) in sweep {
         let sliding = ctx.run(ExecutorKind::ZeusSliding);
         let rl = ctx.run(ExecutorKind::ZeusRl);
         rows.push(vec![
             (*name).to_string(),
-            format!("{target:.2}"),
+            format!("{:.2}", ctx.query.target_accuracy),
             format!("{:.3}", sliding.f1),
             format!("{:.0}", sliding.throughput_fps),
             format!("{:.3}", rl.f1),
@@ -784,20 +785,20 @@ pub fn run_all(fast: bool) -> Vec<ExperimentOutput> {
     outputs.push(table6(cross_right));
 
     // Figure 9 / Table 5: targets 0.75/0.80/0.85 on CrossRight, LeftTurn.
-    let mut sweep = Vec::new();
-    for &(name, class) in &[
-        ("CrossRight", ActionClass::CrossRight),
-        ("LeftTurn", ActionClass::LeftTurn),
-    ] {
-        for &target in &[0.75f64, 0.80, 0.85] {
-            sweep.push((
-                name,
-                target,
-                ExperimentContext::new(DatasetKind::Bdd100k, vec![class], target),
-            ));
-        }
-    }
-    outputs.push(fig9_table5(&sweep));
+    // At 0.85 they are Figure 8's contexts.
+    let lower = |class| {
+        [0.75, 0.80].map(|target| ExperimentContext::new(DatasetKind::Bdd100k, vec![class], target))
+    };
+    let [cross_right_75, cross_right_80] = lower(ActionClass::CrossRight);
+    let [left_turn_75, left_turn_80] = lower(ActionClass::LeftTurn);
+    outputs.push(fig9_table5(&[
+        ("CrossRight", &cross_right_75),
+        ("CrossRight", &cross_right_80),
+        ("CrossRight", cross_right),
+        ("LeftTurn", &left_turn_75),
+        ("LeftTurn", &left_turn_80),
+        ("LeftTurn", left_turn),
+    ]));
 
     outputs.push(fig12(cross_right));
     outputs.push(fig13(cross_right, left_turn));

@@ -3,87 +3,38 @@
 //! Planning a query is a one-time cost (Table 6: APFG fine-tuning + RL
 //! training); a production VDBMS amortises it by storing the trained plan
 //! and reusing it for every execution of the same query. The catalog
-//! persists the parts of a [`crate::planner::QueryPlan`] needed to rebuild
-//! the executors — the trained policy weights, the selected static
-//! configuration, the Pareto action space, and the APFG seed and
-//! model-reuse flag — in a small versioned binary format (`.zpln` files).
-//! A file of another version is refused; the plan store treats it as a
-//! miss, so the query is re-planned and the file rewritten.
+//! persists a whole [`QueryPlan`] in a small versioned binary format
+//! (`.zpln` files): the query, the action space's configurations in
+//! order with the space's knob lists, the profiles, the static and
+//! initial configurations, the trained policy weights, the training
+//! report, the simulated costs, the APFG's seed and model-reuse flag, and
+//! the evaluation window. A decoded plan equals the encoded one in every
+//! field, floats by their bits; the APFG is rebuilt from its seed, its
+//! flag and the space's knob maxima, as the planner builds it. A file of
+//! another version is refused; the plan store treats it as a miss, so the
+//! query is re-planned and the file rewritten.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use zeus_apfg::Configuration;
+use zeus_apfg::{Configuration, SimulatedApfg};
 use zeus_rl::agent::GreedyPolicy;
+use zeus_rl::TrainingReport;
 use zeus_video::ActionClass;
 
-use zeus_apfg::SimulatedApfg;
-use zeus_sim::CostModel;
-
-use crate::baselines::{ZeusRl, ZeusSliding};
 use crate::config::ConfigSpace;
 use crate::metrics::EvalProtocol;
-use crate::planner::QueryPlan;
+use crate::planner::{ConfigProfile, QueryPlan, TrainingCosts};
 use crate::query::ActionQuery;
 
 const MAGIC: &[u8; 4] = b"ZPLN";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
-/// The persisted portion of a query plan.
-#[derive(Debug, Clone)]
-pub struct StoredPlan {
-    /// The planned query.
-    pub query: ActionQuery,
-    /// The trained greedy policy.
-    pub policy: GreedyPolicy,
-    /// Zeus-Sliding's static configuration.
-    pub sliding_config: Configuration,
-    /// The initial (most accurate) configuration.
-    pub init_config: Configuration,
-    /// The Pareto-frontier action space (configuration triples, in action
-    /// order).
-    pub space_configs: Vec<Configuration>,
-    /// Knob maxima used to normalise APFG features.
-    pub knob_maxima: (usize, usize, usize),
-    /// APFG seed (the behavioural model is deterministic given it).
-    pub apfg_seed: u64,
-    /// Whether the APFG uses §5's model reuse (false for a plan trained
-    /// with a per-configuration ensemble).
-    pub model_reuse: bool,
-    /// Evaluation window.
-    pub protocol: EvalProtocol,
-}
-
-impl StoredPlan {
-    /// Reconstruct the action space in trained order.
-    pub fn space(&self) -> ConfigSpace {
-        ConfigSpace::from_configs(self.space_configs.clone())
-    }
-
-    /// Rebuild the query's APFG (deterministic given the stored seed).
-    pub fn apfg(&self) -> SimulatedApfg {
-        let (r, l, s) = self.knob_maxima;
-        SimulatedApfg::new(self.query.classes.clone(), r, l, s, self.apfg_seed)
-            .with_model_reuse(self.model_reuse)
-    }
-
-    /// Rebuild the Zeus-RL executor from the stored plan.
-    pub fn zeus_rl_engine(&self, cost: CostModel) -> ZeusRl {
-        ZeusRl::new(
-            self.apfg(),
-            self.policy.clone(),
-            self.space(),
-            self.init_config,
-            cost,
-        )
-    }
-
-    /// Rebuild the Zeus-Sliding executor from the stored plan.
-    pub fn sliding_engine(&self, cost: CostModel) -> ZeusSliding {
-        ZeusSliding::new(self.apfg(), self.sliding_config, cost)
-    }
-}
+/// Encoded size of a configuration: three `u32` knobs.
+const CONFIG_BYTES: usize = 12;
+/// Encoded size of a profile: its configuration and three `f64`s.
+const PROFILE_BYTES: usize = CONFIG_BYTES + 24;
 
 /// Errors from catalog decode.
 #[derive(Debug)]
@@ -128,6 +79,18 @@ impl Writer {
         self.u32(c.seg_len as u32);
         self.u32(c.sampling_rate as u32);
     }
+    fn knob_values(&mut self, values: &[usize]) {
+        self.u32(values.len() as u32);
+        for &v in values {
+            self.u32(v as u32);
+        }
+    }
+    fn f32s(&mut self, values: &[f32]) {
+        self.u32(values.len() as u32);
+        for v in values {
+            self.u32(v.to_bits());
+        }
+    }
     fn bytes(&mut self, b: &[u8]) {
         self.u32(b.len() as u32);
         self.0.extend_from_slice(b);
@@ -141,7 +104,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CatalogError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(CatalogError::Corrupt("unexpected end of file".into()));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -157,6 +120,18 @@ impl<'a> Reader<'a> {
     fn f64(&mut self) -> Result<f64, CatalogError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+    /// A count of `item_bytes`-sized items, bounded by the bytes actually
+    /// present before anything is allocated for it: a corrupt (or
+    /// crafted) count is a typed error, never a huge allocation.
+    fn count(&mut self, item_bytes: usize, what: &str) -> Result<usize, CatalogError> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / item_bytes {
+            return Err(CatalogError::Corrupt(format!(
+                "implausible {what} count {n}"
+            )));
+        }
+        Ok(n)
+    }
     fn config(&mut self) -> Result<Configuration, CatalogError> {
         let r = self.u32()? as usize;
         let l = self.u32()? as usize;
@@ -165,6 +140,20 @@ impl<'a> Reader<'a> {
             return Err(CatalogError::Corrupt("zero knob in configuration".into()));
         }
         Ok(Configuration::new(r, l, s))
+    }
+    fn knob_values(&mut self) -> Result<Vec<usize>, CatalogError> {
+        let n = self.count(4, "knob value")?;
+        let values = (0..n)
+            .map(|_| self.u32().map(|v| v as usize))
+            .collect::<Result<Vec<_>, _>>()?;
+        if values.is_empty() || values.contains(&0) {
+            return Err(CatalogError::Corrupt("empty or zero knob list".into()));
+        }
+        Ok(values)
+    }
+    fn f32s(&mut self) -> Result<Vec<f32>, CatalogError> {
+        let n = self.count(4, "episode")?;
+        (0..n).map(|_| self.u32().map(f32::from_bits)).collect()
     }
 }
 
@@ -182,7 +171,8 @@ fn class_from_id(id: u8) -> Result<ActionClass, CatalogError> {
         .ok_or_else(|| CatalogError::Corrupt(format!("unknown class id {id}")))
 }
 
-/// Encode a plan's persistent parts.
+/// Encode a whole plan. The APFG is stored as `apfg_seed` and its
+/// model-reuse flag.
 pub fn encode_plan(plan: &QueryPlan, apfg_seed: u64) -> Vec<u8> {
     let mut w = Writer(Vec::with_capacity(4096));
     w.0.extend_from_slice(MAGIC);
@@ -192,24 +182,40 @@ pub fn encode_plan(plan: &QueryPlan, apfg_seed: u64) -> Vec<u8> {
         w.0.push(class_id(c));
     }
     w.f64(plan.query.target_accuracy);
-    w.config(plan.sliding_config);
-    w.config(plan.init_config);
     w.u32(plan.space.len() as u32);
     for &c in plan.space.configs() {
         w.config(c);
     }
-    w.u32(plan.space.max_resolution() as u32);
-    w.u32(plan.space.max_seg_len() as u32);
-    w.u32(plan.space.max_sampling() as u32);
+    for values in plan.space.knobs() {
+        w.knob_values(values);
+    }
+    w.u32(plan.profiles.len() as u32);
+    for p in &plan.profiles {
+        w.config(p.config);
+        w.f64(p.throughput_fps);
+        w.f64(p.f1);
+        w.f64(p.f1_lcb);
+    }
+    w.config(plan.sliding_config);
+    w.f64(plan.max_accuracy);
+    w.bytes(&plan.policy.to_bytes());
+    let report = &plan.training_report;
+    w.f32s(&report.episode_rewards);
+    w.f32s(&report.episode_losses);
+    w.u64(report.steps);
+    w.u64(report.updates);
+    w.f64(plan.costs.apfg_training_secs);
+    w.f64(plan.costs.frame_pp_training_secs);
+    w.f64(plan.costs.rl_training_secs);
     w.u64(apfg_seed);
     w.0.push(plan.apfg.model_reuse() as u8);
+    w.config(plan.init_config);
     w.u32(plan.protocol.window as u32);
-    w.bytes(&plan.policy.to_bytes());
     w.0
 }
 
 /// Decode a stored plan.
-pub fn decode_plan(bytes: &[u8]) -> Result<StoredPlan, CatalogError> {
+pub fn decode_plan(bytes: &[u8]) -> Result<QueryPlan, CatalogError> {
     let mut r = Reader { buf: bytes, pos: 0 };
     if r.take(4)? != MAGIC {
         return Err(CatalogError::Corrupt("bad magic".into()));
@@ -224,40 +230,50 @@ pub fn decode_plan(bytes: &[u8]) -> Result<StoredPlan, CatalogError> {
     if n_classes == 0 || n_classes > ActionClass::ALL.len() {
         return Err(CatalogError::Corrupt("invalid class count".into()));
     }
-    let mut classes = Vec::with_capacity(n_classes);
-    for _ in 0..n_classes {
-        classes.push(class_from_id(r.take(1)?[0])?);
-    }
+    let classes = (0..n_classes)
+        .map(|_| class_from_id(r.take(1)?[0]))
+        .collect::<Result<Vec<_>, _>>()?;
     let target = r.f64()?;
     if !(target > 0.0 && target < 1.0) {
         return Err(CatalogError::Corrupt(format!("invalid target {target}")));
     }
+    let query = ActionQuery::multi(classes, target)
+        .map_err(|e| CatalogError::Corrupt(format!("query: {e}")))?;
+
+    let n_configs = r.count(CONFIG_BYTES, "configuration")?;
+    if n_configs == 0 {
+        return Err(CatalogError::Corrupt("empty action space".into()));
+    }
+    let configs = (0..n_configs)
+        .map(|_| r.config())
+        .collect::<Result<Vec<_>, _>>()?;
+    let knobs = [r.knob_values()?, r.knob_values()?, r.knob_values()?];
+    let space = ConfigSpace::from_parts(configs, knobs);
+
+    let n_profiles = r.count(PROFILE_BYTES, "profile")?;
+    let profiles = (0..n_profiles)
+        .map(|_| {
+            Ok(ConfigProfile {
+                config: r.config()?,
+                throughput_fps: r.f64()?,
+                f1: r.f64()?,
+                f1_lcb: r.f64()?,
+            })
+        })
+        .collect::<Result<Vec<_>, CatalogError>>()?;
+    // Zeus-Heuristic draws its subset from the profiles of the actions.
+    if let Some(c) = space
+        .configs()
+        .iter()
+        .find(|&&c| !profiles.iter().any(|p| p.config == c))
+    {
+        return Err(CatalogError::Corrupt(format!("action {c} has no profile")));
+    }
     let sliding_config = r.config()?;
-    let init_config = r.config()?;
-    let n_configs = r.u32()? as usize;
-    if n_configs == 0 || n_configs > 4096 {
-        return Err(CatalogError::Corrupt("invalid config count".into()));
-    }
-    let mut space_configs = Vec::with_capacity(n_configs);
-    for _ in 0..n_configs {
-        space_configs.push(r.config()?);
-    }
-    let max_res = r.u32()? as usize;
-    let max_len = r.u32()? as usize;
-    let max_samp = r.u32()? as usize;
-    let apfg_seed = r.u64()?;
-    let model_reuse = match r.take(1)?[0] {
-        0 => false,
-        1 => true,
-        b => return Err(CatalogError::Corrupt(format!("invalid flag {b}"))),
-    };
-    let window = r.u32()? as usize;
-    if window == 0 {
-        return Err(CatalogError::Corrupt("zero eval window".into()));
-    }
+    let max_accuracy = r.f64()?;
+
     let policy_len = r.u32()? as usize;
-    let policy_bytes = r.take(policy_len)?;
-    let policy = GreedyPolicy::from_bytes(policy_bytes)
+    let policy = GreedyPolicy::from_bytes(r.take(policy_len)?)
         .map_err(|e| CatalogError::Corrupt(format!("policy: {e}")))?;
     // The restored executor feeds the policy APFG features and indexes the
     // stored space with its action, so both widths must match.
@@ -269,17 +285,52 @@ pub fn decode_plan(bytes: &[u8]) -> Result<StoredPlan, CatalogError> {
             zeus_apfg::FEATURE_DIM
         )));
     }
+    let training_report = TrainingReport {
+        episode_rewards: r.f32s()?,
+        episode_losses: r.f32s()?,
+        steps: r.u64()?,
+        updates: r.u64()?,
+    };
+    let costs = TrainingCosts {
+        apfg_training_secs: r.f64()?,
+        frame_pp_training_secs: r.f64()?,
+        rl_training_secs: r.f64()?,
+    };
 
-    Ok(StoredPlan {
-        query: ActionQuery::multi(classes, target)
-            .map_err(|e| CatalogError::Corrupt(format!("query: {e}")))?,
-        policy,
-        sliding_config,
-        init_config,
-        space_configs,
-        knob_maxima: (max_res, max_len, max_samp),
+    let apfg_seed = r.u64()?;
+    let model_reuse = match r.take(1)?[0] {
+        0 => false,
+        1 => true,
+        b => return Err(CatalogError::Corrupt(format!("invalid flag {b}"))),
+    };
+    let apfg = SimulatedApfg::new(
+        query.classes.clone(),
+        space.max_resolution(),
+        space.max_seg_len(),
+        space.max_sampling(),
         apfg_seed,
-        model_reuse,
+    )
+    .with_model_reuse(model_reuse);
+    let init_config = r.config()?;
+    let window = r.u32()? as usize;
+    if window == 0 {
+        return Err(CatalogError::Corrupt("zero eval window".into()));
+    }
+    if r.pos != bytes.len() {
+        return Err(CatalogError::Corrupt("trailing bytes".into()));
+    }
+
+    Ok(QueryPlan {
+        query,
+        space,
+        profiles,
+        sliding_config,
+        max_accuracy,
+        policy,
+        training_report,
+        costs,
+        apfg,
+        init_config,
         protocol: EvalProtocol::new(window),
     })
 }
@@ -309,15 +360,15 @@ impl PlanCatalog {
         )
     }
 
-    /// Persist a plan; returns the file path.
-    pub fn save(&self, plan: &QueryPlan, apfg_seed: u64) -> io::Result<PathBuf> {
-        let path = self.dir.join(Self::key(&plan.query));
-        fs::write(&path, encode_plan(plan, apfg_seed))?;
+    /// Persist a plan's [`encode_plan`] bytes; returns the file path.
+    pub fn save(&self, query: &ActionQuery, encoded: &[u8]) -> io::Result<PathBuf> {
+        let path = self.dir.join(Self::key(query));
+        fs::write(&path, encoded)?;
         Ok(path)
     }
 
     /// Load the stored plan for a query, if present.
-    pub fn load(&self, query: &ActionQuery) -> Result<Option<StoredPlan>, CatalogError> {
+    pub fn load(&self, query: &ActionQuery) -> Result<Option<QueryPlan>, CatalogError> {
         let path = self.dir.join(Self::key(query));
         match fs::read(&path) {
             Ok(bytes) => Ok(Some(decode_plan(&bytes)?)),
@@ -361,35 +412,109 @@ mod tests {
         (plan, seed)
     }
 
-    #[test]
-    fn plan_roundtrips_through_bytes() {
-        let (plan, seed) = tiny_plan();
-        let bytes = encode_plan(&plan, seed);
-        let stored = decode_plan(&bytes).unwrap();
-        assert_eq!(stored.query, plan.query);
-        assert_eq!(stored.sliding_config, plan.sliding_config);
-        assert_eq!(stored.init_config, plan.init_config);
-        assert_eq!(stored.space_configs, plan.space.configs());
-        assert_eq!(stored.apfg_seed, seed);
-        assert_eq!(stored.protocol, plan.protocol);
-        // The restored policy acts identically.
-        let s = vec![0.25f32; zeus_apfg::FEATURE_DIM];
-        let mut scratch = zeus_rl::agent::RowScratch::default();
-        assert_eq!(
-            stored.policy.act(&s, &mut scratch),
-            plan.policy.act(&s, &mut scratch)
-        );
+    /// Every field of `a` equals `b`'s, floats by their bits.
+    fn assert_same_plan(a: &QueryPlan, b: &QueryPlan) {
+        assert_eq!(a.query, b.query);
+        assert_eq!(a.space.configs(), b.space.configs());
+        assert_eq!(a.space.knobs(), b.space.knobs());
+        assert_eq!(a.profiles.len(), b.profiles.len());
+        for (p, q) in a.profiles.iter().zip(&b.profiles) {
+            assert_eq!(p.config, q.config);
+            assert_eq!(p.throughput_fps.to_bits(), q.throughput_fps.to_bits());
+            assert_eq!(p.f1.to_bits(), q.f1.to_bits());
+            assert_eq!(p.f1_lcb.to_bits(), q.f1_lcb.to_bits());
+        }
+        assert_eq!(a.sliding_config, b.sliding_config);
+        assert_eq!(a.max_accuracy.to_bits(), b.max_accuracy.to_bits());
+        assert_eq!(a.policy.to_bytes(), b.policy.to_bytes());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (r, t) = (&a.training_report, &b.training_report);
+        assert_eq!(bits(&r.episode_rewards), bits(&t.episode_rewards));
+        assert_eq!(bits(&r.episode_losses), bits(&t.episode_losses));
+        assert_eq!((r.steps, r.updates), (t.steps, t.updates));
+        let cost_bits = |c: &TrainingCosts| {
+            [
+                c.apfg_training_secs,
+                c.frame_pp_training_secs,
+                c.rl_training_secs,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(cost_bits(&a.costs), cost_bits(&b.costs));
+        assert_eq!(a.apfg.model_reuse(), b.apfg.model_reuse());
+        // Seed, knob maxima, traits, shift and skew: `Debug` prints
+        // every float so that it parses back to the same bits.
+        assert_eq!(format!("{:?}", a.apfg), format!("{:?}", b.apfg));
+        assert_eq!(a.init_config, b.init_config);
+        assert_eq!(a.protocol, b.protocol);
     }
 
     #[test]
-    fn an_ensemble_plan_keeps_its_apfg_after_a_roundtrip() {
+    fn every_field_survives_a_roundtrip() {
+        let (plan, seed) = tiny_plan();
+        assert!(!plan.training_report.episode_rewards.is_empty());
+        assert_same_plan(&plan, &decode_plan(&encode_plan(&plan, seed)).unwrap());
+
+        // A knob-masked ensemble plan: its action space keeps the masked
+        // space's knob lists, and its APFG runs without model reuse.
         let (plan, seed) = tiny_plan_with(PlannerOptions {
+            knob_mask: crate::config::KnobMask {
+                fix_seg_len: Some(4),
+                ..Default::default()
+            },
             per_config_ensemble: true,
             ..PlannerOptions::default()
         });
         assert!(!plan.apfg.model_reuse());
-        let stored = decode_plan(&encode_plan(&plan, seed)).unwrap();
-        assert!(!stored.apfg().model_reuse());
+        assert!(plan.space.configs().iter().all(|c| c.seg_len == 4));
+        assert_same_plan(&plan, &decode_plan(&encode_plan(&plan, seed)).unwrap());
+    }
+
+    #[test]
+    fn crafted_counts_are_rejected_without_allocating() {
+        let (plan, seed) = tiny_plan();
+        let bytes = encode_plan(&plan, seed);
+        let profiles_at = 4
+            + 4
+            + 4
+            + plan.query.classes.len()
+            + 8
+            + 4
+            + CONFIG_BYTES * plan.space.len()
+            + plan
+                .space
+                .knobs()
+                .iter()
+                .map(|k| 4 + 4 * k.len())
+                .sum::<usize>();
+        let episodes_at = profiles_at
+            + 4
+            + PROFILE_BYTES * plan.profiles.len()
+            + CONFIG_BYTES
+            + 8
+            + 4
+            + plan.policy.to_bytes().len();
+        for (at, what) in [(profiles_at, "profile"), (episodes_at, "episode")] {
+            let mut crafted = bytes.clone();
+            crafted[at..at + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+            match decode_plan(&crafted) {
+                Err(CatalogError::Corrupt(m)) => {
+                    assert_eq!(m, format!("implausible {what} count {}", u32::MAX - 1))
+                }
+                other => panic!("{what} count: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn an_action_without_a_profile_is_refused() {
+        let (mut plan, seed) = tiny_plan();
+        let action = plan.space.configs()[0];
+        plan.profiles.retain(|p| p.config != action);
+        assert!(matches!(
+            decode_plan(&encode_plan(&plan, seed)),
+            Err(CatalogError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -398,7 +523,7 @@ mod tests {
         let ds = DatasetKind::Bdd100k.generate(0.08, 3);
         let (plan, seed) = tiny_plan();
         let stored = decode_plan(&encode_plan(&plan, seed)).unwrap();
-        let cost = CostModel;
+        let cost = zeus_sim::CostModel;
 
         let planner = QueryPlanner::new(&ds, PlannerOptions::default());
         let original = planner.build_engine(&plan, crate::baselines::ExecutorKind::ZeusRl);
@@ -456,7 +581,9 @@ mod tests {
         let (plan, seed) = tiny_plan();
         let dir = std::env::temp_dir().join(format!("zeus-catalog-test-{}", std::process::id()));
         let catalog = PlanCatalog::open(&dir).unwrap();
-        let path = catalog.save(&plan, seed).unwrap();
+        let path = catalog
+            .save(&plan.query, &encode_plan(&plan, seed))
+            .unwrap();
         assert!(path.exists());
         let stored = catalog.load(&plan.query).unwrap().expect("plan present");
         assert_eq!(stored.query, plan.query);

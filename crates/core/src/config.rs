@@ -65,19 +65,17 @@ impl ConfigSpace {
         }
     }
 
-    /// Build a space from an explicit, ordered configuration list (used
-    /// when restoring a persisted plan, where the action order must match
-    /// the trained policy's outputs exactly). Knob lists are derived from
-    /// the configurations.
-    pub fn from_configs(configs: Vec<Configuration>) -> Self {
+    /// Rebuild a space from its ordered configurations and its knob lists,
+    /// as [`ConfigSpace::knobs`] returns them (used when restoring a
+    /// persisted plan, where the action order must match the trained
+    /// policy's outputs exactly).
+    pub fn from_parts(configs: Vec<Configuration>, knobs: [Vec<usize>; 3]) -> Self {
         assert!(!configs.is_empty(), "need at least one configuration");
-        let mut resolutions: Vec<usize> = configs.iter().map(|c| c.resolution).collect();
-        let mut seg_lens: Vec<usize> = configs.iter().map(|c| c.seg_len).collect();
-        let mut sampling_rates: Vec<usize> = configs.iter().map(|c| c.sampling_rate).collect();
-        for v in [&mut resolutions, &mut seg_lens, &mut sampling_rates] {
-            v.sort_unstable();
-            v.dedup();
-        }
+        assert!(
+            knobs.iter().all(|values| !values.is_empty()),
+            "knob lists must be non-empty"
+        );
+        let [resolutions, seg_lens, sampling_rates] = knobs;
         ConfigSpace {
             configs,
             resolutions,
@@ -112,6 +110,13 @@ impl ConfigSpace {
     /// All configurations.
     pub fn configs(&self) -> &[Configuration] {
         &self.configs
+    }
+
+    /// The knob values: resolutions, segment lengths and sampling rates.
+    /// A space restricted to a subset keeps the knob lists it was
+    /// restricted from.
+    pub fn knobs(&self) -> [&[usize]; 3] {
+        [&self.resolutions, &self.seg_lens, &self.sampling_rates]
     }
 
     /// Number of configurations.
@@ -307,13 +312,14 @@ mod tests {
     }
 
     #[test]
-    fn from_configs_preserves_order() {
-        let configs = vec![Configuration::new(300, 2, 1), Configuration::new(150, 8, 8)];
-        let s = ConfigSpace::from_configs(configs.clone());
-        assert_eq!(s.configs(), configs.as_slice());
-        assert_eq!(s.max_resolution(), 300);
-        assert_eq!(s.max_seg_len(), 8);
-        assert_eq!(s.max_sampling(), 8);
+    fn from_parts_restores_a_restricted_space() {
+        let s = ConfigSpace::for_dataset(DatasetKind::Bdd100k);
+        let r = s.restricted_to(&[Configuration::new(150, 8, 8), Configuration::new(200, 2, 4)]);
+        let knobs = r.knobs().map(<[usize]>::to_vec);
+        let restored = ConfigSpace::from_parts(r.configs().to_vec(), knobs);
+        assert_eq!(restored.configs(), r.configs());
+        assert_eq!(restored.knobs(), s.knobs());
+        assert_eq!(restored.most_accurate(), Configuration::new(300, 8, 1));
     }
 
     #[test]

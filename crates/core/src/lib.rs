@@ -37,7 +37,7 @@ pub mod training;
 
 pub use baselines::{ExecutorKind, QueryEngine};
 pub use cache::FeatureCache;
-pub use catalog::{PlanCatalog, StoredPlan};
+pub use catalog::PlanCatalog;
 pub use config::{ConfigSpace, KnobMask};
 pub use metrics::{EvalProtocol, EvalReport};
 pub use planner::{

@@ -230,6 +230,25 @@ pub struct QueryPlan {
     pub protocol: EvalProtocol,
 }
 
+impl QueryPlan {
+    /// The Zeus-RL executor: the trained policy over the plan's action
+    /// space.
+    pub fn zeus_rl_engine(&self, cost: CostModel) -> ZeusRl {
+        ZeusRl::new(
+            self.apfg.clone(),
+            self.policy.clone(),
+            self.space.clone(),
+            self.init_config,
+            cost,
+        )
+    }
+
+    /// The Zeus-Sliding executor at the plan's static configuration.
+    pub fn sliding_engine(&self, cost: CostModel) -> ZeusSliding {
+        ZeusSliding::new(self.apfg.clone(), self.sliding_config, cost)
+    }
+}
+
 /// The Zeus query planner bound to one data source (any
 /// [`DataSource`] — a generated paper corpus, a `.zds` file, a custom
 /// profile-defined corpus).
@@ -566,13 +585,6 @@ impl<'a> QueryPlanner<'a> {
             let val_report = exec.evaluate(&validation, &query.classes, protocol);
             let f1 = val_report.f1_lower_bound(1.0);
             let fps = exec.throughput();
-            if std::env::var_os("ZEUS_DEBUG_CANDIDATES").is_some() {
-                let spec = &self.options.candidates[i];
-                eprintln!(
-                    "  candidate {i} (margin {:.2} bonus {:.2} deficit {:.1}): val F1 {f1:.3} @ {fps:.0} fps",
-                    spec.margin, spec.fastness_bonus, spec.deficit_scale
-                );
-            }
             let better = match &best {
                 None => true,
                 Some((_, bf1, bfps)) => {
@@ -683,9 +695,9 @@ impl<'a> QueryPlanner<'a> {
         match kind {
             ExecutorKind::FramePp => Box::new(self.frame_pp_engine(plan)),
             ExecutorKind::SegmentPp => Box::new(self.segment_pp_engine(plan)),
-            ExecutorKind::ZeusSliding => Box::new(self.sliding_engine(plan)),
+            ExecutorKind::ZeusSliding => Box::new(plan.sliding_engine(self.cost.clone())),
             ExecutorKind::ZeusHeuristic => Box::new(self.heuristic_engine(plan)),
-            ExecutorKind::ZeusRl => Box::new(self.zeus_rl_engine(plan)),
+            ExecutorKind::ZeusRl => Box::new(plan.zeus_rl_engine(self.cost.clone())),
         }
     }
 
@@ -709,10 +721,6 @@ impl<'a> QueryPlanner<'a> {
         )
     }
 
-    fn sliding_engine(&self, plan: &QueryPlan) -> ZeusSliding {
-        ZeusSliding::new(plan.apfg.clone(), plan.sliding_config, self.cost.clone())
-    }
-
     fn heuristic_engine(&self, plan: &QueryPlan) -> ZeusHeuristic {
         // §6.1: Zeus-Heuristic operates on "a subset of configurations
         // that are used by Zeus-RL" — draw fast/mid/slow from the plan's
@@ -725,16 +733,6 @@ impl<'a> QueryPlanner<'a> {
             .collect();
         let (fast, mid, slow) = heuristic_subset(&rl_profiles);
         ZeusHeuristic::new(plan.apfg.clone(), fast, mid, slow, self.cost.clone())
-    }
-
-    fn zeus_rl_engine(&self, plan: &QueryPlan) -> ZeusRl {
-        ZeusRl::new(
-            plan.apfg.clone(),
-            plan.policy.clone(),
-            plan.space.clone(),
-            plan.init_config,
-            self.cost.clone(),
-        )
     }
 }
 

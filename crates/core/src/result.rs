@@ -8,7 +8,7 @@ use zeus_sim::SimClock;
 use zeus_video::annotation::runs_from_labels;
 use zeus_video::{ActionClass, Video, VideoId};
 
-use crate::metrics::{evaluate_events, evaluate_frames, EvalProtocol, EvalReport};
+use crate::metrics::{evaluate_frames, EvalProtocol, EvalReport};
 
 /// How many video frames were processed under each configuration.
 #[derive(Debug, Clone, Default)]
@@ -112,30 +112,6 @@ impl ExecutionResult {
                 .unwrap_or_else(|| panic!("video {id:?} missing from ground-truth set"));
             let gt = video.labels(classes);
             report.merge(&evaluate_frames(protocol, &gt, pred));
-        }
-        report
-    }
-
-    /// Evaluate at event level: output segments matched to ground-truth
-    /// action instances by temporal IoU (the paper's §2.1 segment
-    /// criterion; the headline metric of the reproduction).
-    ///
-    /// Predictions are smoothed first (`max_gap = 2·min_run`, `min_run`
-    /// passed by the caller from the dataset's evaluation protocol).
-    pub fn evaluate_events(
-        &self,
-        videos: &[&Video],
-        classes: &[ActionClass],
-        min_iou: f64,
-    ) -> EvalReport {
-        let mut report = EvalReport::default();
-        for (id, pred) in &self.labels {
-            let video = videos
-                .iter()
-                .find(|v| v.id == *id)
-                .unwrap_or_else(|| panic!("video {id:?} missing from ground-truth set"));
-            let gt = video.labels(classes);
-            report.merge(&evaluate_events(&gt, pred, min_iou));
         }
         report
     }

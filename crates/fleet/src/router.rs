@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use zeus_core::catalog::StoredPlan;
+use zeus_core::planner::QueryPlan;
 use zeus_core::query::QueryIr;
 use zeus_obs::keys;
 use zeus_obs::sync::lock_recover;
@@ -206,7 +206,7 @@ pub struct FleetRouter {
     by_corpus: HashMap<CorpusId, usize>,
     default_route: usize,
     /// Master plan catalog captured at build: the replication source.
-    catalog: HashMap<CorpusId, Vec<Arc<StoredPlan>>>,
+    catalog: HashMap<CorpusId, Vec<Arc<QueryPlan>>>,
     gate: FairShareGate,
     config: FleetConfig,
     obs: ObsHub,
@@ -286,8 +286,8 @@ impl FleetRouter {
             // Seed only the corpora this shard is primary for.
             for route in &routes {
                 if hrw::primary(route.corpus, config.shards) == shard_idx {
-                    if let Some(stored) = catalog.get(&route.corpus) {
-                        for plan in stored {
+                    if let Some(plans) = catalog.get(&route.corpus) {
+                        for plan in plans {
                             shard_plans.install_stored(route.corpus, (**plan).clone());
                         }
                     }

@@ -24,7 +24,7 @@ pub enum RewardMode {
     /// action-free windows earn `fastness_bonus · (ᾱ / α_max) −
     /// fp_penalty · fp_window_fraction`, which carries the paper's intent
     /// (speed where nothing happens, §4.4's Figure 7c) without rewarding
-    /// noise. This completion is documented in DESIGN.md.
+    /// noise. The completion is this reproduction's, not the paper's.
     Aggregate {
         /// User-specified target accuracy α.
         target_accuracy: f64,

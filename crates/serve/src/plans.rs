@@ -3,11 +3,13 @@
 //!
 //! Planning a query costs minutes of simulated APFG fine-tuning plus RL
 //! training (Table 6); the serving layer must never pay it on the request
-//! path. A [`PlanStore`] resolves `(corpus, query)` pairs to
-//! [`StoredPlan`]s through two tiers — a process-local map, then a
-//! per-corpus `.zpln` catalog directory — and exposes
-//! [`PlanStore::install`] for warming either tier ahead of traffic. A
-//! query with no resolvable plan is refused at admission
+//! path. A [`PlanStore`] resolves `(corpus, query)` pairs to whole
+//! [`QueryPlan`]s (profiles, training report and costs included) through
+//! two tiers — a process-local map, then a per-corpus `.zpln` catalog
+//! directory — and exposes [`PlanStore::install`] for warming either tier
+//! ahead of traffic. Every installed plan is the catalog codec's decoding
+//! of its own encoding, so a plan serves identically from memory and from
+//! disk. A query with no resolvable plan is refused at admission
 //! (`AdmitError::NoPlan`) rather than trained inline.
 //!
 //! Every key carries the corpus fingerprint ([`CorpusId`]): the same SQL
@@ -22,7 +24,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, RwLock};
 
-use zeus_core::catalog::{decode_plan, encode_plan, PlanCatalog, StoredPlan};
+use zeus_core::catalog::{decode_plan, encode_plan, PlanCatalog};
 use zeus_core::planner::QueryPlan;
 use zeus_core::query::ActionQuery;
 use zeus_obs::sync::{read_recover, write_recover};
@@ -54,7 +56,7 @@ pub struct PlanStore {
     /// Opened per-corpus catalogs, memoized so lookups never repeat the
     /// open (and its `create_dir_all`) on the request path.
     catalogs: RwLock<HashMap<CorpusId, PlanCatalog>>,
-    mem: RwLock<HashMap<MemKey, Arc<StoredPlan>>>,
+    mem: RwLock<HashMap<MemKey, Arc<QueryPlan>>>,
 }
 
 impl PlanStore {
@@ -99,41 +101,43 @@ impl PlanStore {
         Ok(Some(catalog))
     }
 
-    /// Install a freshly-trained plan for a corpus into both tiers.
-    /// Returns the catalog path when a disk tier exists.
+    /// Install a freshly-trained plan for a corpus into both tiers, with
+    /// its APFG seeded by `apfg_seed`, and return the installed plan.
     pub fn install(
         &self,
         corpus: CorpusId,
         plan: &QueryPlan,
         apfg_seed: u64,
-    ) -> io::Result<Option<std::path::PathBuf>> {
+    ) -> io::Result<Arc<QueryPlan>> {
         // Round-trip through the catalog codec so the installed plan is
         // exactly what a catalog load would produce (same policy bytes,
         // same rebuilt APFG) — serving behaviour cannot depend on whether
         // the plan came from memory or disk.
-        let stored =
-            decode_plan(&encode_plan(plan, apfg_seed)).expect("freshly encoded plan must decode");
-        write_recover(&self.mem).insert(mem_key(corpus, &stored.query), Arc::new(stored));
-        match self.catalog(corpus, true)? {
-            Some(catalog) => Ok(Some(catalog.save(plan, apfg_seed)?)),
-            None => Ok(None),
+        let encoded = encode_plan(plan, apfg_seed);
+        let installed = Arc::new(
+            decode_plan(&encoded).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
+        );
+        write_recover(&self.mem).insert(mem_key(corpus, &plan.query), Arc::clone(&installed));
+        if let Some(catalog) = self.catalog(corpus, true)? {
+            catalog.save(&plan.query, &encoded)?;
         }
+        Ok(installed)
     }
 
-    /// Install an already-materialized stored plan into the memory tier
-    /// (no disk write). Used to share one trained policy across many
-    /// query identities — e.g. the same class served at many accuracy
-    /// targets — without retraining per identity.
-    pub fn install_stored(&self, corpus: CorpusId, stored: StoredPlan) {
-        write_recover(&self.mem).insert(mem_key(corpus, &stored.query), Arc::new(stored));
+    /// Install an already-materialized plan into the memory tier (no
+    /// disk write). Used to share one trained policy across many query
+    /// identities — e.g. the same class served at many accuracy targets —
+    /// without retraining per identity.
+    pub fn install_stored(&self, corpus: CorpusId, plan: QueryPlan) {
+        write_recover(&self.mem).insert(mem_key(corpus, &plan.query), Arc::new(plan));
     }
 
-    /// Resolve a `(corpus, query)` pair to a stored plan: memory first,
+    /// Resolve a `(corpus, query)` pair to its plan: memory first,
     /// then the corpus's catalog subdirectory (memoizing a disk hit).
     /// `None` means no usable plan — a plan trained for the same SQL on a
     /// *different* corpus is never returned, and a refused catalog file
     /// (see [`PlanStore::lookup`]) is a miss too.
-    pub fn get(&self, corpus: CorpusId, query: &ActionQuery) -> Option<Arc<StoredPlan>> {
+    pub fn get(&self, corpus: CorpusId, query: &ActionQuery) -> Option<Arc<QueryPlan>> {
         self.lookup(corpus, query).ok().flatten()
     }
 
@@ -147,7 +151,7 @@ impl PlanStore {
         &self,
         corpus: CorpusId,
         query: &ActionQuery,
-    ) -> Result<Option<Arc<StoredPlan>>, PlanRefused> {
+    ) -> Result<Option<Arc<QueryPlan>>, PlanRefused> {
         let key = mem_key(corpus, query);
         if let Some(plan) = read_recover(&self.mem).get(&key) {
             return Ok(Some(Arc::clone(plan)));
@@ -159,8 +163,8 @@ impl PlanStore {
             // Catalog file names round the target, so a loaded plan may
             // have been trained for a *different* exact target; serve it
             // only when it matches the request precisely.
-            Some(stored) if &stored.query == query => {
-                let plan = Arc::new(stored);
+            Some(plan) if &plan.query == query => {
+                let plan = Arc::new(plan);
                 write_recover(&self.mem).insert(key, Arc::clone(&plan));
                 Ok(Some(plan))
             }
@@ -178,7 +182,7 @@ impl PlanStore {
     /// replication export: a fleet router pushes these entries into
     /// sibling shards' stores (via [`PlanStore::install_stored`]) when a
     /// corpus runs hot, so failover and resharding never retrain.
-    pub fn plans_for(&self, corpus: CorpusId) -> Vec<Arc<StoredPlan>> {
+    pub fn plans_for(&self, corpus: CorpusId) -> Vec<Arc<QueryPlan>> {
         let mem = read_recover(&self.mem);
         let mut plans: Vec<_> = mem
             .iter()

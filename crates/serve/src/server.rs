@@ -43,7 +43,8 @@ pub enum ServeError {
     InvalidConfig(String),
     /// The corpus test split holds no videos at this scale.
     EmptyCorpus,
-    /// The configured executor cannot be rebuilt from a stored plan.
+    /// The configured executor is not one a server runs (see
+    /// [`servable`]).
     NotServable(ExecutorKind),
 }
 
@@ -53,7 +54,7 @@ impl std::fmt::Display for ServeError {
             ServeError::InvalidConfig(s) => write!(f, "invalid serve config: {s}"),
             ServeError::EmptyCorpus => write!(f, "corpus test split is empty"),
             ServeError::NotServable(kind) => {
-                write!(f, "executor {kind} cannot be rebuilt from a stored plan")
+                write!(f, "executor {kind} is not served")
             }
         }
     }
@@ -70,9 +71,8 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Result-cache entries.
     pub cache_capacity: usize,
-    /// The engine every submitted query runs. Only the plan-reconstructable
-    /// engines ([`ExecutorKind::ZeusRl`], [`ExecutorKind::ZeusSliding`])
-    /// are servable.
+    /// The engine every submitted query runs: [`ExecutorKind::ZeusRl`] or
+    /// [`ExecutorKind::ZeusSliding`] (see [`servable`]).
     pub executor: ExecutorKind,
 }
 
@@ -414,15 +414,15 @@ impl ZeusServer {
         if found.is_err() {
             self.shared.metrics.on_plan_refused();
         }
-        let stored = found.ok().flatten().ok_or_else(|| {
+        let plan = found.ok().flatten().ok_or_else(|| {
             self.shared.metrics.on_no_plan();
             AdmitError::NoPlan {
                 key: PlanCatalog::key(&query),
             }
         })?;
         let engine: Box<dyn QueryEngine + Send + Sync> = match executor {
-            ExecutorKind::ZeusRl => Box::new(stored.zeus_rl_engine(CostModel)),
-            ExecutorKind::ZeusSliding => Box::new(stored.sliding_engine(CostModel)),
+            ExecutorKind::ZeusRl => Box::new(plan.zeus_rl_engine(CostModel)),
+            ExecutorKind::ZeusSliding => Box::new(plan.sliding_engine(CostModel)),
             _ => unreachable!("servable() vetted the executor"),
         };
 
@@ -462,7 +462,7 @@ impl ZeusServer {
                 let task = Arc::new(ActiveQuery::new(
                     query.clone(),
                     executor,
-                    stored.protocol,
+                    plan.protocol,
                     engine.take().expect("the push branch runs at most once"),
                     cache_key.clone(),
                     subscriber,
@@ -702,7 +702,8 @@ impl Drop for StageScope<'_> {
     }
 }
 
-/// Can `executor` be rebuilt from a [`zeus_core::catalog::StoredPlan`]?
+/// Does a server run `executor`? Zeus-RL and Zeus-Sliding only: a stored
+/// plan rebuilds all five engines, but the baselines are not served.
 pub fn servable(executor: ExecutorKind) -> bool {
     matches!(executor, ExecutorKind::ZeusRl | ExecutorKind::ZeusSliding)
 }

@@ -12,8 +12,8 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use zeus_core::baselines::QueryEngine;
-use zeus_core::catalog::{decode_plan, encode_plan, PlanCatalog, StoredPlan};
-use zeus_core::planner::{PlannerOptions, QueryPlanner};
+use zeus_core::catalog::{decode_plan, encode_plan, PlanCatalog};
+use zeus_core::planner::{PlannerOptions, QueryPlan, QueryPlanner};
 use zeus_core::query::ActionQuery;
 use zeus_core::ExecutorKind;
 use zeus_obs::keys;
@@ -31,7 +31,7 @@ const SEED: u64 = 3;
 
 struct Fixture {
     dataset: SyntheticDataset,
-    stored: StoredPlan,
+    stored: QueryPlan,
     /// The `.zpln` bytes of `stored`.
     encoded: Vec<u8>,
 }

@@ -15,6 +15,7 @@
 
 use zeus::core::parallel::execute_parallel;
 use zeus::prelude::*;
+use zeus::sim::CostModel;
 use zeus::video::video::Split;
 
 fn main() -> Result<(), ZeusError> {
@@ -68,13 +69,11 @@ fn main() -> Result<(), ZeusError> {
 
     // §6.4 extension: batch across videos onto multiple simulated
     // devices, reusing the session's trained plan.
-    let plan = session.query(zql)?.train()?;
-    let planner = QueryPlanner::new(session.source(), PlannerOptions::default());
-    let engine = planner.build_engine(&plan, ExecutorKind::ZeusRl);
+    let engine = session.query(zql)?.plan()?.zeus_rl_engine(CostModel);
     let test = session.source().store().split(Split::Test);
     println!("\ninter-video parallelism (§6.4):");
     for workers in [1usize, 2, 4] {
-        let par = execute_parallel(engine.as_ref(), &test, workers);
+        let par = execute_parallel(&engine, &test, workers);
         println!(
             "  {workers} device(s): {:>7.0} effective fps ({:.2}x)",
             par.parallel_throughput(),

@@ -334,12 +334,12 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
             "plan already in catalog: {} (sliding config {}, {} configurations) — reusing",
             PlanCatalog::key(&stored.query),
             stored.sliding_config,
-            stored.space_configs.len(),
+            stored.space.len(),
         );
         return Ok(());
     }
     eprintln!("planning (profiling configurations + RL training)...");
-    let plan = query.train().map_err(|e| e.to_string())?;
+    let plan = query.plan().map_err(|e| e.to_string())?;
     println!(
         "plan saved: {}\n  sliding config {}  max accuracy {:.3}\n  action space: {} configurations\n  simulated training cost: APFG {:.1}s + RL {:.1}s",
         PlanCatalog::key(&plan.query),

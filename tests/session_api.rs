@@ -7,7 +7,7 @@ use std::sync::OnceLock;
 use zeus::prelude::*;
 
 /// One session per test binary: planning is the expensive part, and the
-/// session's plan cache is exactly the thing that amortizes it.
+/// session's plan store is exactly the thing that amortizes it.
 fn session() -> &'static ZeusSession {
     static SESSION: OnceLock<ZeusSession> = OnceLock::new();
     SESSION.get_or_init(|| {
@@ -259,6 +259,63 @@ fn catalog_plans_are_reused_without_retraining() {
 }
 
 #[test]
+fn a_catalog_only_session_runs_every_executor_bit_identically() {
+    let dir = std::env::temp_dir().join(format!("zeus-session-all-five-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = |options: PlannerOptions| {
+        ZeusSession::builder()
+            .dataset(DatasetKind::Bdd100k)
+            .scale(0.08)
+            .seed(21)
+            .planner(options)
+            .catalog(&dir)
+            .build()
+            .unwrap()
+    };
+    let mut options = PlannerOptions::default();
+    options.trainer.episodes = 2;
+    options.trainer.warmup = 64;
+    options.candidates.truncate(1);
+    let trained = open(options);
+    // An empty portfolio cannot train: every run below must rebuild its
+    // executor from the catalog plan, the budgeted Zeus-Sliding query
+    // selecting from the stored profiles.
+    let mut untrainable = PlannerOptions::default();
+    untrainable.candidates.clear();
+    let reused = open(untrainable);
+
+    let budgeted = format!("{CLASSIC} AND latency_budget <= 1ms");
+    let runs = ExecutorKind::ALL
+        .map(|executor| (CLASSIC, executor))
+        .into_iter()
+        .chain([(budgeted.as_str(), ExecutorKind::ZeusSliding)]);
+    for (zql, executor) in runs {
+        let run = |session: &ZeusSession| {
+            let query = session.query(zql).unwrap().executor(executor);
+            query.run().expect("runs without training")
+        };
+        // The trained session runs first: its first run plans and
+        // persists the plan.
+        let (original, restored) = (run(&trained), run(&reused));
+        assert_eq!(
+            original.result.f1.to_bits(),
+            restored.result.f1.to_bits(),
+            "{executor} F1 on {zql}"
+        );
+        assert_eq!(
+            original.result.throughput_fps.to_bits(),
+            restored.result.throughput_fps.to_bits(),
+            "{executor} fps on {zql}"
+        );
+        assert_eq!(
+            original.answer, restored.answer,
+            "{executor} labels on {zql}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn explain_reports_a_catalog_plan_only_where_it_is_reused() {
     let dir = std::env::temp_dir().join(format!("zeus-session-explain-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -278,8 +335,8 @@ fn explain_reports_a_catalog_plan_only_where_it_is_reused() {
     };
     open().query(CLASSIC).unwrap().plan().unwrap();
 
-    // A second session over the catalog: Zeus-Sliding rebuilds from the
-    // stored plan, while Frame-PP ignores stored plans and trains.
+    // A second session over the catalog: Zeus-Sliding and Frame-PP both
+    // rebuild from the stored plan.
     let session = open();
     let explain = |executor| {
         let query = session
@@ -288,7 +345,7 @@ fn explain_reports_a_catalog_plan_only_where_it_is_reused() {
         query.executor(executor).run().unwrap().explain.unwrap()
     };
     assert!(explain(ExecutorKind::ZeusSliding).from_cache);
-    assert!(!explain(ExecutorKind::FramePp).from_cache);
+    assert!(explain(ExecutorKind::FramePp).from_cache);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
